@@ -24,12 +24,9 @@ from .networks import (
     ScoreNetwork,
     apply_feature_map,
     build_similarity_network,
-    cp_forward,
     extract_patches,
-    ht_forward,
     make_score_network,
     network_gradients,
-    tt_forward,
 )
 from .rank_analysis import (
     BoundReport,

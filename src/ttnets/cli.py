@@ -5,8 +5,8 @@ command accepts --seed, --out-dir and --config; the config file is flat
 JSON whose keys mirror the long flag names (hyphen or underscore), and
 explicit flags override file values.  Unknown config keys are rejected.
 
-Exit codes: 0 success / all checks passed, 1 runtime failure (I/O),
-2 usage or precondition failure.
+Exit codes: 0 success / all checks passed, 1 runtime failure (I/O, or a
+numerical routine that did not converge), 2 usage or precondition failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,23 @@ _COMMON = [
     ("out_dir", ".", str, "directory for output artifacts"),
 ]
 
+# Shared by train and sweep, which differ only in rank(s), dataset and epochs.
+_TRAINING = [
+    ("network", "tt", str, "tt, cp or ht"),
+    ("m", 4, int, "number of feature maps"),
+    ("activation", "relu", str, "relu, identity or sigmoid"),
+    ("batch_size", 32, int, "mini-batch size"),
+    ("lr", None, float, "learning rate; omit to sweep and keep the best run"),
+    ("points", 500, int, "number of points for toy datasets"),
+    ("noise", 0.1, float, "noise standard deviation for toy datasets"),
+    ("factor", 0.5, float, "inner radius for circles"),
+    ("images", None, str, "IDX image file (mnist)"),
+    ("labels", None, str, "IDX label file (mnist)"),
+    ("limit", None, int, "use only the first N samples (mnist)"),
+    ("patch_size", 8, int, "square patch edge (mnist)"),
+    ("stride", 5, int, "patch stride (mnist)"),
+]
+
 _OPTIONS = {
     "verify": _COMMON + [
         ("d", 6, int, "number of modes (even; power of two for ht-bounds)"),
@@ -84,22 +101,9 @@ _OPTIONS = {
     ],
     "train": _COMMON + [
         ("dataset", "moons", str, "moons, circles or mnist"),
-        ("network", "tt", str, "tt or cp"),
         ("rank", 8, int, "decomposition rank"),
-        ("m", 4, int, "number of feature maps"),
-        ("activation", "relu", str, "relu, identity or sigmoid"),
         ("epochs", 300, int, "training epochs"),
-        ("batch_size", 32, int, "mini-batch size"),
-        ("lr", None, float, "learning rate; omit to sweep and keep the best run"),
-        ("points", 500, int, "number of points for toy datasets"),
-        ("noise", 0.1, float, "noise standard deviation for toy datasets"),
-        ("factor", 0.5, float, "inner radius for circles"),
-        ("images", None, str, "IDX image file (mnist)"),
-        ("labels", None, str, "IDX label file (mnist)"),
-        ("limit", None, int, "use only the first N samples (mnist)"),
-        ("patch_size", 8, int, "square patch edge (mnist)"),
-        ("stride", 5, int, "patch stride (mnist)"),
-    ],
+    ] + _TRAINING,
     "boundary": _COMMON + [
         ("checkpoint", None, str, "checkpoint file of a trained 2-D network"),
         ("bounds", "-1.5,2.5,-1.25,1.5", str, "xmin,xmax,ymin,ymax"),
@@ -108,22 +112,9 @@ _OPTIONS = {
     ],
     "sweep": _COMMON + [
         ("dataset", "mnist", str, "moons, circles or mnist"),
-        ("network", "tt", str, "tt or cp"),
         ("ranks", "4,8,16", str, "ranks to sweep, comma separated"),
-        ("m", 4, int, "number of feature maps"),
-        ("activation", "relu", str, "relu, identity or sigmoid"),
         ("epochs", 20, int, "training epochs per rank"),
-        ("batch_size", 32, int, "mini-batch size"),
-        ("lr", None, float, "learning rate; omit to sweep and keep the best run"),
-        ("points", 500, int, "number of points for toy datasets"),
-        ("noise", 0.1, float, "noise standard deviation for toy datasets"),
-        ("factor", 0.5, float, "inner radius for circles"),
-        ("images", None, str, "IDX image file (mnist)"),
-        ("labels", None, str, "IDX label file (mnist)"),
-        ("limit", None, int, "use only the first N samples (mnist)"),
-        ("patch_size", 8, int, "square patch edge (mnist)"),
-        ("stride", 5, int, "patch stride (mnist)"),
-    ],
+    ] + _TRAINING,
     "patches": _COMMON + [
         ("image", None, str, "image as a CSV grid of pixel values"),
         ("patch_height", 7, int, "patch height"),
@@ -260,8 +251,6 @@ def _load_dataset(args):
 
 
 def _train_one(args, data, input_size, rank):
-    if args.network not in ("tt", "cp"):
-        raise ValueError(f"training supports tt or cp networks, got {args.network!r}")
     cfg = TrainConfig(learning_rate=args.lr or 1e-3, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
     num_patches = data.inputs.shape[1]
@@ -386,7 +375,7 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,15 +5,24 @@ All three formats store a d-dimensional tensor through small factors:
 * ``CPTensor`` -- a sum of r separable (rank-1) terms, one factor matrix
   per mode.
 * ``TTTensor`` -- a chain of 3-way cores ``G_k`` of shape
-  ``(r_{k-1}, n_k, r_k)`` with ``r_0 = r_d = 1``; an entry is the product
-  ``G_1[1, i_1, :] @ G_2[:, i_2, :] @ ... @ G_d[:, i_d, 1]``.
+  ``(r_{k-1}, n_k, r_k)`` with ``r_0 = 1``; an entry is the product
+  ``G_1[1, i_1, :] @ G_2[:, i_2, :] @ ... @ G_d[:, i_d, :]``.
 * ``HTTensor`` -- a perfect binary tree whose leaves carry matrices and
   whose internal nodes carry 3-way transfer tensors contracting the two
-  child outputs; the root output has size 1.
+  child outputs.
 
-Tensors are treated as immutable after construction.  Random sampling
-uses numpy's PCG64 generator seeded explicitly, so every construction
-is reproducible across platforms.
+Each format ends in an output leg of size C, the class axis of a score
+network: the last TT core is ``(r, n, C)``, the last CP factor may be
+``(n, r, C)`` and the HT root is ``(r_left, r_right, C)``.  A plain
+tensor has C = 1; ``class_tensor(y)`` cuts a wider leg down to class y.
+One batched contraction per format (``*_scores_from_features``) contracts
+every mode with a feature vector; an entry is that contraction at one-hot
+features.  Dense reconstruction keeps a reshape-then-matmul form, far
+cheaper than contracting all prod(n) one-hot inputs.
+
+Training updates the containers' arrays in place.  Random sampling uses
+numpy's PCG64 generator seeded explicitly, so every construction is
+reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -33,16 +42,19 @@ __all__ = [
     "TTTensor",
     "cp_entry",
     "cp_random",
+    "cp_scores_from_features",
     "cp_to_dense",
     "ht_entry",
     "ht_node_leaf_sets",
     "ht_random",
+    "ht_scores_from_features",
     "ht_to_dense",
     "ranks_from_dense",
     "tt_delta_example",
     "tt_entry",
     "tt_equal_cores_random",
     "tt_random",
+    "tt_scores_from_features",
     "tt_svd",
     "tt_to_dense",
 ]
@@ -57,30 +69,27 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_cap(shape, cap):
-    size = math.prod(shape)
-    if size > cap:
-        raise ValueError(
-            f"dense reconstruction of shape {tuple(shape)} has {size} entries, "
-            f"exceeding the cap of {cap}"
-        )
+def _float_arrays(arrays) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64) for a in arrays]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TTTensor:
-    """Tensor-train format: a chain of 3-way cores."""
+    """Tensor-train format: a chain of 3-way cores, the last one (r, n, C)."""
 
-    cores: tuple[np.ndarray, ...]
+    cores: list[np.ndarray]
+
+    kind = "tt"
 
     def __post_init__(self):
         if len(self.cores) < 1:
             raise ValueError("a TT tensor needs at least one core")
-        object.__setattr__(self, "cores", tuple(np.asarray(c, dtype=np.float64) for c in self.cores))
+        self.cores = _float_arrays(self.cores)
         for k, core in enumerate(self.cores):
             if core.ndim != 3:
                 raise ValueError(f"core {k + 1} must be 3-way, got shape {core.shape}")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
-            raise ValueError("boundary ranks r_0 and r_d must equal 1")
+        if self.cores[0].shape[0] != 1:
+            raise ValueError("boundary rank r_0 must equal 1")
         for k in range(len(self.cores) - 1):
             if self.cores[k].shape[2] != self.cores[k + 1].shape[0]:
                 raise ValueError(
@@ -100,22 +109,40 @@ class TTTensor:
     def ranks(self) -> tuple[int, ...]:
         return tuple(c.shape[2] for c in self.cores[:-1])
 
+    @property
+    def num_classes(self) -> int:
+        return self.cores[-1].shape[2]
 
-@dataclass(frozen=True)
+    def class_tensor(self, y: int) -> TTTensor:
+        """The d-way tensor of class y (a leg of size 1)."""
+        return TTTensor((*self.cores[:-1], self.cores[-1][:, :, y : y + 1]))
+
+    def parameters(self) -> list[np.ndarray]:
+        return list(self.cores)
+
+    def feature_axes(self) -> list[int | None]:
+        """Axis of each array in :meth:`parameters` that indexes the
+        mode (feature), or None for an array that reads no feature."""
+        return [1] * len(self.cores)
+
+
+@dataclass
 class CPTensor:
-    """Separable-sum format: one (n_k, r) factor matrix per mode."""
+    """Separable-sum format: one (n_k, r) factor matrix per mode; the last
+    factor may be (n, r, C) to carry the output leg."""
 
-    factors: tuple[np.ndarray, ...]
+    factors: list[np.ndarray]
+
+    kind = "cp"
 
     def __post_init__(self):
         if len(self.factors) < 1:
             raise ValueError("a CP tensor needs at least one factor")
-        object.__setattr__(
-            self, "factors", tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
-        )
-        ranks = {f.shape[1] for f in self.factors}
-        if any(f.ndim != 2 for f in self.factors) or len(ranks) != 1:
-            raise ValueError("all CP factors must be matrices sharing one width r")
+        self.factors = _float_arrays(self.factors)
+        if any(f.ndim != 2 for f in self.factors[:-1]) or self.factors[-1].ndim not in (2, 3) \
+                or len({f.shape[1] for f in self.factors}) != 1:
+            raise ValueError("all CP factors must be matrices sharing one width r "
+                             "(the last may be (n, r, C))")
 
     @property
     def ndim(self) -> int:
@@ -129,30 +156,46 @@ class CPTensor:
     def rank(self) -> int:
         return self.factors[0].shape[1]
 
+    @property
+    def output_factor(self) -> np.ndarray:
+        """The last factor as (n, r, C), a view."""
+        last = self.factors[-1]
+        return last.reshape(last.shape[0], self.rank, -1)
 
-@dataclass(frozen=True)
+    @property
+    def num_classes(self) -> int:
+        return self.output_factor.shape[2]
+
+    def class_tensor(self, y: int) -> CPTensor:
+        return CPTensor((*self.factors[:-1], self.output_factor[:, :, y]))
+
+    def parameters(self) -> list[np.ndarray]:
+        return list(self.factors)
+
+    def feature_axes(self) -> list[int | None]:
+        return [0] * len(self.factors)
+
+
+@dataclass
 class HTTensor:
     """Perfect-binary-tree format: leaf matrices plus transfer tensors.
 
     ``transfer[j]`` holds the internal nodes whose subtrees cover
     ``2**(j+1)`` leaves each, ordered left to right; the last level is
-    the root, whose output size must be 1.  Node ``transfer[j][i]`` has
-    shape ``(r_left, r_right, r_out)`` where the children are the nodes
-    (or leaves) covering the two halves of ``leaves[i*2**(j+1) : (i+1)*2**(j+1)]``.
+    the root, whose output size is the leg size C.  Node
+    ``transfer[j][i]`` has shape ``(r_left, r_right, r_out)`` where the
+    children are the nodes (or leaves) covering the two halves of
+    ``leaves[i*2**(j+1) : (i+1)*2**(j+1)]``.
     """
 
-    leaves: tuple[np.ndarray, ...]
-    transfer: tuple[tuple[np.ndarray, ...], ...]
+    leaves: list[np.ndarray]
+    transfer: list[list[np.ndarray]]
+
+    kind = "ht"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "leaves", tuple(np.asarray(m, dtype=np.float64) for m in self.leaves)
-        )
-        object.__setattr__(
-            self,
-            "transfer",
-            tuple(tuple(np.asarray(b, dtype=np.float64) for b in level) for level in self.transfer),
-        )
+        self.leaves = _float_arrays(self.leaves)
+        self.transfer = [_float_arrays(level) for level in self.transfer]
         d = len(self.leaves)
         if d < 2 or d & (d - 1):
             raise ValueError(f"number of leaves must be a power of two >= 2, got {d}")
@@ -174,8 +217,6 @@ class HTTensor:
                     )
                 out_ranks.append(b.shape[2])
             child_ranks = out_ranks
-        if child_ranks != [1]:
-            raise ValueError("root output size must be 1")
 
     @property
     def ndim(self) -> int:
@@ -197,29 +238,105 @@ class HTTensor:
             ranks.extend(b.shape[2] for b in level)
         return tuple(ranks)
 
+    @property
+    def num_classes(self) -> int:
+        return self.transfer[-1][0].shape[2]
 
-def _check_index(shape, idx):
+    def class_tensor(self, y: int) -> HTTensor:
+        root = self.transfer[-1][0][:, :, y : y + 1]
+        return HTTensor(self.leaves, [*self.transfer[:-1], [root]])
+
+    def parameters(self) -> list[np.ndarray]:
+        return [*self.leaves, *(b for level in self.transfer for b in level)]
+
+    def feature_axes(self) -> list[int | None]:
+        return [0] * len(self.leaves) + [None] * (len(self.leaves) - 1)
+
+
+# ---------------------------------------------------------------------------
+# contractions with one feature vector per mode (batched)
+#
+# ``phi`` is a (B, d, n) array, or a sequence of d (B, n_k) arrays when the
+# mode sizes differ; the result is (B, C).
+
+
+def _modes(phi):
+    return phi.transpose(1, 0, 2) if isinstance(phi, np.ndarray) else phi
+
+
+def tt_scores_from_features(tt: TTTensor, phi) -> np.ndarray:
+    """Recurrent pass: a running state of size r_k mixed with each feature."""
+    phi = _modes(phi)
+    state = phi[0] @ tt.cores[0][0]  # (B, r_1)
+    for k in range(1, tt.ndim):
+        r_prev, n, r_next = tt.cores[k].shape
+        mixed = state @ tt.cores[k].reshape(r_prev, n * r_next)
+        state = np.einsum("bnr,bn->br", mixed.reshape(-1, n, r_next), phi[k])
+    return state
+
+
+def cp_scores_from_features(cp: CPTensor, phi) -> np.ndarray:
+    """Shallow pass: r separable products evaluated in parallel and summed."""
+    phi = _modes(phi)
+    prod = np.ones((phi[0].shape[0], cp.rank))
+    for k, factor in enumerate(cp.factors[:-1]):
+        prod = prod * (phi[k] @ factor)
+    last = np.einsum("bm,mrc->brc", phi[-1], cp.output_factor)
+    return np.einsum("br,brc->bc", prod, last)
+
+
+def ht_scores_from_features(ht: HTTensor, phi) -> np.ndarray:
+    """Tree pass: leaf projections merged pairwise up to the root."""
+    phi = _modes(phi)
+    outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
+    for level in ht.transfer:
+        outputs = [
+            np.einsum("ba,bc,aco->bo", outputs[2 * i], outputs[2 * i + 1], b)
+            for i, b in enumerate(level)
+        ]
+    return outputs[0]
+
+
+# ---------------------------------------------------------------------------
+# entries and dense reconstruction (a leg of size 1)
+
+
+def _check_scalar(t) -> None:
+    if t.num_classes != 1:
+        raise ValueError(f"the output leg has size {t.num_classes}; "
+                         "take class_tensor(y) for one class first")
+
+
+def _one_hot(t, idx) -> list[np.ndarray]:
+    """One-hot features (1, n_k) selecting index idx of every mode."""
+    _check_scalar(t)
     idx = tuple(int(i) for i in idx)
-    if len(idx) != len(shape):
-        raise IndexError(f"index has {len(idx)} entries for a {len(shape)}-way tensor")
-    for k, (i, n) in enumerate(zip(idx, shape)):
+    if len(idx) != t.ndim:
+        raise IndexError(f"index has {len(idx)} entries for a {t.ndim}-way tensor")
+    for k, (i, n) in enumerate(zip(idx, t.shape)):
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for mode {k + 1} of size {n}")
-    return idx
+    return [np.eye(1, n, i) for n, i in zip(t.shape, idx)]
+
+
+def _check_dense(t, cap) -> None:
+    _check_scalar(t)
+    size = math.prod(t.shape)
+    if size > cap:
+        raise ValueError(
+            f"dense reconstruction of shape {t.shape} has {size} entries, "
+            f"exceeding the cap of {cap}"
+        )
 
 
 def tt_entry(tt: TTTensor, idx) -> float:
-    """Evaluate one entry as the chained product of core slices."""
-    idx = _check_index(tt.shape, idx)
-    vec = tt.cores[0][0, idx[0], :]
-    for core, i in zip(tt.cores[1:], idx[1:]):
-        vec = vec @ core[:, i, :]
-    return float(vec[0])
+    """One entry: the chain contracted with one-hot features."""
+    return float(tt_scores_from_features(tt, _one_hot(tt, idx))[0, 0])
 
 
 def tt_to_dense(tt: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
     """Contract all cores into the dense tensor."""
-    _check_cap(tt.shape, cap)
+    _check_dense(tt, cap)
     out = tt.cores[0][0]  # (n_1, r_1)
     for core in tt.cores[1:]:
         r_prev, n_k, r_k = core.shape
@@ -324,17 +441,14 @@ def tt_equal_cores_random(d: int, n: int, r: int, seed) -> TTTensor:
 
 
 def cp_entry(cp: CPTensor, idx) -> float:
-    idx = _check_index(cp.shape, idx)
-    prod = np.ones(cp.rank)
-    for factor, i in zip(cp.factors, idx):
-        prod = prod * factor[i]
-    return float(prod.sum())
+    return float(cp_scores_from_features(cp, _one_hot(cp, idx))[0, 0])
 
 
 def cp_to_dense(cp: CPTensor, cap: int = DENSE_CAP) -> np.ndarray:
-    _check_cap(cp.shape, cap)
-    out = cp.factors[0]  # (n_1, r)
-    for factor in cp.factors[1:]:
+    _check_dense(cp, cap)
+    factors = [f.reshape(f.shape[0], cp.rank) for f in cp.factors]
+    out = factors[0]  # (n_1, r)
+    for factor in factors[1:]:
         out = (out[:, None, :] * factor[None, :, :]).reshape(-1, cp.rank)
     return np.ascontiguousarray(out.sum(axis=1).reshape(cp.shape))
 
@@ -413,19 +527,12 @@ def ht_random(shape, node_ranks, seed) -> HTTensor:
 
 
 def ht_entry(ht: HTTensor, idx) -> float:
-    idx = _check_index(ht.shape, idx)
-    vecs = [leaf[i] for leaf, i in zip(ht.leaves, idx)]
-    for level in ht.transfer:
-        vecs = [
-            np.einsum("a,b,abo->o", vecs[2 * i], vecs[2 * i + 1], b)
-            for i, b in enumerate(level)
-        ]
-    return float(vecs[0][0])
+    return float(ht_scores_from_features(ht, _one_hot(ht, idx))[0, 0])
 
 
 def ht_to_dense(ht: HTTensor, cap: int = DENSE_CAP) -> np.ndarray:
     """Contract the tree bottom-up into the dense tensor."""
-    _check_cap(ht.shape, cap)
+    _check_dense(ht, cap)
     # Each partial result is (prod of covered mode sizes, r_out), flattened row-major.
     parts = list(ht.leaves)
     for level in ht.transfer:

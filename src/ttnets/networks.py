@@ -4,7 +4,9 @@ An input is a sequence of d vectors (for images: vectorized patches).
 A shared feature map lifts each vector to m features; the network then
 contracts the rank-1 feature tensor ``Phi(X) = phi(x_1) o ... o phi(x_d)``
 against a weight tensor stored in TT, CP or HT form, producing one score
-per class.  The contraction never materializes ``Phi``:
+per class.  The weights are a ``TTTensor``, ``CPTensor`` or ``HTTensor``
+whose output leg is the class axis, and the contraction is the format's
+``*_scores_from_features``, which never materializes ``Phi``:
 
 * TT weights give a recurrent pass: a running state of size r_k is mixed
   with the next feature vector by the bilinear core ``G_k``.
@@ -12,12 +14,6 @@ per class.  The contraction never materializes ``Phi``:
   parallel and summed.
 * HT weights give a tree pass: leaf projections merged pairwise by
   bilinear transfer tensors up to the root.
-
-Class handling (``class_mode``):
-
-* ``'shared'`` (default) -- one parameter stack whose final core/factor/
-  root carries an extra class axis of size C.
-* ``'per_class'`` -- one complete weight tensor per class.
 
 Scores are multilinear in the feature vectors, so every parameter
 gradient is an outer product of partial contractions; the batched
@@ -30,25 +26,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompositions import CPTensor, HTTensor, TTTensor
+from .decompositions import (
+    CPTensor,
+    HTTensor,
+    TTTensor,
+    cp_scores_from_features,
+    ht_scores_from_features,
+    tt_delta_example,
+    tt_scores_from_features,
+)
 
 __all__ = [
-    "CPWeights",
     "FeatureMap",
-    "HTWeights",
     "NetworkGradients",
     "PatchConfig",
     "ScoreNetwork",
-    "TTWeights",
     "apply_feature_map",
     "build_similarity_network",
     "count_parameters",
-    "cp_forward",
+    "cp_scores_from_features",
     "extract_patches",
-    "ht_forward",
+    "ht_scores_from_features",
     "make_score_network",
     "network_gradients",
-    "tt_forward",
+    "tt_scores_from_features",
 ]
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
@@ -188,196 +189,36 @@ def apply_feature_map(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weight containers
-
-
-@dataclass
-class TTWeights:
-    """Chain cores; the last core carries the class axis (r_{d-1}, m, C)."""
-
-    cores: list[np.ndarray]
-
-    def __post_init__(self):
-        self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
-        if len(self.cores) < 2:
-            raise ValueError("chain weights need at least two cores")
-        if self.cores[0].shape[0] != 1:
-            raise ValueError("first core must have left rank 1")
-        for k in range(len(self.cores) - 1):
-            if self.cores[k].shape[2] != self.cores[k + 1].shape[0]:
-                raise ValueError(f"rank mismatch after core {k + 1}")
-
-    kind = "tt"
-
-    @property
-    def ndim(self) -> int:
-        return len(self.cores)
-
-    @property
-    def num_features(self) -> int:
-        return self.cores[0].shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.cores[-1].shape[2]
-
-    def class_tensor(self, y: int) -> TTTensor:
-        """Materialize the weight tensor of class y."""
-        return TTTensor((*self.cores[:-1], self.cores[-1][:, :, y : y + 1]))
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.cores)
-
-    def feature_axes(self) -> list[int | None]:
-        """Axis of each array in :meth:`parameters` that indexes the
-        feature, or None for an array that reads no feature."""
-        return [1] * len(self.cores)
-
-
-@dataclass
-class CPWeights:
-    """Factor matrices (m, r); the last factor carries the class axis (m, r, C)."""
-
-    factors: list[np.ndarray]
-
-    def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
-        if self.factors[-1].ndim != 3:
-            raise ValueError("last factor must be (m, r, C)")
-        r = self.factors[-1].shape[1]
-        if any(f.ndim != 2 or f.shape[1] != r for f in self.factors[:-1]):
-            raise ValueError("all factors must share one width r")
-
-    kind = "cp"
-
-    @property
-    def ndim(self) -> int:
-        return len(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.factors[-1].shape[1]
-
-    @property
-    def num_features(self) -> int:
-        return self.factors[0].shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.factors[-1].shape[2]
-
-    def class_tensor(self, y: int) -> CPTensor:
-        return CPTensor((*self.factors[:-1], self.factors[-1][:, :, y]))
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.factors)
-
-    def feature_axes(self) -> list[int | None]:
-        return [0] * len(self.factors)
-
-
-@dataclass
-class HTWeights:
-    """Tree leaves and transfers; the root transfer is (r_l, r_r, C)."""
-
-    leaves: list[np.ndarray]
-    transfer: list[list[np.ndarray]]
-
-    def __post_init__(self):
-        self.leaves = [np.asarray(m, dtype=np.float64) for m in self.leaves]
-        self.transfer = [[np.asarray(b, dtype=np.float64) for b in lvl] for lvl in self.transfer]
-
-    kind = "ht"
-
-    @property
-    def ndim(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def num_features(self) -> int:
-        return self.leaves[0].shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.transfer[-1][0].shape[2]
-
-    def class_tensor(self, y: int) -> HTTensor:
-        root = self.transfer[-1][0][:, :, y : y + 1]
-        levels = [tuple(lvl) for lvl in self.transfer[:-1]] + [(root,)]
-        return HTTensor(tuple(self.leaves), tuple(levels))
-
-    def parameters(self) -> list[np.ndarray]:
-        return [*self.leaves, *(b for lvl in self.transfer for b in lvl)]
-
-    def feature_axes(self) -> list[int | None]:
-        return [0] * len(self.leaves) + [None] * sum(len(lvl) for lvl in self.transfer)
-
-
-@dataclass
-class PerClassWeights:
-    """One complete single-class weight stack per class."""
-
-    stacks: list  # list[TTWeights | CPWeights | HTWeights], each with one class
-
-    def __post_init__(self):
-        if not self.stacks:
-            raise ValueError("per-class weights need at least one class")
-        kinds = {s.kind for s in self.stacks}
-        if len(kinds) != 1:
-            raise ValueError("all per-class stacks must share one format")
-        if any(s.num_classes != 1 for s in self.stacks):
-            raise ValueError("each per-class stack must have a singleton class axis")
-
-    @property
-    def kind(self) -> str:
-        return self.stacks[0].kind
-
-    @property
-    def ndim(self) -> int:
-        return self.stacks[0].ndim
-
-    @property
-    def num_features(self) -> int:
-        return self.stacks[0].num_features
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.stacks)
-
-    def class_tensor(self, y: int):
-        return self.stacks[y].class_tensor(0)
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for s in self.stacks for p in s.parameters()]
+# networks
 
 
 @dataclass
 class ScoreNetwork:
-    """Feature map plus one decomposition's parameters plus class handling.
+    """Feature map plus weights whose output leg is the class axis.
 
     ``input_order``, when set, is the permutation applied to the input
     sequence before contraction (slot k consumes ``X[input_order[k]]``).
     """
 
     feature_map: FeatureMap
-    weights: TTWeights | CPWeights | HTWeights | PerClassWeights
-    num_classes: int
-    class_mode: str = "shared"
+    weights: TTTensor | CPTensor | HTTensor
     input_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.class_mode not in ("shared", "per_class"):
-            raise ValueError(f"unknown class_mode {self.class_mode!r}")
-        if (self.class_mode == "per_class") != isinstance(self.weights, PerClassWeights):
-            raise ValueError("class_mode does not match the weight container")
-        if self.weights.num_classes != self.num_classes:
-            raise ValueError("class axis size does not match num_classes")
-        if self.feature_map.num_features != self.weights.num_features:
+        if self.weights.shape != (self.feature_map.num_features,) * self.weights.ndim:
             raise ValueError("feature count does not match weight mode size")
+        if self.input_order is not None and \
+                sorted(self.input_order) != list(range(self.weights.ndim)):
+            raise ValueError(f"input order {self.input_order} is not a permutation "
+                             f"of the {self.weights.ndim} input slots")
 
     @property
     def kind(self) -> str:
         return self.weights.kind
+
+    @property
+    def num_classes(self) -> int:
+        return self.weights.num_classes
 
     @property
     def num_patches(self) -> int:
@@ -405,77 +246,12 @@ class ScoreNetwork:
         return self.scores_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def scores_batch(self, batch: np.ndarray) -> np.ndarray:
-        return _forward_features(self.weights, self.features(batch))
-
-
-# ---------------------------------------------------------------------------
-# feature-level contractions (batched; Phi is (B, d, m))
-
-
-def tt_scores_from_features(weights: TTWeights, phi: np.ndarray) -> np.ndarray:
-    cores = weights.cores
-    state = phi[:, 0, :] @ cores[0][0]  # (B, r_1)
-    for k in range(1, len(cores) - 1):
-        r_prev, m, r_next = cores[k].shape
-        mixed = state @ cores[k].reshape(r_prev, m * r_next)
-        state = np.einsum("bmr,bm->br", mixed.reshape(-1, m, r_next), phi[:, k, :])
-    last = cores[-1]
-    r_prev, m, c = last.shape
-    mixed = state @ last.reshape(r_prev, m * c)
-    return np.einsum("bmc,bm->bc", mixed.reshape(-1, m, c), phi[:, -1, :])
-
-
-def cp_scores_from_features(weights: CPWeights, phi: np.ndarray) -> np.ndarray:
-    dots = np.stack([phi[:, k, :] @ f for k, f in enumerate(weights.factors[:-1])], axis=1)
-    prod = dots.prod(axis=1)  # (B, r)
-    last = np.einsum("bm,mrc->brc", phi[:, -1, :], weights.factors[-1])
-    return np.einsum("br,brc->bc", prod, last)
-
-
-def ht_scores_from_features(weights: HTWeights, phi: np.ndarray) -> np.ndarray:
-    outputs = [phi[:, k, :] @ leaf for k, leaf in enumerate(weights.leaves)]
-    for level in weights.transfer:
-        outputs = [
-            np.einsum("ba,bc,aco->bo", outputs[2 * i], outputs[2 * i + 1], b)
-            for i, b in enumerate(level)
-        ]
-    return outputs[0]
-
-
-def _forward_features(weights, phi: np.ndarray) -> np.ndarray:
-    if isinstance(weights, PerClassWeights):
-        return np.concatenate(
-            [_forward_features(s, phi) for s in weights.stacks], axis=1)
-    if weights.kind == "tt":
-        return tt_scores_from_features(weights, phi)
-    if weights.kind == "cp":
-        return cp_scores_from_features(weights, phi)
-    return ht_scores_from_features(weights, phi)
-
-
-# ---------------------------------------------------------------------------
-# forward passes (single input sequence, per the network's class handling)
-
-
-def _checked_scores(net: ScoreNetwork, x, kind: str) -> np.ndarray:
-    if net.kind != kind:
-        raise ValueError(f"network holds {net.kind} weights, not {kind}")
-    return net.scores(x)
-
-
-def tt_forward(net: ScoreNetwork, x) -> np.ndarray:
-    """Class scores of the recurrent (chain) network for one sequence."""
-    return _checked_scores(net, x, "tt")
-
-
-def cp_forward(net: ScoreNetwork, x) -> np.ndarray:
-    """Class scores of the shallow (separable-sum) network for one sequence."""
-    return _checked_scores(net, x, "cp")
-
-
-def ht_forward(net: ScoreNetwork, x) -> np.ndarray:
-    """Class scores of the tree network for one sequence."""
-    return _checked_scores(net, x, "ht")
+        phi = self.features(batch)
+        if self.kind == "tt":
+            return tt_scores_from_features(self.weights, phi)
+        if self.kind == "cp":
+            return cp_scores_from_features(self.weights, phi)
+        return ht_scores_from_features(self.weights, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +267,7 @@ class NetworkGradients:
     db: np.ndarray
 
 
-def tt_backward(weights: TTWeights, phi: np.ndarray, upstream: np.ndarray):
+def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray):
     """Core gradients and feature gradients for the chain contraction.
 
     The score is linear in each core, so grad G_k is the outer product of
@@ -518,7 +294,7 @@ def tt_backward(weights: TTWeights, phi: np.ndarray, upstream: np.ndarray):
     return core_grads, dphi
 
 
-def cp_backward(weights: CPWeights, phi: np.ndarray, upstream: np.ndarray):
+def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray):
     """Factor and feature gradients for the separable-sum contraction.
 
     Leave-one-out products over the sequence are built from prefix and
@@ -528,13 +304,15 @@ def cp_backward(weights: CPWeights, phi: np.ndarray, upstream: np.ndarray):
     d = len(factors)
     batch, _, m = phi.shape
     r = weights.rank
-    dots = np.stack([phi[:, k, :] @ factors[k] for k in range(d - 1)], axis=1)  # (B, d-1, r)
+    dots = np.empty((batch, d - 1, r))
+    for k in range(d - 1):
+        dots[:, k, :] = phi[:, k, :] @ factors[k]
     prefix = np.ones((batch, d, r))
     prefix[:, 1:, :] = np.cumprod(dots, axis=1)
     suffix = np.ones((batch, d, r))
     suffix[:, : d - 1, :] = np.cumprod(dots[:, ::-1, :], axis=1)[:, ::-1, :]
     # prefix[:, k] = prod_{l<k} dots_l ; suffix[:, k] = prod_{l>=k} dots_l
-    last = np.einsum("bm,mry->bry", phi[:, -1, :], factors[-1])
+    last = np.einsum("bm,mry->bry", phi[:, -1, :], weights.output_factor)
     head = np.einsum("bry,by->br", last, upstream)
     factor_grads = []
     dphi = np.empty_like(phi)
@@ -543,12 +321,13 @@ def cp_backward(weights: CPWeights, phi: np.ndarray, upstream: np.ndarray):
         factor_grads.append(np.einsum("bi,br->ir", phi[:, k, :], others))
         dphi[:, k, :] = others @ factors[k].T
     full = prefix[:, d - 1, :]  # product of all d-1 dots
-    factor_grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1, :], upstream))
-    dphi[:, -1, :] = np.einsum("br,iry,by->bi", full, factors[-1], upstream)
+    factor_grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1, :], upstream)
+                        .reshape(factors[-1].shape))
+    dphi[:, -1, :] = np.einsum("br,iry,by->bi", full, weights.output_factor, upstream)
     return factor_grads, dphi
 
 
-def ht_backward(weights: HTWeights, phi: np.ndarray, upstream: np.ndarray):
+def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray):
     """Leaf/transfer and feature gradients for the tree contraction."""
     outputs = [[phi[:, k, :] @ leaf for k, leaf in enumerate(weights.leaves)]]
     for level in weights.transfer:
@@ -591,8 +370,6 @@ def backward_features(weights, phi: np.ndarray, upstream: np.ndarray):
 def network_gradients_batch(net: ScoreNetwork, batch: np.ndarray,
                             upstream: np.ndarray) -> NetworkGradients:
     """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b)."""
-    if net.class_mode != "shared":
-        raise ValueError("gradients are implemented for shared class mode")
     batch = np.asarray(batch, dtype=np.float64)
     fm = net.feature_map
     z = batch @ fm.A.T + fm.b  # pre-activations in original patch order
@@ -630,11 +407,11 @@ def _random_weights(kind: str, d: int, m: int, rank: int, num_classes: int,
         cores = [rng.normal(scale=scale, size=(1, m, rank))]
         cores += [rng.normal(scale=scale, size=(rank, m, rank)) for _ in range(d - 2)]
         cores.append(rng.normal(scale=scale, size=(rank, m, num_classes)))
-        return TTWeights(cores)
+        return TTTensor(cores)
     if kind == "cp":
         factors = [rng.normal(scale=1.0 / np.sqrt(m), size=(m, rank)) for _ in range(d - 1)]
         factors.append(rng.normal(scale=1.0 / np.sqrt(m), size=(m, rank, num_classes)))
-        return CPWeights(factors)
+        return CPTensor(factors)
     if kind == "ht":
         if d < 2 or d & (d - 1):
             raise ValueError("tree networks need d a power of two")
@@ -645,13 +422,12 @@ def _random_weights(kind: str, d: int, m: int, rank: int, num_classes: int,
                              for _ in range(width)])
             width //= 2
         transfer.append([rng.normal(scale=scale, size=(rank, rank, num_classes))])
-        return HTWeights(leaves, transfer)
+        return HTTensor(leaves, transfer)
     raise ValueError(f"unknown network kind {kind!r}")
 
 
 def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
-                       num_classes: int, seed, activation: str = "relu",
-                       class_mode: str = "shared") -> ScoreNetwork:
+                       num_classes: int, seed, activation: str = "relu") -> ScoreNetwork:
     """Fresh network with Gaussian parameters.
 
     Cores/factors are drawn with standard deviation rank**-0.5 so the
@@ -659,15 +435,10 @@ def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
     scale n**-0.5 with a small random bias.
     """
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    if class_mode == "shared":
-        weights = _random_weights(kind, d, m, rank, num_classes, rng)
-    else:
-        weights = PerClassWeights(
-            [_random_weights(kind, d, m, rank, 1, rng) for _ in range(num_classes)])
+    weights = _random_weights(kind, d, m, rank, num_classes, rng)
     fm = FeatureMap(A=rng.normal(scale=1.0 / np.sqrt(n), size=(m, n)),
                     b=rng.normal(scale=0.5, size=m), activation=activation)
-    return ScoreNetwork(feature_map=fm, weights=weights, num_classes=num_classes,
-                        class_mode=class_mode)
+    return ScoreNetwork(feature_map=fm, weights=weights)
 
 
 def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
@@ -689,8 +460,6 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     The feature map and the class-axis core stay randomly initialized.
     Returns the network for chaining.
     """
-    if net.class_mode != "shared":
-        raise ValueError("calibrated init supports shared class mode")
     rng = np.random.default_rng(seed)
     sample = np.asarray(sample_inputs, dtype=np.float64)
     phi = apply_feature_map(net.feature_map, sample)
@@ -726,19 +495,15 @@ def build_similarity_network(d: int, n: int) -> ScoreNetwork:
     Uses the delta-chain weights of width n, an identity feature map, and
     an interleaved input order pairing x_k with x_{d/2+k}.
     """
-    from .decompositions import tt_delta_example
-
     d = int(d)
     if d < 2 or d % 2:
         raise ValueError(f"similarity network needs an even d >= 2, got {d}")
-    delta = tt_delta_example(d, n, n)
-    weights = TTWeights(list(delta.cores))  # last core already (n, n, 1)
     fm = FeatureMap(A=np.eye(n), b=np.zeros(n), activation="identity")
     half = d // 2
     order = []
     for k in range(half):
         order.extend((k, half + k))
-    return ScoreNetwork(feature_map=fm, weights=weights, num_classes=1,
+    return ScoreNetwork(feature_map=fm, weights=tt_delta_example(d, n, n),
                         input_order=tuple(order))
 
 

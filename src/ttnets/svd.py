@@ -4,20 +4,26 @@ The rank certificates produced by this package ultimately rest on the
 singular values computed here, so the factorization is implemented in
 the repository instead of delegating to LAPACK.  One-sided Jacobi was
 chosen because it is short, backward stable, and computes small
-singular values with high relative accuracy.
+singular values with high relative accuracy on column-graded matrices.
 
 Accuracy contract: for any finite matrix with min(m, n) <= 1024 the
 reconstruction ``U @ diag(s) @ Vt`` agrees with the input to within
-``1e-12 * ||M||_F``.  The tests check this against LAPACK.
+``1e-12 * ||M||_F``.  The tests check this against LAPACK.  Relative
+accuracy reaches down to ``eps * ||M||_F``: a column of the working
+matrix at or below that norm is indistinguishable from roundoff and is
+returned as an exact zero singular value whose column of U (row of Vt
+for a wide matrix) is zero.
 
 Algorithm: the working matrix W starts as a copy of A (transposed fresh
 if A is wide, so columns are never longer than rows are many).  Each
 sweep walks a round-robin schedule of disjoint column pairs; every pair
 (p, q) with a non-negligible inner product is rotated so the two columns
-become orthogonal.  Because the pairs within one round are disjoint the
-rotations commute and are applied vectorized.  On convergence the
-singular values are the column norms of W, U the normalized columns,
-and V the accumulated product of rotations.
+become orthogonal; a pair whose smaller column has squared norm at or
+below ``(eps * ||A||_F)**2`` counts as converged, and such columns are
+zeroed once the sweeps end.  Because the pairs within one round are
+disjoint the rotations commute and are applied vectorized.  On
+convergence the singular values are the column norms of W, U the
+normalized columns, and V the accumulated product of rotations.
 """
 
 from __future__ import annotations
@@ -63,6 +69,12 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> None:
     if n < 2:
         return
     schedule = _round_robin_schedule(n)
+    # Rotations preserve ||W||_F.  A column whose squared norm is at or
+    # below this floor is roundoff; rotating it against its neighbours
+    # never settles (a residue parallel to a large column shrinks by eps
+    # per sweep until it stalls in subnormals), so a pair holding one
+    # counts as converged and the column is zeroed at the end.
+    floor = (np.finfo(np.float64).eps * np.linalg.norm(w)) ** 2
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for ps, qs in schedule:
@@ -71,7 +83,8 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> None:
             alpha = np.einsum("ij,ij->j", pc, pc)
             beta = np.einsum("ij,ij->j", qc, qc)
             gamma = np.einsum("ij,ij->j", pc, qc)
-            active = np.abs(gamma) > _PAIR_TOL * np.sqrt(alpha * beta)
+            active = (np.abs(gamma) > _PAIR_TOL * np.sqrt(alpha * beta)) & \
+                (np.minimum(alpha, beta) > floor)
             if not np.any(active):
                 continue
             rotated = True
@@ -95,6 +108,7 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> None:
                 v[:, ps] = c * pv - s * qv
                 v[:, qs] = s * pv + c * qv
         if not rotated:
+            w[:, np.einsum("ij,ij->j", w, w) <= floor] = 0.0
             return
     raise RuntimeError(
         f"Jacobi SVD did not converge within {_MAX_SWEEPS} sweeps "

@@ -2,46 +2,43 @@
 
 All files are line-oriented ASCII.  Values are written one per line with
 17 significant digits, which round-trips float64 exactly.  Arrays are
-flattened row-major (last index fastest).
+flattened row-major (last index fastest).  Every array is a block: a
+``tag: dim1 dim2 ...`` header line followed by its values.
 
 Dense tensor::
 
     shape: n1 n2 ... nd
     <prod(n) values>
 
-Tensor train::
+Each factorized format has one block codec, shared by its tensor file
+and by network checkpoints:
 
-    tt: d
-    core: r_prev n r_next        (d blocks, chained ranks, r_0 = r_d = 1)
-    <values>
+* tensor train -- d ``core: r_prev n r_next`` blocks with chained ranks,
+  r_0 = 1 and r_d the output leg size (1 for a plain tensor, the class
+  count in a checkpoint);
+* separable sum -- d ``factor: n r`` blocks; the last one may instead be
+  ``factor3: n r C``, as it is in checkpoints;
+* tree (d a power of two) -- d ``leaf: n r`` blocks in leaf order, then
+  ``node: r_left r_right r_out`` blocks level by level bottom-up, left to
+  right; the root comes last, its r_out the output leg size.
 
-Separable sum::
+Tensor files put one header line before the blocks::
 
-    cp: d r
-    factor: n r                  (d blocks)
-    <values>
-
-Tree format (d a power of two)::
-
-    ht: d
-    leaf: n r                    (d blocks, leaf order)
-    <values>
-    node: r_left r_right r_out   (bottom-up levels, left to right;
-    <values>                      the root comes last with r_out = 1)
+    tt: d            cp: d r            ht: d
 
 Network checkpoint::
 
     ttnets-checkpoint v1
-    kind: tt | cp
+    kind: tt | cp | ht
     classes: C
     input: d n
+    order: i_1 ... i_d           (only for networks with an input order)
     activation: relu | identity | sigmoid
     A: m n
     <values>
     b: m
     <values>
-    then the weight blocks: for tt, d ``core:`` blocks whose last core is
-    (r, m, C); for cp, d-1 ``factor:`` blocks plus one ``factor3: m r C``.
+    then the weight blocks of the ``kind`` codec, with mode size m.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompositions import CPTensor, HTTensor, TTTensor
-from .networks import CPWeights, FeatureMap, ScoreNetwork, TTWeights
+from .networks import FeatureMap, ScoreNetwork
 
 __all__ = [
     "load_checkpoint",
@@ -66,8 +63,14 @@ __all__ = [
 
 CHECKPOINT_HEADER = "ttnets-checkpoint v1"
 
+# Block tag of each (format, array ndim), and the ndim of each block tag.
+_TAGS = {("tt", 3): "core", ("cp", 2): "factor", ("cp", 3): "factor3",
+         ("ht", 2): "leaf", ("ht", 3): "node"}
+_BLOCK_DIMS = {"A": 2, "b": 1, **{tag: ndim for (_kind, ndim), tag in _TAGS.items()}}
 
-def _write_values(fh, arr: np.ndarray) -> None:
+
+def _write_block(fh, tag: str, arr: np.ndarray) -> None:
+    fh.write(f"{tag}: " + " ".join(str(n) for n in arr.shape) + "\n")
     for v in np.asarray(arr, dtype=np.float64).ravel():
         fh.write(f"{v:.17g}\n")
 
@@ -87,14 +90,22 @@ class _LineReader:
         self.pos += 1
         return line
 
-    def header(self, tag: str) -> list[int]:
+    def fields(self, tag: str) -> list[str]:
         line = self.next_line(f"'{tag}' header")
         if not line.startswith(tag):
             raise ValueError(f"{self.path}: expected '{tag}' header, got {line!r}")
+        return line[len(tag):].split()
+
+    def header(self, tag: str) -> list[int]:
+        fields = self.fields(tag)
         try:
-            return [int(tok) for tok in line[len(tag):].split()]
+            return [int(tok) for tok in fields]
         except ValueError:
-            raise ValueError(f"{self.path}: malformed header {line!r}") from None
+            raise ValueError(f"{self.path}: malformed header {self.lines[self.pos - 1]!r}") \
+                from None
+
+    def has(self, tag: str) -> bool:
+        return self.pos < len(self.lines) and self.lines[self.pos].startswith(tag)
 
     def values(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
@@ -107,20 +118,50 @@ class _LineReader:
                 raise ValueError(f"{self.path}: expected a number, got {token!r}") from None
         return out.reshape(shape)
 
+    def block(self, tag: str) -> np.ndarray:
+        dims = self.header(f"{tag}:")
+        if len(dims) != _BLOCK_DIMS[tag]:
+            raise ValueError(f"{self.path}: {tag} header needs {_BLOCK_DIMS[tag]} dims, "
+                             f"got {dims}")
+        return self.values(dims)
+
     def expect_end(self) -> None:
         if self.pos != len(self.lines):
             raise ValueError(f"{self.path}: trailing content at line {self.pos + 1}")
 
 
 # ---------------------------------------------------------------------------
-# dense tensors
+# block codecs, one per format
+
+
+def _write_tensor(fh, t: TTTensor | CPTensor | HTTensor) -> None:
+    for arr in t.parameters():
+        _write_block(fh, _TAGS[t.kind, arr.ndim], arr)
+
+
+def _read_tensor(reader: _LineReader, kind: str, d: int):
+    if kind == "tt":
+        return TTTensor([reader.block("core") for _ in range(d)])
+    if kind == "cp":
+        return CPTensor([reader.block("factor3" if reader.has("factor3:") else "factor")
+                         for _ in range(d)])
+    if kind == "ht":
+        leaves = [reader.block("leaf") for _ in range(d)]
+        transfer, width = [], d // 2
+        while width >= 1:
+            transfer.append([reader.block("node") for _ in range(width)])
+            width //= 2
+        return HTTensor(leaves, transfer)
+    raise ValueError(f"{reader.path}: unsupported network kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# dense tensors and factorized formats
 
 
 def save_dense(path, x) -> None:
-    x = np.asarray(x, dtype=np.float64)
     with open(path, "w") as fh:
-        fh.write("shape: " + " ".join(str(n) for n in x.shape) + "\n")
-        _write_values(fh, x)
+        _write_block(fh, "shape", np.asarray(x, dtype=np.float64))
 
 
 def load_dense(path) -> np.ndarray:
@@ -133,160 +174,82 @@ def load_dense(path) -> np.ndarray:
     return x
 
 
-# ---------------------------------------------------------------------------
-# factorized formats
+def _save_tensor(path, header: str, t) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_tensor(fh, t)
+
+
+def _load_tensor(path, kind: str):
+    reader = _LineReader(path)
+    header = reader.header(f"{kind}:")
+    t = _read_tensor(reader, kind, (header or [0])[0])
+    reader.expect_end()
+    expected = [t.ndim, t.rank] if kind == "cp" else [t.ndim]
+    if header != expected:
+        raise ValueError(f"{path}: '{kind}:' header {header} inconsistent with the blocks, "
+                         f"which give {expected} (d, then the rank for cp)")
+    return t
 
 
 def save_tt(path, tt: TTTensor) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"tt: {tt.ndim}\n")
-        for core in tt.cores:
-            fh.write("core: " + " ".join(str(n) for n in core.shape) + "\n")
-            _write_values(fh, core)
-
-
-def _read_tt_cores(reader: _LineReader, count: int) -> list[np.ndarray]:
-    cores = []
-    for _ in range(count):
-        dims = reader.header("core:")
-        if len(dims) != 3:
-            raise ValueError(f"{reader.path}: core header needs 3 dims, got {dims}")
-        cores.append(reader.values(dims))
-    return cores
+    _save_tensor(path, f"tt: {tt.ndim}", tt)
 
 
 def load_tt(path) -> TTTensor:
-    reader = _LineReader(path)
-    (d,) = reader.header("tt:")
-    cores = _read_tt_cores(reader, d)
-    reader.expect_end()
-    return TTTensor(tuple(cores))
+    return _load_tensor(path, "tt")
 
 
 def save_cp(path, cp: CPTensor) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"cp: {cp.ndim} {cp.rank}\n")
-        for factor in cp.factors:
-            fh.write(f"factor: {factor.shape[0]} {factor.shape[1]}\n")
-            _write_values(fh, factor)
+    _save_tensor(path, f"cp: {cp.ndim} {cp.rank}", cp)
 
 
 def load_cp(path) -> CPTensor:
-    reader = _LineReader(path)
-    d, r = reader.header("cp:")
-    factors = []
-    for _ in range(d):
-        dims = reader.header("factor:")
-        if len(dims) != 2 or dims[1] != r:
-            raise ValueError(f"{reader.path}: factor header {dims} inconsistent with rank {r}")
-        factors.append(reader.values(dims))
-    reader.expect_end()
-    return CPTensor(tuple(factors))
+    return _load_tensor(path, "cp")
 
 
 def save_ht(path, ht: HTTensor) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"ht: {ht.ndim}\n")
-        for leaf in ht.leaves:
-            fh.write(f"leaf: {leaf.shape[0]} {leaf.shape[1]}\n")
-            _write_values(fh, leaf)
-        for level in ht.transfer:
-            for node in level:
-                fh.write("node: " + " ".join(str(n) for n in node.shape) + "\n")
-                _write_values(fh, node)
+    _save_tensor(path, f"ht: {ht.ndim}", ht)
 
 
 def load_ht(path) -> HTTensor:
-    reader = _LineReader(path)
-    (d,) = reader.header("ht:")
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"{path}: leaf count must be a power of two, got {d}")
-    leaves = []
-    for _ in range(d):
-        dims = reader.header("leaf:")
-        if len(dims) != 2:
-            raise ValueError(f"{reader.path}: leaf header needs 2 dims, got {dims}")
-        leaves.append(reader.values(dims))
-    transfer = []
-    width = d // 2
-    while width >= 1:
-        level = []
-        for _ in range(width):
-            dims = reader.header("node:")
-            if len(dims) != 3:
-                raise ValueError(f"{reader.path}: node header needs 3 dims, got {dims}")
-            level.append(reader.values(dims))
-        transfer.append(tuple(level))
-        width //= 2
-    reader.expect_end()
-    return HTTensor(tuple(leaves), tuple(transfer))
+    return _load_tensor(path, "ht")
 
 
 # ---------------------------------------------------------------------------
 # network checkpoints
 
 
-def save_checkpoint(path, net: ScoreNetwork, input_size: int | None = None) -> None:
-    """Persist a trained shared-mode chain or separable-sum network."""
-    if net.class_mode != "shared" or net.kind not in ("tt", "cp"):
-        raise ValueError("checkpoints support shared-mode tt/cp networks")
+def save_checkpoint(path, net: ScoreNetwork) -> None:
+    """Persist a network: feature map, input order and weight blocks."""
     fm = net.feature_map
-    n = fm.input_size if input_size is None else input_size
     with open(path, "w") as fh:
-        fh.write(CHECKPOINT_HEADER + "\n")
-        fh.write(f"kind: {net.kind}\n")
-        fh.write(f"classes: {net.num_classes}\n")
-        fh.write(f"input: {net.num_patches} {n}\n")
+        fh.write(f"{CHECKPOINT_HEADER}\nkind: {net.kind}\nclasses: {net.num_classes}\n"
+                 f"input: {net.num_patches} {fm.input_size}\n")
+        if net.input_order is not None:
+            fh.write("order: " + " ".join(str(i) for i in net.input_order) + "\n")
         fh.write(f"activation: {fm.activation}\n")
-        fh.write(f"A: {fm.A.shape[0]} {fm.A.shape[1]}\n")
-        _write_values(fh, fm.A)
-        fh.write(f"b: {fm.b.shape[0]}\n")
-        _write_values(fh, fm.b)
-        if net.kind == "tt":
-            for core in net.weights.cores:
-                fh.write("core: " + " ".join(str(v) for v in core.shape) + "\n")
-                _write_values(fh, core)
-        else:
-            for factor in net.weights.factors[:-1]:
-                fh.write(f"factor: {factor.shape[0]} {factor.shape[1]}\n")
-                _write_values(fh, factor)
-            last = net.weights.factors[-1]
-            fh.write("factor3: " + " ".join(str(v) for v in last.shape) + "\n")
-            _write_values(fh, last)
+        _write_block(fh, "A", fm.A)
+        _write_block(fh, "b", fm.b)
+        _write_tensor(fh, net.weights)
 
 
 def load_checkpoint(path) -> ScoreNetwork:
     reader = _LineReader(path)
     if reader.next_line("checkpoint header") != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a {CHECKPOINT_HEADER!r} file")
-    kind_line = reader.next_line("kind")
-    if not kind_line.startswith("kind: "):
-        raise ValueError(f"{path}: expected 'kind:' line")
-    kind = kind_line.split()[1]
+    (kind,) = reader.fields("kind:")
     (classes,) = reader.header("classes:")
-    d, _n = reader.header("input:")
-    act_line = reader.next_line("activation")
-    if not act_line.startswith("activation: "):
-        raise ValueError(f"{path}: expected 'activation:' line")
-    activation = act_line.split()[1]
-    a_dims = reader.header("A:")
-    a = reader.values(a_dims)
-    (b_dim,) = reader.header("b:")
-    b = reader.values([b_dim])
-    fm = FeatureMap(A=a, b=b, activation=activation)
-    if kind == "tt":
-        weights = TTWeights(_read_tt_cores(reader, d))
-    elif kind == "cp":
-        factors = []
-        for _ in range(d - 1):
-            dims = reader.header("factor:")
-            factors.append(reader.values(dims))
-        dims = reader.header("factor3:")
-        if len(dims) != 3:
-            raise ValueError(f"{path}: factor3 header needs 3 dims, got {dims}")
-        factors.append(reader.values(dims))
-        weights = CPWeights(factors)
-    else:
-        raise ValueError(f"{path}: unsupported network kind {kind!r}")
+    d, n = reader.header("input:")
+    order = tuple(reader.header("order:")) if reader.has("order:") else None
+    (activation,) = reader.fields("activation:")
+    a, b = reader.block("A"), reader.block("b")
+    weights = _read_tensor(reader, kind, d)
     reader.expect_end()
-    return ScoreNetwork(feature_map=fm, weights=weights, num_classes=classes)
+    if a.shape[1:] != (n,):
+        raise ValueError(f"{path}: input size {n} does not match A of shape {a.shape}")
+    if weights.num_classes != classes:
+        raise ValueError(f"{path}: {classes} classes declared, the weights hold "
+                         f"{weights.num_classes}")
+    fm = FeatureMap(A=a, b=b, activation=activation)
+    return ScoreNetwork(feature_map=fm, weights=weights, input_order=order)

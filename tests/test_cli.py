@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttnets import tensor_io
+from ttnets import cli, tensor_io
 from ttnets.cli import main
 from ttnets.decompositions import tt_delta_example, tt_to_dense
 from ttnets.mnist import save_idx_images, save_idx_labels, synthetic_digits
@@ -70,6 +70,22 @@ class TestRankCommand:
         assert code == 0
         assert "lower bound: 4" in out
 
+    def test_delta_chain_with_repeated_columns(self, tmp_path, capsys):
+        path = tmp_path / "delta6.txt"
+        tensor_io.save_dense(path, tt_to_dense(tt_delta_example(6, 3, 3)))
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        assert out.strip() == "cp-rank lower bound: 27"
+
+    def test_runtime_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def diverge(args):
+            raise RuntimeError("did not converge")
+
+        monkeypatch.setitem(cli._COMMANDS, "rank", diverge)
+        code, _, err = run(capsys, "rank", str(tmp_path / "x.txt"))
+        assert code == 1
+        assert err.strip() == "error: did not converge"
+
     def test_rank_one_file(self, tmp_path, capsys):
         path = tmp_path / "r1.txt"
         tensor_io.save_dense(path, np.multiply.outer([1.0, 2.0], [3.0, 4.0]))
@@ -123,6 +139,18 @@ class TestTrainCommand:
                            "--out-dir", str(tmp_path))
         assert code == 0
         assert (tmp_path / "checkpoint.txt").exists()
+
+
+class TestTreeNetwork:
+    def test_train_and_boundary(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "train", "--dataset", "moons", "--network", "ht",
+                           "--epochs", "30", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "kind: ht" in (tmp_path / "checkpoint.txt").read_text().splitlines()
+        code, _, _ = run(capsys, "boundary", "--checkpoint", str(tmp_path / "checkpoint.txt"),
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 100 * 100
 
 
 class TestBoundaryCommand:

@@ -9,16 +9,19 @@ from ttnets.decompositions import (
     TTTensor,
     cp_entry,
     cp_random,
+    cp_scores_from_features,
     cp_to_dense,
     ht_entry,
     ht_node_leaf_sets,
     ht_random,
+    ht_scores_from_features,
     ht_to_dense,
     ranks_from_dense,
     tt_delta_example,
     tt_entry,
     tt_equal_cores_random,
     tt_random,
+    tt_scores_from_features,
     tt_svd,
     tt_to_dense,
 )
@@ -292,3 +295,68 @@ class TestRanksFromDense:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="tt.*ht|'tt' or 'ht'"):
             ranks_from_dense(np.zeros((2, 2)), "tucker")
+
+
+def with_leg(t, c, seed):
+    """The same format with a Gaussian output leg of size c."""
+    rng = np.random.default_rng(seed)
+    if isinstance(t, TTTensor):
+        last = t.cores[-1]
+        return TTTensor((*t.cores[:-1], rng.normal(size=(last.shape[0], last.shape[1], c))))
+    if isinstance(t, CPTensor):
+        n = t.factors[-1].shape[0]
+        return CPTensor((*t.factors[:-1], rng.normal(size=(n, t.rank, c))))
+    root = t.transfer[-1][0]
+    return HTTensor(t.leaves, (*t.transfer[:-1], (rng.normal(size=(*root.shape[:2], c)),)))
+
+
+FORMATS = {
+    "tt": (lambda: tt_random((2, 3, 2), (2, 3), seed=1), tt_scores_from_features,
+           tt_entry, tt_to_dense),
+    "cp": (lambda: cp_random((2, 3, 2), 3, seed=2), cp_scores_from_features,
+           cp_entry, cp_to_dense),
+    "ht": (lambda: ht_random((2, 3, 2, 3), 2, seed=3), ht_scores_from_features,
+           ht_entry, ht_to_dense),
+}
+
+
+class TestOutputLeg:
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_leg_columns_are_class_tensors(self, kind):
+        build, scores, entry, to_dense = FORMATS[kind]
+        t = build()
+        wide = with_leg(t, 3, seed=4)
+        assert wide.num_classes == 3 and t.num_classes == 1
+        rng = np.random.default_rng(5)
+        phi = [rng.normal(size=(4, n)) for n in t.shape]
+        got = scores(wide, phi)
+        assert got.shape == (4, 3)
+        for y in range(3):
+            dense = to_dense(wide.class_tensor(y))
+            want = [np.einsum(dense, list(range(t.ndim)),
+                              *(x for k, p in enumerate(phi) for x in (p[b], [k])))
+                    for b in range(4)]
+            np.testing.assert_allclose(got[:, y], want, rtol=1e-12, atol=1e-12)
+            idx = tuple(n - 1 for n in t.shape)
+            assert entry(wide.class_tensor(y), idx) == pytest.approx(dense[idx], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_entries_and_dense_need_a_leg_of_size_one(self, kind):
+        build, _scores, entry, to_dense = FORMATS[kind]
+        t = build()
+        wide = with_leg(t, 2, seed=6)
+        with pytest.raises(ValueError, match="class_tensor"):
+            entry(wide, (0,) * t.ndim)
+        with pytest.raises(ValueError, match="class_tensor"):
+            to_dense(wide)
+
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_parameters_are_the_stored_arrays(self, kind):
+        build, _scores, _entry, to_dense = FORMATS[kind]
+        t = build()
+        params = t.parameters()
+        assert len(params) == len(t.feature_axes())
+        for p, axis in zip(params, t.feature_axes()):
+            assert axis is None or p.shape[axis] in t.shape
+        params[0][:] = 0.0  # in-place updates reach the tensor
+        assert not to_dense(t).any()

@@ -3,25 +3,27 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ttnets.decompositions import cp_to_dense, ht_to_dense, tt_svd, tt_to_dense
+from ttnets.decompositions import (
+    CPTensor,
+    HTTensor,
+    TTTensor,
+    cp_to_dense,
+    ht_to_dense,
+    tt_svd,
+    tt_to_dense,
+)
 from ttnets.networks import (
-    CPWeights,
     FeatureMap,
-    HTWeights,
     PatchConfig,
     ScoreNetwork,
-    TTWeights,
     apply_feature_map,
     build_similarity_network,
     count_parameters,
-    cp_forward,
     cp_scores_from_features,
     extract_patches,
-    ht_forward,
     ht_scores_from_features,
     make_score_network,
     network_gradients,
-    tt_forward,
     tt_scores_from_features,
 )
 from ttnets.rank_analysis import cp_rank_lower_bound
@@ -110,17 +112,15 @@ class TestFeatureMap:
 
 class TestForwardAgainstBruteForce:
     @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
-    @pytest.mark.parametrize("class_mode", ["shared", "per_class"])
-    def test_matches_inner_product_of_dense_tensors(self, kind, class_mode):
-        rng = np.random.default_rng(hash((kind, class_mode)) % 2**32)
+    def test_matches_inner_product_of_dense_tensors(self, kind):
+        rng = np.random.default_rng(["tt", "cp", "ht"].index(kind))
         for _ in range(8):
             d = 4 if kind == "ht" else int(rng.integers(2, 5))
             m = int(rng.integers(2, 4))
             n = int(rng.integers(1, 4))
             r = int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            net = make_score_network(kind, d, n, m, r, c, seed=rng,
-                                     activation="sigmoid", class_mode=class_mode)
+            net = make_score_network(kind, d, n, m, r, c, seed=rng, activation="sigmoid")
             x = rng.normal(size=(d, n))
             np.testing.assert_allclose(net.scores(x), brute_scores(net, x),
                                        rtol=1e-10, atol=1e-12)
@@ -138,7 +138,7 @@ class TestForwardAgainstBruteForce:
         cores = [vecs[0].reshape(1, m, 1), vecs[1].reshape(1, m, 1),
                  vecs[2].reshape(1, m, 1)]
         net = ScoreNetwork(FeatureMap(np.eye(m), np.zeros(m), "identity"),
-                           TTWeights(cores), num_classes=1)
+                           TTTensor(cores))
         x = rng.normal(size=(d, m))
         want = np.prod([w @ xi for w, xi in zip(vecs, x)])
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)
@@ -149,7 +149,7 @@ class TestForwardAgainstBruteForce:
         factors = [rng.normal(size=(m, 1)) for _ in range(d - 1)]
         factors.append(rng.normal(size=(m, 1, 1)))
         net = ScoreNetwork(FeatureMap(np.eye(m), np.zeros(m), "identity"),
-                           CPWeights(factors), num_classes=1)
+                           CPTensor(factors))
         x = rng.normal(size=(d, m))
         want = np.prod([x[k] @ np.asarray(factors[k]).reshape(m) for k in range(d)])
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)
@@ -160,11 +160,10 @@ class TestForwardAgainstBruteForce:
         factors = [rng.normal(size=(m, 2)) for _ in range(d - 1)]
         factors.append(rng.normal(size=(m, 2, c)))
         cp_net = ScoreNetwork(FeatureMap(rng.normal(size=(m, m)), rng.normal(size=m),
-                                         "sigmoid"), CPWeights(factors), num_classes=c)
+                                         "sigmoid"), CPTensor(factors))
         dense = cp_to_dense(cp_net.weights.class_tensor(0))
         tt = tt_svd(dense, rel_tol=1e-13)
-        tt_net = ScoreNetwork(cp_net.feature_map,
-                              TTWeights([*tt.cores[:-1], tt.cores[-1]]), num_classes=1)
+        tt_net = ScoreNetwork(cp_net.feature_map, tt)
         for _ in range(5):
             x = rng.normal(size=(d, m))
             np.testing.assert_allclose(tt_net.scores(x), cp_net.scores(x), rtol=1e-10)
@@ -180,19 +179,10 @@ class TestForwardAgainstBruteForce:
         leaves = [rng.normal(size=(m, 1)) for _ in range(4)]
         ones = np.ones((1, 1, 1))
         net = ScoreNetwork(FeatureMap(np.eye(m), np.zeros(m), "identity"),
-                           HTWeights(leaves, [[ones, ones], [ones]]), num_classes=1)
+                           HTTensor(leaves, ((ones, ones), (ones,))))
         x = rng.normal(size=(4, m))
         want = np.prod([x[k] @ leaves[k][:, 0] for k in range(4)])
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)
-
-    def test_kind_checked_wrappers(self):
-        net = make_score_network("tt", 2, 1, 2, 2, 2, seed=0)
-        x = np.zeros((2, 1))
-        assert tt_forward(net, x).shape == (2,)
-        with pytest.raises(ValueError, match="holds tt"):
-            cp_forward(net, x)
-        with pytest.raises(ValueError, match="holds tt"):
-            ht_forward(net, x)
 
 
 class TestMultilinearity:
@@ -244,6 +234,12 @@ class TestGradients:
         x = rng.normal(size=(4, 3))
         upstream = rng.normal(size=2)
         assert self.finite_difference_worst_error(net, x, upstream) <= 1e-5
+
+    def test_single_slot_separable_sum(self):
+        rng = np.random.default_rng(22)
+        net = make_score_network("cp", 1, 3, 3, 2, 2, seed=8, activation="sigmoid")
+        x = rng.normal(size=(1, 3))
+        assert self.finite_difference_worst_error(net, x, rng.normal(size=2)) <= 1e-5
 
     def test_zero_features_zero_core_gradients(self):
         # every gradient term contains each feature vector exactly once

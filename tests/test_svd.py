@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttnets.decompositions import tt_delta_example, tt_to_dense
 from ttnets.svd import jacobi_svd, numerical_rank, singular_values
+from ttnets.tensor import AxisSplit, matricize
 
 
 def reconstruction_error(a):
@@ -42,6 +44,33 @@ def test_rank_deficient_matrix():
     assert numerical_rank(a) == 4
     s = singular_values(a)
     assert s[4] <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("rows", [(1, 2, 3, 4), (1, 2)])
+def test_repeated_columns_converge(rows):
+    # the (81, 9) and (9, 81) matricizations of the d=6 delta chain hold
+    # identical columns; rotating them leaves roundoff-level columns that
+    # must count as converged instead of being rotated forever
+    dense = tt_to_dense(tt_delta_example(6, 3, 3))
+    mat = matricize(dense, AxisSplit.from_row_axes(6, rows))
+    assert numerical_rank(mat) == np.linalg.matrix_rank(mat) == 1
+    u, s, vt = jacobi_svd(mat)
+    assert np.linalg.norm(u @ np.diag(s) @ vt - mat) <= 1e-12 * np.linalg.norm(mat)
+    assert np.all(s[1:] == 0.0)
+
+
+def test_columns_below_roundoff_floor_are_exact_zeros():
+    # the second column's norm (1.4e-17) lies below eps * ||A||_F, the
+    # level at which it cannot be told from roundoff: it is reported as an
+    # exact zero singular value with a zero U column, never as a value
+    # from an unfinished rotation
+    a = np.array([[1.0, 1e-17], [0.0, 1e-17]])
+    u, s, vt = jacobi_svd(a)
+    np.testing.assert_array_equal(s, [1.0, 0.0])
+    np.testing.assert_array_equal(u, [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(vt @ vt.T, np.eye(2), atol=1e-15)
+    assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= np.finfo(float).eps * np.linalg.norm(a)
+    np.testing.assert_array_equal(singular_values(a), s)
 
 
 def test_graded_singular_values_high_relative_accuracy():

@@ -3,7 +3,7 @@ import pytest
 
 from ttnets import tensor_io
 from ttnets.decompositions import cp_random, ht_random, tt_random
-from ttnets.networks import make_score_network
+from ttnets.networks import build_similarity_network, make_score_network
 
 
 class TestDenseFiles:
@@ -100,7 +100,53 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="checkpoint"):
             tensor_io.load_checkpoint(path)
 
-    def test_rejects_tree_networks(self, tmp_path):
-        net = make_score_network("ht", 4, 2, 3, 2, 2, seed=1)
-        with pytest.raises(ValueError, match="tt/cp"):
-            tensor_io.save_checkpoint(tmp_path / "x.txt", net)
+    def test_tree_network_roundtrip(self, tmp_path):
+        net = make_score_network("ht", 4, 2, 3, 2, 3, seed=1, activation="sigmoid")
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, net)
+        back = tensor_io.load_checkpoint(path)
+        assert back.kind == "ht" and back.num_classes == 3
+        x = np.random.default_rng(5).normal(size=(6, 4, 2))
+        np.testing.assert_array_equal(back.scores_batch(x), net.scores_batch(x))
+
+    def test_similarity_network_roundtrip_keeps_input_order(self, tmp_path):
+        net = build_similarity_network(4, 3)
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, net)
+        assert "order: 0 2 1 3" in path.read_text().splitlines()
+        back = tensor_io.load_checkpoint(path)
+        assert back.input_order == net.input_order
+        x = np.random.default_rng(6).normal(size=(8, 4, 3))
+        np.testing.assert_array_equal(back.scores_batch(x), net.scores_batch(x))
+
+    def test_order_line_must_be_a_permutation(self, tmp_path):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, build_similarity_network(4, 3))
+        path.write_text(path.read_text().replace("order: 0 2 1 3\n", "order: 0 2 2 3\n"))
+        with pytest.raises(ValueError, match="permutation"):
+            tensor_io.load_checkpoint(path)
+
+    def test_no_order_line_without_input_order(self, tmp_path):
+        net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, net)
+        assert not any(line.startswith("order:") for line in path.read_text().splitlines())
+
+    @pytest.mark.parametrize("edited", ["input: 2 5", "input: 3 1", "input: 1 1"])
+    def test_hand_edited_input_header_rejected(self, tmp_path, edited):
+        net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, net)
+        text = path.read_text()
+        assert "input: 2 1\n" in text
+        path.write_text(text.replace("input: 2 1\n", edited + "\n"))
+        with pytest.raises(ValueError):
+            tensor_io.load_checkpoint(path)
+
+    def test_class_count_checked(self, tmp_path):
+        net = make_score_network("cp", 2, 1, 4, 2, 2, seed=0)
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, net)
+        path.write_text(path.read_text().replace("classes: 2\n", "classes: 3\n"))
+        with pytest.raises(ValueError, match="classes"):
+            tensor_io.load_checkpoint(path)
