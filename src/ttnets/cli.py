@@ -242,7 +242,9 @@ def _load_dataset(args):
         if not args.images or not args.labels:
             raise ValueError("mnist needs --images and --labels IDX files")
         images, labels = mnist.load_mnist_idx(args.images, args.labels)
-        if args.limit:
+        if args.limit is not None:
+            if args.limit < 1:
+                raise ValueError(f"--limit must be positive, got {args.limit}")
             images, labels = images[: args.limit], labels[: args.limit]
         cfg = PatchConfig(images.shape[1], images.shape[2],
                           args.patch_size, args.patch_size, args.stride)
@@ -251,8 +253,8 @@ def _load_dataset(args):
 
 
 def _train_one(args, data, input_size, rank):
-    cfg = TrainConfig(learning_rate=args.lr or 1e-3, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed)
+    cfg = TrainConfig(learning_rate=1e-3 if args.lr is None else args.lr,
+                      epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     num_patches = data.inputs.shape[1]
 
     def build(seed):

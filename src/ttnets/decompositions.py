@@ -15,10 +15,11 @@ Each format ends in an output leg of size C, the class axis of a score
 network: the last TT core is ``(r, n, C)``, the last CP factor may be
 ``(n, r, C)`` and the HT root is ``(r_left, r_right, C)``.  A plain
 tensor has C = 1; ``class_tensor(y)`` cuts a wider leg down to class y.
-One batched contraction per format (``*_scores_from_features``) contracts
-every mode with a feature vector; an entry is that contraction at one-hot
-features.  Dense reconstruction keeps a reshape-then-matmul form, far
-cheaper than contracting all prod(n) one-hot inputs.
+One batched contraction per format (``*_states``) keeps the states of
+every step; its last state is the scores (``*_scores_from_features``),
+and an entry is the scores at one-hot features.  Dense reconstruction
+keeps a reshape-then-matmul form, far cheaper than contracting all
+prod(n) one-hot inputs.
 
 Training updates the containers' arrays in place.  Random sampling uses
 numpy's PCG64 generator seeded explicitly, so every construction is
@@ -43,11 +44,13 @@ __all__ = [
     "cp_entry",
     "cp_random",
     "cp_scores_from_features",
+    "cp_states",
     "cp_to_dense",
     "ht_entry",
     "ht_node_leaf_sets",
     "ht_random",
     "ht_scores_from_features",
+    "ht_states",
     "ht_to_dense",
     "ranks_from_dense",
     "tt_delta_example",
@@ -55,6 +58,7 @@ __all__ = [
     "tt_equal_cores_random",
     "tt_random",
     "tt_scores_from_features",
+    "tt_states",
     "tt_svd",
     "tt_to_dense",
 ]
@@ -257,44 +261,61 @@ class HTTensor:
 # contractions with one feature vector per mode (batched)
 #
 # ``phi`` is a (B, d, n) array, or a sequence of d (B, n_k) arrays when the
-# mode sizes differ; the result is (B, C).
+# mode sizes differ.  ``*_states`` keeps every intermediate of the one
+# contraction for the gradients; the scores (B, C) are its last entry.
 
 
 def _modes(phi):
     return phi.transpose(1, 0, 2) if isinstance(phi, np.ndarray) else phi
 
 
-def tt_scores_from_features(tt: TTTensor, phi) -> np.ndarray:
-    """Recurrent pass: a running state of size r_k mixed with each feature."""
+def tt_states(tt: TTTensor, phi) -> list[np.ndarray]:
+    """Recurrent pass: the running state (B, r_k) after every core; the
+    last one is the (B, C) scores."""
     phi = _modes(phi)
-    state = phi[0] @ tt.cores[0][0]  # (B, r_1)
+    states = [phi[0] @ tt.cores[0][0]]
     for k in range(1, tt.ndim):
         r_prev, n, r_next = tt.cores[k].shape
-        mixed = state @ tt.cores[k].reshape(r_prev, n * r_next)
-        state = np.einsum("bnr,bn->br", mixed.reshape(-1, n, r_next), phi[k])
-    return state
+        mixed = states[-1] @ tt.cores[k].reshape(r_prev, n * r_next)
+        states.append(np.einsum("bnr,bn->br", mixed.reshape(-1, n, r_next), phi[k]))
+    return states
+
+
+def cp_states(cp: CPTensor, phi) -> list[np.ndarray]:
+    """Shallow pass: the per-mode dots (d-1, B, r), their running products
+    (d, B, r; entry k multiplies the first k dots), the output-leg product
+    (B, r, C) and, last, the (B, C) scores."""
+    phi = _modes(phi)
+    dots = np.empty((cp.ndim - 1, phi[0].shape[0], cp.rank))
+    for k, factor in enumerate(cp.factors[:-1]):
+        dots[k] = phi[k] @ factor
+    prods = np.ones((cp.ndim, *dots.shape[1:]))
+    prods[1:] = np.cumprod(dots, axis=0)
+    last = np.einsum("bm,mrc->brc", phi[-1], cp.output_factor)
+    return [dots, prods, last, np.einsum("br,brc->bc", prods[-1], last)]
+
+
+def ht_states(ht: HTTensor, phi) -> list[np.ndarray]:
+    """Tree pass: the output of every node, in :meth:`HTTensor.parameters`
+    order (leaves, then bottom-up), so the (B, C) root is last.  Internal
+    node t merges the outputs of nodes 2t and 2t+1."""
+    phi = _modes(phi)
+    outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
+    for t, b in enumerate(ht.parameters()[ht.ndim:]):
+        outputs.append(np.einsum("ba,bc,aco->bo", outputs[2 * t], outputs[2 * t + 1], b))
+    return outputs
+
+
+def tt_scores_from_features(tt: TTTensor, phi) -> np.ndarray:
+    return tt_states(tt, phi)[-1]
 
 
 def cp_scores_from_features(cp: CPTensor, phi) -> np.ndarray:
-    """Shallow pass: r separable products evaluated in parallel and summed."""
-    phi = _modes(phi)
-    prod = np.ones((phi[0].shape[0], cp.rank))
-    for k, factor in enumerate(cp.factors[:-1]):
-        prod = prod * (phi[k] @ factor)
-    last = np.einsum("bm,mrc->brc", phi[-1], cp.output_factor)
-    return np.einsum("br,brc->bc", prod, last)
+    return cp_states(cp, phi)[-1]
 
 
 def ht_scores_from_features(ht: HTTensor, phi) -> np.ndarray:
-    """Tree pass: leaf projections merged pairwise up to the root."""
-    phi = _modes(phi)
-    outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
-    for level in ht.transfer:
-        outputs = [
-            np.einsum("ba,bc,aco->bo", outputs[2 * i], outputs[2 * i + 1], b)
-            for i, b in enumerate(level)
-        ]
-    return outputs[0]
+    return ht_states(ht, phi)[-1]
 
 
 # ---------------------------------------------------------------------------

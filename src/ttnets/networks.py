@@ -17,7 +17,11 @@ whose output leg is the class axis, and the contraction is the format's
 
 Scores are multilinear in the feature vectors, so every parameter
 gradient is an outer product of partial contractions; the batched
-closed forms live in the ``*_backward`` helpers.
+closed forms live in the ``*_backward`` helpers.  They read the states
+that ``ScoreNetwork.forward`` kept from its one pass through the feature
+map and the contraction (the left states of the chain, the dots and
+their products of the sum, the node outputs of the tree), so a training
+step runs one forward and one backward.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ from .decompositions import (
     HTTensor,
     TTTensor,
     cp_scores_from_features,
+    cp_states,
     ht_scores_from_features,
+    ht_states,
     tt_delta_example,
     tt_scores_from_features,
+    tt_states,
 )
 
 __all__ = [
@@ -170,13 +177,13 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(phi: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the activation, from its output ``phi``."""
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (phi > 0.0).astype(np.float64)
     if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
-    return np.ones_like(z)
+        return phi * (1.0 - phi)
+    return np.ones_like(phi)
 
 
 def apply_feature_map(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
@@ -190,6 +197,25 @@ def apply_feature_map(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # networks
+
+
+@dataclass
+class ForwardPass:
+    """What one forward computed: the inputs (B, d, n), the features
+    (B, d, m) in contraction order, and the format's ``*_states``."""
+
+    inputs: np.ndarray
+    phi: np.ndarray
+    states: list[np.ndarray]
+
+
+@dataclass
+class NetworkGradients:
+    """Gradients of sum_y upstream_y * score_y for every trainable array."""
+
+    weight_grads: list[np.ndarray]
+    dA: np.ndarray
+    db: np.ndarray
 
 
 @dataclass
@@ -228,58 +254,57 @@ class ScoreNetwork:
     def input_size(self) -> int:
         return self.feature_map.input_size
 
-    def features(self, batch: np.ndarray) -> np.ndarray:
-        """Feature tensor (B, d, m) for a batch of input sequences (B, d, n),
-        reordered for contraction when input_order is set."""
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 3 or batch.shape[1] != self.num_patches:
-            raise ValueError(
-                f"expected batch of shape (B, {self.num_patches}, {self.input_size}), "
-                f"got {batch.shape}")
-        phi = apply_feature_map(self.feature_map, batch)
-        if self.input_order is not None:
-            phi = phi[:, list(self.input_order), :]
-        return phi
-
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Class scores (C,) for one input sequence (d, n)."""
         return self.scores_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def scores_batch(self, batch: np.ndarray) -> np.ndarray:
-        phi = self.features(batch)
-        if self.kind == "tt":
-            return tt_scores_from_features(self.weights, phi)
-        if self.kind == "cp":
-            return cp_scores_from_features(self.weights, phi)
-        return ht_scores_from_features(self.weights, phi)
+        return self.forward(batch)[0]
+
+    def forward(self, batch: np.ndarray) -> tuple[np.ndarray, ForwardPass]:
+        """Scores (B, C) for a batch of input sequences (B, d, n), and the
+        pass that :meth:`backward` reads."""
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.ndim != 3 or batch.shape[1] != self.num_patches:
+            raise ValueError(
+                f"expected batch of shape (B, {self.num_patches}, {self.input_size}), "
+                f"got {batch.shape}")
+        if not np.isfinite(batch).all():
+            raise ValueError("network inputs must be finite (found NaN or inf)")
+        phi = apply_feature_map(self.feature_map, batch)
+        if self.input_order is not None:
+            phi = phi[:, list(self.input_order), :]
+        contract = {"tt": tt_states, "cp": cp_states, "ht": ht_states}[self.kind]
+        states = contract(self.weights, phi)
+        return states[-1], ForwardPass(batch, phi, states)
+
+    def backward(self, fp: ForwardPass, upstream: np.ndarray) -> NetworkGradients:
+        """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b)."""
+        grads = {"tt": tt_backward, "cp": cp_backward, "ht": ht_backward}[self.kind]
+        weight_grads, dphi = grads(self.weights, fp.phi, np.asarray(upstream), fp.states)
+        dz = dphi * _activate_grad(fp.phi, self.feature_map.activation)
+        if self.input_order is not None:
+            dz = dz[:, np.argsort(self.input_order), :]
+        dA = np.einsum("bkm,bkn->mn", dz, fp.inputs)
+        db = dz.sum(axis=(0, 1))
+        return NetworkGradients(weight_grads=weight_grads, dA=dA, db=db)
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# gradients: each reads the states of the format's forward contraction
 
 
-@dataclass
-class NetworkGradients:
-    """Gradients of sum_y upstream_y * score_y for every trainable array."""
-
-    weight_grads: list[np.ndarray]
-    dA: np.ndarray
-    db: np.ndarray
-
-
-def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray):
+def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
     """Core gradients and feature gradients for the chain contraction.
 
     The score is linear in each core, so grad G_k is the outer product of
-    the left state L_{k-1}, the feature phi_k, and the upstream-contracted
-    right state R_{k+1}; the same partials give grad phi_k.
+    the left state L_{k-1} (read from ``states``), the feature phi_k, and
+    the upstream-contracted right state R_{k+1}; the same partials give
+    grad phi_k.
     """
     cores = weights.cores
     d = len(cores)
-    batch = phi.shape[0]
-    lefts = [np.ones((batch, 1))]
-    for k in range(d - 1):
-        lefts.append(np.einsum("ba,aic,bi->bc", lefts[-1], cores[k], phi[:, k, :]))
+    lefts = [np.ones((phi.shape[0], 1)), *states[:-1]]
     rights = [None] * (d + 1)
     rights[d] = np.einsum("aiy,bi,by->ba", cores[-1], phi[:, -1, :], upstream)
     for k in range(d - 2, 0, -1):
@@ -294,97 +319,56 @@ def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray):
     return core_grads, dphi
 
 
-def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray):
+def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
     """Factor and feature gradients for the separable-sum contraction.
 
-    Leave-one-out products over the sequence are built from prefix and
-    suffix cumulative products, avoiding divisions by possibly-zero dots.
+    Leave-one-out products over the sequence are the forward's running
+    (prefix) products times suffix products of its dots, avoiding
+    divisions by possibly-zero dots.
     """
-    factors = weights.factors
-    d = len(factors)
-    batch, _, m = phi.shape
-    r = weights.rank
-    dots = np.empty((batch, d - 1, r))
-    for k in range(d - 1):
-        dots[:, k, :] = phi[:, k, :] @ factors[k]
-    prefix = np.ones((batch, d, r))
-    prefix[:, 1:, :] = np.cumprod(dots, axis=1)
-    suffix = np.ones((batch, d, r))
-    suffix[:, : d - 1, :] = np.cumprod(dots[:, ::-1, :], axis=1)[:, ::-1, :]
-    # prefix[:, k] = prod_{l<k} dots_l ; suffix[:, k] = prod_{l>=k} dots_l
-    last = np.einsum("bm,mry->bry", phi[:, -1, :], weights.output_factor)
+    dots, prefix, last, _ = states
+    d = weights.ndim
+    suffix = np.ones_like(prefix)
+    suffix[: d - 1] = np.cumprod(dots[::-1], axis=0)[::-1]
+    # prefix[k] = prod_{l<k} dots_l ; suffix[k] = prod_{l>=k} dots_l
     head = np.einsum("bry,by->br", last, upstream)
     factor_grads = []
     dphi = np.empty_like(phi)
     for k in range(d - 1):
-        others = prefix[:, k, :] * suffix[:, k + 1, :] * head  # (B, r)
+        others = prefix[k] * suffix[k + 1] * head  # (B, r)
         factor_grads.append(np.einsum("bi,br->ir", phi[:, k, :], others))
-        dphi[:, k, :] = others @ factors[k].T
-    full = prefix[:, d - 1, :]  # product of all d-1 dots
+        dphi[:, k, :] = others @ weights.factors[k].T
+    full = prefix[d - 1]  # product of all d-1 dots
     factor_grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1, :], upstream)
-                        .reshape(factors[-1].shape))
+                        .reshape(weights.factors[-1].shape))
     dphi[:, -1, :] = np.einsum("br,iry,by->bi", full, weights.output_factor, upstream)
     return factor_grads, dphi
 
 
-def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray):
-    """Leaf/transfer and feature gradients for the tree contraction."""
-    outputs = [[phi[:, k, :] @ leaf for k, leaf in enumerate(weights.leaves)]]
-    for level in weights.transfer:
-        outputs.append([
-            np.einsum("ba,bc,aco->bo", outputs[-1][2 * i], outputs[-1][2 * i + 1], b)
-            for i, b in enumerate(level)
-        ])
-    # downstream sensitivities, root first
-    deltas = [upstream]
-    transfer_grads: list[list[np.ndarray]] = []
-    for j in range(len(weights.transfer) - 1, -1, -1):
-        level = weights.transfer[j]
-        below = outputs[j]
-        grads_here, deltas_next = [], []
-        for i, b in enumerate(level):
-            left, right, delta = below[2 * i], below[2 * i + 1], deltas[i]
-            grads_here.append(np.einsum("ba,bc,bo->aco", left, right, delta))
-            deltas_next.append(np.einsum("bc,aco,bo->ba", right, b, delta))
-            deltas_next.append(np.einsum("ba,aco,bo->bc", left, b, delta))
-        transfer_grads.append(grads_here)
-        deltas = deltas_next
-    transfer_grads.reverse()
-    leaf_grads = []
+def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
+    """Leaf/transfer and feature gradients for the tree contraction, from
+    the root down; node t's children are nodes 2t and 2t+1 of ``states``."""
+    d, nodes = weights.ndim, weights.parameters()
+    grads = [None] * len(states)
+    deltas = [None] * len(states)  # downstream sensitivity of each node
+    deltas[-1] = upstream
+    for t in range(d - 2, -1, -1):
+        left, right, delta = states[2 * t], states[2 * t + 1], deltas[d + t]
+        b = nodes[d + t]
+        grads[d + t] = np.einsum("ba,bc,bo->aco", left, right, delta)
+        deltas[2 * t] = np.einsum("bc,aco,bo->ba", right, b, delta)
+        deltas[2 * t + 1] = np.einsum("ba,aco,bo->bc", left, b, delta)
     dphi = np.empty_like(phi)
     for k, leaf in enumerate(weights.leaves):
-        leaf_grads.append(np.einsum("bi,ba->ia", phi[:, k, :], deltas[k]))
+        grads[k] = np.einsum("bi,ba->ia", phi[:, k, :], deltas[k])
         dphi[:, k, :] = deltas[k] @ leaf.T
-    weight_grads = [*leaf_grads, *(g for lvl in transfer_grads for g in lvl)]
-    return weight_grads, dphi
-
-
-def backward_features(weights, phi: np.ndarray, upstream: np.ndarray):
-    if weights.kind == "tt":
-        return tt_backward(weights, phi, upstream)
-    if weights.kind == "cp":
-        return cp_backward(weights, phi, upstream)
-    return ht_backward(weights, phi, upstream)
+    return grads, dphi
 
 
 def network_gradients_batch(net: ScoreNetwork, batch: np.ndarray,
                             upstream: np.ndarray) -> NetworkGradients:
     """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b)."""
-    batch = np.asarray(batch, dtype=np.float64)
-    fm = net.feature_map
-    z = batch @ fm.A.T + fm.b  # pre-activations in original patch order
-    phi_raw = _activate(z, fm.activation)
-    order = list(net.input_order) if net.input_order is not None else None
-    phi = phi_raw[:, order, :] if order else phi_raw
-    weight_grads, dphi = backward_features(net.weights, phi, np.asarray(upstream))
-    if order:
-        unscrambled = np.empty_like(dphi)
-        unscrambled[:, order, :] = dphi
-        dphi = unscrambled
-    dz = dphi * _activate_grad(z, fm.activation)
-    dA = np.einsum("bkm,bkn->mn", dz, batch)
-    db = dz.sum(axis=(0, 1))
-    return NetworkGradients(weight_grads=weight_grads, dA=dA, db=db)
+    return net.backward(net.forward(batch)[1], upstream)
 
 
 def network_gradients(net: ScoreNetwork, x, upstream) -> NetworkGradients:
@@ -434,6 +418,8 @@ def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
     forward magnitude stays O(1)-ish across depth; the feature map uses
     scale n**-0.5 with a small random bias.
     """
+    if rank < 1 or m < 1:
+        raise ValueError(f"rank and feature count must be positive, got rank {rank}, m {m}")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     weights = _random_weights(kind, d, m, rank, num_classes, rng)
     fm = FeatureMap(A=rng.normal(scale=1.0 / np.sqrt(n), size=(m, n)),

@@ -157,12 +157,18 @@ def write_report_csv(path, reports) -> None:
             writer.writerows(report.rows())
 
 
+def _check_samples(num_samples: int) -> None:
+    if int(num_samples) < 1:
+        raise ValueError(f"need at least one sample, got {num_samples}")
+
+
 def verify_theorem1(d: int, n: int, r: int, num_samples: int, seed: int,
                     rel_tol: float = CERT_REL_TOL) -> SeparationReport:
     """Sample Gaussian tensor trains and check the separation threshold."""
     d, n, r = int(d), int(n), int(r)
     if d < 2 or d % 2:
         raise ValueError(f"the separation check needs an even d >= 2, got {d}")
+    _check_samples(num_samples)
     q = min(n, r)
     report = SeparationReport(d=d, n=n, r=r, q=q, threshold=q ** (d // 2),
                               seed=int(seed), rel_tol=rel_tol)
@@ -180,6 +186,9 @@ def verify_hypothesis1(d: int, n_range, r_range, samples_per_cell: int, seed: in
     d = int(d)
     if d < 4 or d % 2:
         raise ValueError(f"the equal-core check needs an even d >= 4, got {d}")
+    _check_samples(samples_per_cell)
+    if len(n_range) == 0 or len(r_range) == 0:
+        raise ValueError("the n and r ranges must each hold at least one value")
     split = odd_even_split(d)
     reports = []
     for cell, (n, r) in enumerate((n, r) for n in n_range for r in r_range):
@@ -209,6 +218,7 @@ def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
         raise ValueError(f"tree comparisons need d a power of two, got {d}")
     if direction not in ("tt2ht", "ht2tt"):
         raise ValueError(f"direction must be 'tt2ht' or 'ht2tt', got {direction!r}")
+    _check_samples(num_samples)
     if direction == "tt2ht":
         bound = r * r
     else:

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import (
-    PatchConfig,
-    ScoreNetwork,
-    network_gradients_batch,
-    patch_sequences,
-)
+from .networks import PatchConfig, ScoreNetwork, patch_sequences
 
 __all__ = [
     "AdamState",
@@ -95,11 +90,17 @@ class TrainConfig:
 # toy datasets (each 2-D point is fed as two one-dimensional patches)
 
 
+def _check_toy_args(num_points: int, noise_sd: float) -> None:
+    if num_points < 2:
+        raise ValueError("need at least two points")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise standard deviation must be finite and >= 0, got {noise_sd}")
+
+
 def make_moons(num_points: int, noise_sd: float, seed: int = 0) -> Dataset:
     """Two interleaving arcs: class 0 on (cos t, sin t), class 1 on
     (1 - cos t, 1/2 - sin t), t evenly spaced on [0, pi] inclusive."""
-    if num_points < 2:
-        raise ValueError("need at least two points")
+    _check_toy_args(num_points, noise_sd)
     n0 = num_points - num_points // 2
     n1 = num_points // 2
     t0 = np.linspace(0.0, np.pi, n0)
@@ -118,8 +119,7 @@ def make_circles(num_points: int, noise_sd: float, factor: float = 0.5,
                  seed: int = 0) -> Dataset:
     """Concentric rings: class 0 at radius 1, class 1 at radius ``factor``,
     angles evenly spaced on [0, 2*pi)."""
-    if num_points < 2:
-        raise ValueError("need at least two points")
+    _check_toy_args(num_points, noise_sd)
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
     n0 = num_points - num_points // 2
@@ -290,10 +290,9 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
         batch_losses = []
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = data.inputs[idx]
-            scores = net.scores_batch(xb)
+            scores, fp = net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
-            grads = network_gradients_batch(net, xb, dscores)
+            grads = net.backward(fp, dscores)
             adam_step(params, grads.weight_grads + [grads.dA, grads.db], state, cfg)
             batch_losses.append(loss)
         revive_dead_units(net, data.inputs, state)

@@ -51,6 +51,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS 8/8" in out
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("theorem1", ["--samples", "0"]),
+        ("theorem1", ["--samples", "-3"]),
+        ("ht-bounds", ["--d", "4", "--samples", "0"]),
+        ("hypothesis1", ["--samples", "0"]),
+        ("hypothesis1", ["--n-range", ""]),
+    ])
+    def test_nothing_to_check_is_usage_error(self, tmp_path, capsys, kind, flags):
+        code, out, err = run(capsys, "verify", kind, *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "PASS" not in out and "error" in err
+
     def test_csv_bit_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out_dir in (a, b):
@@ -128,6 +140,32 @@ class TestTrainCommand:
                          "--out-dir", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "0"],
+        ["--rank", "0"],
+        ["--m", "0"],
+        ["--noise", "nan"],
+        ["--noise", "-0.1"],
+    ])
+    def test_bad_option_values_exit_two(self, tmp_path, capsys, flags):
+        code, _, err = run(capsys, "train", "--dataset", "moons", "--points", "20",
+                           "--epochs", "1", *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "error" in err
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_nonpositive_limit_exits_two(self, tmp_path, capsys, limit):
+        images, labels = synthetic_digits(10, seed=1)
+        save_idx_images(tmp_path / "im.idx", images)
+        save_idx_labels(tmp_path / "lb.idx", labels)
+        code, _, err = run(capsys, "train", "--dataset", "mnist",
+                           "--images", str(tmp_path / "im.idx"),
+                           "--labels", str(tmp_path / "lb.idx"), "--limit", limit,
+                           "--epochs", "0", "--lr", "0.001", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "limit" in err
+
     def test_mnist_tiny_run(self, tmp_path, capsys):
         images, labels = synthetic_digits(40, seed=1)
         save_idx_images(tmp_path / "im.idx", images)
@@ -176,6 +214,14 @@ class TestBoundaryCommand:
         svg = (tmp_path / "grid.svg").read_text()
         assert svg.count("<rect") == 49
         assert svg.startswith("<svg")
+
+    def test_non_finite_bounds_exit_two(self, tmp_path, capsys, checkpoint):
+        code, _, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
+                           "--bounds", "nan,1,0,1", "--resolution", "3",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_non_2d_checkpoint_rejected(self, tmp_path, capsys):
         images, labels = synthetic_digits(30, seed=2)

@@ -227,7 +227,7 @@ class TestGradients:
                 worst = max(worst, abs(fd - aflat[i]) / max(abs(fd), abs(aflat[i]), 1e-8))
         return worst
 
-    @pytest.mark.parametrize("kind", ["tt", "cp"])
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
     def test_matches_central_differences(self, kind):
         rng = np.random.default_rng(21)
         net = make_score_network(kind, 4, 3, 3, 2, 2, seed=7, activation="sigmoid")
@@ -255,8 +255,9 @@ class TestGradients:
         assert all(not np.asarray(g).any() for g in grads.weight_grads)
         assert not grads.dA.any() and not grads.db.any()
 
-    def test_input_order_respected(self):
-        net = make_score_network("tt", 4, 3, 3, 2, 2, seed=5, activation="sigmoid")
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_input_order_respected(self, kind):
+        net = make_score_network(kind, 4, 3, 3, 2, 2, seed=5, activation="sigmoid")
         net.input_order = (2, 0, 3, 1)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3))
@@ -302,6 +303,13 @@ class TestSimilarityNetwork:
     def test_width_matches_mode_size(self):
         net = build_similarity_network(6, 2)
         assert net.weights.cores[0].shape[2] == 2
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("rank,m", [(0, 4), (-1, 4), (2, 0)])
+    def test_nonpositive_width_rejected(self, rank, m):
+        with pytest.raises(ValueError, match="positive"):
+            make_score_network("tt", 2, 1, m, rank, 2, seed=0)
 
 
 class TestParameterCount:

@@ -78,10 +78,12 @@ class TestHypothesis1:
         assert report.threshold == 4
         assert report.num_satisfying == 20
 
-    def test_empty_cells(self):
-        reports = verify_hypothesis1(6, [2, 3], [2], 0, seed=0)
-        assert len(reports) == 2
-        assert all(r.num_samples == 0 and r.num_satisfying == 0 for r in reports)
+    @pytest.mark.parametrize("n_range,r_range,samples", [
+        ([2, 3], [2], 0), ([2], [2], -1), ([], [2], 3), ([2], [], 3)],
+        ids=["zero-samples", "negative-samples", "empty-n-range", "empty-r-range"])
+    def test_nothing_to_check_rejected(self, n_range, r_range, samples):
+        with pytest.raises(ValueError):
+            verify_hypothesis1(6, n_range, r_range, samples, seed=0)
 
     def test_grid_of_cells(self):
         reports = verify_hypothesis1(4, [2, 3], [2, 3], 5, seed=9)

@@ -67,6 +67,13 @@ class TestCircles:
                                       make_circles(6, 0.0, 0.5, seed=42).inputs)
 
 
+@pytest.mark.parametrize("make", [make_moons, make_circles])
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
+def test_toy_noise_must_be_finite_and_nonnegative(make, noise):
+    with pytest.raises(ValueError, match="noise"):
+        make(10, noise)
+
+
 class TestCrossEntropy:
     def test_symmetric_two_way(self):
         loss, grad = cross_entropy(np.array([0.0, 0.0]), 0)
@@ -184,7 +191,7 @@ class TestTrainLoop:
 
     def test_full_pipeline_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        for kind in ("tt", "cp"):
+        for kind in ("tt", "cp", "ht"):
             for trial in range(3):
                 net = make_score_network(kind, 4, 3, 3, 2, 3, seed=trial,
                                          activation="sigmoid")
@@ -320,6 +327,14 @@ class TestDecisionGrid:
         labels, xs, ys = decision_grid(net, (0, 1, 0, 1), 1)
         assert labels.shape == (1, 1)
         assert xs.tolist() == [0.0] and ys.tolist() == [0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_rejects_non_finite_inputs(self, bad):
+        net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)
+        inputs = np.zeros((3, 2, 1))
+        inputs[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            predict(net, inputs)
 
     def test_rejects_long_sequences(self):
         net = make_score_network("tt", 3, 1, 4, 2, 2, seed=0)
