@@ -320,8 +320,10 @@ def _write_grid_svg(path, labels) -> None:
 def cmd_sweep(args) -> int:
     import csv as csv_mod
 
-    data, input_size = _load_dataset(args)
     ranks = _int_list(args.ranks)
+    if not ranks:
+        raise ValueError("sweep needs at least one rank in --ranks")
+    data, input_size = _load_dataset(args)
     path = _out_path(args, "sweep.csv")
     with open(path, "w", newline="") as fh:
         writer = csv_mod.writer(fh)

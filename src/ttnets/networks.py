@@ -17,7 +17,9 @@ whose output leg is the class axis, and the contraction is the format's
 
 Scores are multilinear in the feature vectors, so every parameter
 gradient is an outer product of partial contractions; the batched
-closed forms live in the ``*_backward`` helpers.  They read the states
+closed forms live in the ``*_backward`` helpers, which evaluate them as
+matrix products (the chain's in one right-to-left sweep that reuses
+each core's mixed state for both its gradients).  They read the states
 that ``ScoreNetwork.forward`` kept from its one pass through the feature
 map and the contraction (the left states of the chain, the dots and
 their products of the sum, the node outputs of the tree), so a training
@@ -285,7 +287,7 @@ class ScoreNetwork:
         dz = dphi * _activate_grad(fp.phi, self.feature_map.activation)
         if self.input_order is not None:
             dz = dz[:, np.argsort(self.input_order), :]
-        dA = np.einsum("bkm,bkn->mn", dz, fp.inputs)
+        dA = dz.reshape(-1, dz.shape[2]).T @ fp.inputs.reshape(-1, fp.inputs.shape[2])
         db = dz.sum(axis=(0, 1))
         return NetworkGradients(weight_grads=weight_grads, dA=dA, db=db)
 
@@ -299,23 +301,23 @@ def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states
 
     The score is linear in each core, so grad G_k is the outer product of
     the left state L_{k-1} (read from ``states``), the feature phi_k, and
-    the upstream-contracted right state R_{k+1}; the same partials give
-    grad phi_k.
+    the upstream-contracted right state R_{k+1}.  One right-to-left sweep
+    evaluates these as matrix products: core k's mixed state R_{k+1} G_k
+    gives grad phi_k against L_{k-1} and the next right state R_k against
+    phi_k.
     """
-    cores = weights.cores
-    d = len(cores)
-    lefts = [np.ones((phi.shape[0], 1)), *states[:-1]]
-    rights = [None] * (d + 1)
-    rights[d] = np.einsum("aiy,bi,by->ba", cores[-1], phi[:, -1, :], upstream)
-    for k in range(d - 2, 0, -1):
-        rights[k + 1] = np.einsum("aic,bi,bc->ba", cores[k], phi[:, k, :], rights[k + 2])
-    core_grads = []
+    batch = phi.shape[0]
+    lefts = [np.ones((batch, 1)), *states[:-1]]
+    core_grads = [None] * weights.ndim
     dphi = np.empty_like(phi)
-    for k in range(d - 1):
-        core_grads.append(np.einsum("ba,bi,bc->aic", lefts[k], phi[:, k, :], rights[k + 2]))
-        dphi[:, k, :] = np.einsum("ba,aic,bc->bi", lefts[k], cores[k], rights[k + 2])
-    core_grads.append(np.einsum("ba,bi,by->aiy", lefts[d - 1], phi[:, -1, :], upstream))
-    dphi[:, -1, :] = np.einsum("ba,aiy,by->bi", lefts[d - 1], cores[-1], upstream)
+    right = upstream
+    for k in range(weights.ndim - 1, -1, -1):
+        a, i, c = weights.cores[k].shape
+        mixed = (right @ weights.cores[k].reshape(a * i, c).T).reshape(batch, a, i)
+        dphi[:, k, :] = (lefts[k][:, None, :] @ mixed)[:, 0]
+        core_grads[k] = ((lefts[k][:, :, None] * phi[:, k, None, :]).reshape(batch, a * i).T
+                         @ right).reshape(a, i, c)
+        right = (mixed @ phi[:, k, :, None])[:, :, 0]
     return core_grads, dphi
 
 
@@ -324,43 +326,50 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
 
     Leave-one-out products over the sequence are the forward's running
     (prefix) products times suffix products of its dots, avoiding
-    divisions by possibly-zero dots.
+    divisions by possibly-zero dots.  The output leg enters through the
+    (B, r*C) outer product of the full product with the upstream.
     """
     dots, prefix, last, _ = states
     d = weights.ndim
+    batch, rank, num_classes = last.shape
     suffix = np.ones_like(prefix)
     suffix[: d - 1] = np.cumprod(dots[::-1], axis=0)[::-1]
     # prefix[k] = prod_{l<k} dots_l ; suffix[k] = prod_{l>=k} dots_l
-    head = np.einsum("bry,by->br", last, upstream)
+    head = (last @ upstream[:, :, None])[:, :, 0]
     factor_grads = []
     dphi = np.empty_like(phi)
     for k in range(d - 1):
         others = prefix[k] * suffix[k + 1] * head  # (B, r)
-        factor_grads.append(np.einsum("bi,br->ir", phi[:, k, :], others))
+        factor_grads.append(phi[:, k, :].T @ others)
         dphi[:, k, :] = others @ weights.factors[k].T
     full = prefix[d - 1]  # product of all d-1 dots
-    factor_grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1, :], upstream)
-                        .reshape(weights.factors[-1].shape))
-    dphi[:, -1, :] = np.einsum("br,iry,by->bi", full, weights.output_factor, upstream)
+    outer = (full[:, :, None] * upstream[:, None, :]).reshape(batch, rank * num_classes)
+    factor_grads.append((phi[:, -1, :].T @ outer).reshape(weights.factors[-1].shape))
+    dphi[:, -1, :] = outer @ weights.output_factor.reshape(-1, rank * num_classes).T
     return factor_grads, dphi
 
 
 def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
     """Leaf/transfer and feature gradients for the tree contraction, from
-    the root down; node t's children are nodes 2t and 2t+1 of ``states``."""
+    the root down; node t's children are nodes 2t and 2t+1 of ``states``.
+    Each transfer tensor is mixed with its node's sensitivity once, and
+    that (B, a, c) stack gives both children's sensitivities."""
     d, nodes = weights.ndim, weights.parameters()
+    batch = phi.shape[0]
     grads = [None] * len(states)
     deltas = [None] * len(states)  # downstream sensitivity of each node
     deltas[-1] = upstream
     for t in range(d - 2, -1, -1):
         left, right, delta = states[2 * t], states[2 * t + 1], deltas[d + t]
-        b = nodes[d + t]
-        grads[d + t] = np.einsum("ba,bc,bo->aco", left, right, delta)
-        deltas[2 * t] = np.einsum("bc,aco,bo->ba", right, b, delta)
-        deltas[2 * t + 1] = np.einsum("ba,aco,bo->bc", left, b, delta)
+        a, c, o = nodes[d + t].shape
+        grads[d + t] = ((left[:, :, None] * right[:, None, :]).reshape(batch, a * c).T
+                        @ delta).reshape(a, c, o)
+        mixed = (delta @ nodes[d + t].reshape(a * c, o).T).reshape(batch, a, c)
+        deltas[2 * t] = (mixed @ right[:, :, None])[:, :, 0]
+        deltas[2 * t + 1] = (left[:, None, :] @ mixed)[:, 0]
     dphi = np.empty_like(phi)
     for k, leaf in enumerate(weights.leaves):
-        grads[k] = np.einsum("bi,ba->ia", phi[:, k, :], deltas[k])
+        grads[k] = phi[:, k, :].T @ deltas[k]
         dphi[:, k, :] = deltas[k] @ leaf.T
     return grads, dphi
 

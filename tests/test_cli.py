@@ -146,6 +146,8 @@ class TestTrainCommand:
         ["--m", "0"],
         ["--noise", "nan"],
         ["--noise", "-0.1"],
+        ["--lr", "nan"],
+        ["--lr", "inf"],
     ])
     def test_bad_option_values_exit_two(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "train", "--dataset", "moons", "--points", "20",
@@ -250,11 +252,13 @@ class TestSweepCommand:
         assert first[:4] == ["tt", "1", "12", "20"]
 
     def test_empty_rank_list(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "sweep", "--dataset", "moons", "--points", "40",
-                         "--epochs", "1", "--lr", "0.001", "--ranks", "",
-                         "--out-dir", str(tmp_path))
-        assert code == 0
-        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1
+        for ranks in ("", ","):
+            code, _, err = run(capsys, "sweep", "--dataset", "moons", "--points", "40",
+                               "--epochs", "1", "--lr", "0.001", "--ranks", ranks,
+                               "--out-dir", str(tmp_path))
+            assert code == 2
+            assert "--ranks" in err
+            assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestPatchesCommand:

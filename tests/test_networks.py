@@ -19,11 +19,14 @@ from ttnets.networks import (
     apply_feature_map,
     build_similarity_network,
     count_parameters,
+    cp_backward,
     cp_scores_from_features,
     extract_patches,
+    ht_backward,
     ht_scores_from_features,
     make_score_network,
     network_gradients,
+    tt_backward,
     tt_scores_from_features,
 )
 from ttnets.rank_analysis import cp_rank_lower_bound
@@ -264,6 +267,85 @@ class TestGradients:
         upstream = rng.normal(size=2)
         assert self.finite_difference_worst_error(net, x, upstream) <= 1e-5
 
+
+
+def einsum_tt_backward(tt, phi, upstream):
+    """Chain gradients from three-operand einsums: left states L_k and
+    right states R_k (the sensitivity entering core k), then their
+    outer products with the feature."""
+    d = tt.ndim
+    lefts = [np.ones((phi.shape[0], 1))]
+    for k in range(d - 1):
+        lefts.append(np.einsum("ba,aic,bi->bc", lefts[-1], tt.cores[k], phi[:, k]))
+    rights = [upstream]
+    for k in range(d - 1, 0, -1):
+        rights.insert(0, np.einsum("aic,bi,bc->ba", tt.cores[k], phi[:, k], rights[0]))
+    grads = [np.einsum("ba,bi,bc->aic", lefts[k], phi[:, k], rights[k]) for k in range(d)]
+    dphi = np.stack([np.einsum("ba,aic,bc->bi", lefts[k], tt.cores[k], rights[k])
+                     for k in range(d)], axis=1)
+    return grads, dphi
+
+
+def einsum_cp_backward(cp, phi, upstream):
+    """Separable-sum gradients from explicit leave-one-out products."""
+    d = cp.ndim
+    dots = [phi[:, k] @ cp.factors[k] for k in range(d - 1)]
+    full = reduce(np.multiply, dots, np.ones((phi.shape[0], cp.rank)))
+    head = np.einsum("bi,iry,by->br", phi[:, -1], cp.output_factor, upstream)
+    grads, dphi = [], np.empty_like(phi)
+    for k in range(d - 1):
+        others = reduce(np.multiply, dots[:k] + dots[k + 1:], np.ones_like(full))
+        grads.append(np.einsum("bi,br,br->ir", phi[:, k], others, head))
+        dphi[:, k] = np.einsum("br,ir,br->bi", others, cp.factors[k], head)
+    grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1], upstream)
+                 .reshape(cp.factors[-1].shape))
+    dphi[:, -1] = np.einsum("br,iry,by->bi", full, cp.output_factor, upstream)
+    return grads, dphi
+
+
+def einsum_ht_backward(ht, phi, upstream):
+    """Tree gradients: node outputs bottom-up, sensitivities top-down."""
+    d, nodes = ht.ndim, ht.parameters()
+    outputs = [phi[:, k] @ leaf for k, leaf in enumerate(ht.leaves)]
+    for t in range(d - 1):
+        left, right = outputs[2 * t], outputs[2 * t + 1]
+        outputs.append(np.einsum("ba,bc,aco->bo", left, right, nodes[d + t]))
+    grads, deltas = [None] * len(nodes), [None] * len(nodes)
+    deltas[-1] = upstream
+    for t in range(d - 2, -1, -1):
+        left, right, delta = outputs[2 * t], outputs[2 * t + 1], deltas[d + t]
+        grads[d + t] = np.einsum("ba,bc,bo->aco", left, right, delta)
+        deltas[2 * t] = np.einsum("bc,aco,bo->ba", right, nodes[d + t], delta)
+        deltas[2 * t + 1] = np.einsum("ba,aco,bo->bc", left, nodes[d + t], delta)
+    for k in range(d):
+        grads[k] = np.einsum("bi,ba->ia", phi[:, k], deltas[k])
+    dphi = np.stack([deltas[k] @ ht.leaves[k].T for k in range(d)], axis=1)
+    return grads, dphi
+
+
+class TestBackwardAgainstEinsum:
+    """The batched backwards against the plain einsum closed forms, at the
+    digit shape (25 patches of 64 pixels; 16 for the tree) and at the
+    toy shape (two one-pixel patches)."""
+
+    @pytest.mark.parametrize("kind, d, n, rank", [
+        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16),
+        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8),
+    ])
+    def test_matches_einsum_reference(self, kind, d, n, rank):
+        net = make_score_network(kind, d, n, 4, rank, 10, seed=11)
+        rng = np.random.default_rng(12)
+        _, fp = net.forward(rng.normal(size=(32, d, n)))
+        upstream = rng.normal(size=(32, 10))
+        backward = {"tt": tt_backward, "cp": cp_backward, "ht": ht_backward}[kind]
+        reference = {"tt": einsum_tt_backward, "cp": einsum_cp_backward,
+                     "ht": einsum_ht_backward}[kind]
+        grads, dphi = backward(net.weights, fp.phi, upstream, fp.states)
+        ref_grads, ref_dphi = reference(net.weights, fp.phi, upstream)
+        assert len(grads) == len(ref_grads)
+        for got, want in zip([*grads, dphi], [*ref_grads, ref_dphi]):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 class TestSimilarityNetwork:
     def test_orthonormal_pairs(self):
