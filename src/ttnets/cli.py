@@ -12,7 +12,9 @@ numerical routine that did not converge), 2 usage or precondition failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -270,7 +272,11 @@ def _train_one(args, data, input_size, rank):
         outcome = train_lr_sweep(build, data, cfg, DEFAULT_LR_SWEEP)
         return outcome.net, outcome.history
     net = build(args.seed)
-    return net, train(net, data, cfg)
+    history = train(net, data, cfg)
+    if history and not math.isfinite(history[-1].loss):
+        raise ValueError(f"the run diverged (non-finite final loss) at learning rate "
+                         f"{args.lr:g}")
+    return net, history
 
 
 def cmd_train(args) -> int:
@@ -318,26 +324,25 @@ def _write_grid_svg(path, labels) -> None:
 
 
 def cmd_sweep(args) -> int:
-    import csv as csv_mod
-
     ranks = _int_list(args.ranks)
     if not ranks:
         raise ValueError("sweep needs at least one rank in --ranks")
     data, input_size = _load_dataset(args)
-    path = _out_path(args, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv_mod.writer(fh)
+    rows = []  # written only once every rank has trained
+    for rank in ranks:
+        net, history = _train_one(args, data, input_size, rank)
+        core_params, total_params = count_parameters(net)
+        loss = f"{history[-1].loss:.17g}" if history else ""
+        acc = f"{history[-1].accuracy:.17g}" if history else ""
+        rows.append([args.network, rank, core_params, total_params, loss, acc])
+        if history:
+            print(f"rank {rank}: params {core_params} loss {history[-1].loss:.4f} "
+                  f"accuracy {history[-1].accuracy:.4f}")
+    with open(_out_path(args, "sweep.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(["network", "rank", "core_params", "total_params",
                          "train_loss", "train_accuracy"])
-        for rank in ranks:
-            net, history = _train_one(args, data, input_size, rank)
-            core_params, total_params = count_parameters(net)
-            loss = f"{history[-1].loss:.17g}" if history else ""
-            acc = f"{history[-1].accuracy:.17g}" if history else ""
-            writer.writerow([args.network, rank, core_params, total_params, loss, acc])
-            if history:
-                print(f"rank {rank}: params {core_params} loss {history[-1].loss:.4f} "
-                      f"accuracy {history[-1].accuracy:.4f}")
+        writer.writerows(rows)
     return 0
 
 

@@ -21,9 +21,12 @@ and an entry is the scores at one-hot features.  Dense reconstruction
 keeps a reshape-then-matmul form, far cheaper than contracting all
 prod(n) one-hot inputs.
 
-Training updates the containers' arrays in place.  Random sampling uses
-numpy's PCG64 generator seeded explicitly, so every construction is
-reproducible across platforms.
+``with_parameters`` rebuilds a container of the same structure over
+other arrays given in :meth:`parameters` order; a score network uses it
+to lay its weights over views of one flat parameter vector, which
+training updates in place.  Random sampling uses numpy's PCG64 generator
+seeded explicitly, so every construction is reproducible across
+platforms.
 """
 
 from __future__ import annotations
@@ -124,6 +127,10 @@ class TTTensor:
     def parameters(self) -> list[np.ndarray]:
         return list(self.cores)
 
+    def with_parameters(self, arrays) -> TTTensor:
+        """The same chain over ``arrays`` given in :meth:`parameters` order."""
+        return TTTensor(list(arrays))
+
     def feature_axes(self) -> list[int | None]:
         """Axis of each array in :meth:`parameters` that indexes the
         mode (feature), or None for an array that reads no feature."""
@@ -175,6 +182,9 @@ class CPTensor:
 
     def parameters(self) -> list[np.ndarray]:
         return list(self.factors)
+
+    def with_parameters(self, arrays) -> CPTensor:
+        return CPTensor(list(arrays))
 
     def feature_axes(self) -> list[int | None]:
         return [0] * len(self.factors)
@@ -252,6 +262,14 @@ class HTTensor:
 
     def parameters(self) -> list[np.ndarray]:
         return [*self.leaves, *(b for level in self.transfer for b in level)]
+
+    def with_parameters(self, arrays) -> HTTensor:
+        arrays = list(arrays)
+        transfer, start = [], self.ndim
+        for level in self.transfer:
+            transfer.append(arrays[start : start + len(level)])
+            start += len(level)
+        return HTTensor(arrays[: self.ndim], transfer)
 
     def feature_axes(self) -> list[int | None]:
         return [0] * len(self.leaves) + [None] * (len(self.leaves) - 1)

@@ -24,11 +24,17 @@ that ``ScoreNetwork.forward`` kept from its one pass through the feature
 map and the contraction (the left states of the chain, the dots and
 their products of the sum, the node outputs of the tree), so a training
 step runs one forward and one backward.
+
+A network keeps all its trainable numbers in one flat vector, and its
+weights and feature map are views of it; the backward writes into the
+same views of one flat gradient vector, so an optimizer step is one
+vector update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,8 +219,12 @@ class ForwardPass:
 
 @dataclass
 class NetworkGradients:
-    """Gradients of sum_y upstream_y * score_y for every trainable array."""
+    """Gradients of sum_y upstream_y * score_y for every trainable array.
 
+    ``vector`` is laid out like :attr:`ScoreNetwork.vector`; the arrays
+    are views of it."""
+
+    vector: np.ndarray
     weight_grads: list[np.ndarray]
     dA: np.ndarray
     db: np.ndarray
@@ -226,11 +236,17 @@ class ScoreNetwork:
 
     ``input_order``, when set, is the permutation applied to the input
     sequence before contraction (slot k consumes ``X[input_order[k]]``).
+
+    Construction copies the arrays of :meth:`parameters` into the one
+    contiguous float64 ``vector`` and rebuilds ``weights`` and
+    ``feature_map`` over views of it, so updating the vector in place
+    updates every array, and the reverse.
     """
 
     feature_map: FeatureMap
     weights: TTTensor | CPTensor | HTTensor
     input_order: tuple[int, ...] | None = None
+    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.weights.shape != (self.feature_map.num_features,) * self.weights.ndim:
@@ -239,6 +255,26 @@ class ScoreNetwork:
                 sorted(self.input_order) != list(range(self.weights.ndim)):
             raise ValueError(f"input order {self.input_order} is not a permutation "
                              f"of the {self.weights.ndim} input slots")
+        arrays = self.parameters()
+        self._shapes = [a.shape for a in arrays]
+        self.vector = np.concatenate([a.ravel() for a in arrays])
+        *weights, a, b = self.views(self.vector)
+        self.weights = self.weights.with_parameters(weights)
+        self.feature_map = FeatureMap(a, b, self.feature_map.activation)
+
+    def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays: the weights' parameters, then A and b."""
+        return self.weights.parameters() + [self.feature_map.A, self.feature_map.b]
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``vector``, shaped like
+        :meth:`parameters`."""
+        out, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            out.append(vector[start:stop].reshape(shape))
+            start = stop
+        return out
 
     @property
     def kind(self) -> str:
@@ -281,22 +317,29 @@ class ScoreNetwork:
         return states[-1], ForwardPass(batch, phi, states)
 
     def backward(self, fp: ForwardPass, upstream: np.ndarray) -> NetworkGradients:
-        """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b)."""
+        """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b), written
+        into one flat vector laid out like ``vector``."""
+        vector = np.empty_like(self.vector)
+        *weight_grads, dA, db = self.views(vector)
         grads = {"tt": tt_backward, "cp": cp_backward, "ht": ht_backward}[self.kind]
-        weight_grads, dphi = grads(self.weights, fp.phi, np.asarray(upstream), fp.states)
+        dphi = grads(self.weights, fp.phi, np.asarray(upstream), fp.states, weight_grads)[1]
         dz = dphi * _activate_grad(fp.phi, self.feature_map.activation)
         if self.input_order is not None:
             dz = dz[:, np.argsort(self.input_order), :]
-        dA = dz.reshape(-1, dz.shape[2]).T @ fp.inputs.reshape(-1, fp.inputs.shape[2])
-        db = dz.sum(axis=(0, 1))
-        return NetworkGradients(weight_grads=weight_grads, dA=dA, db=db)
+        np.matmul(dz.reshape(-1, dz.shape[2]).T, fp.inputs.reshape(-1, fp.inputs.shape[2]),
+                  out=dA)
+        dz.sum(axis=(0, 1), out=db)
+        return NetworkGradients(vector, weight_grads, dA, db)
 
 
 # ---------------------------------------------------------------------------
-# gradients: each reads the states of the format's forward contraction
+# gradients: each reads the states of the format's forward contraction and
+# writes the weight gradients into ``grads``, arrays shaped like
+# ``weights.parameters()``; it returns them with the feature gradients
 
 
-def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
+def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
+                grads: list):
     """Core gradients and feature gradients for the chain contraction.
 
     The score is linear in each core, so grad G_k is the outer product of
@@ -308,20 +351,20 @@ def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states
     """
     batch = phi.shape[0]
     lefts = [np.ones((batch, 1)), *states[:-1]]
-    core_grads = [None] * weights.ndim
     dphi = np.empty_like(phi)
     right = upstream
     for k in range(weights.ndim - 1, -1, -1):
         a, i, c = weights.cores[k].shape
         mixed = (right @ weights.cores[k].reshape(a * i, c).T).reshape(batch, a, i)
         dphi[:, k, :] = (lefts[k][:, None, :] @ mixed)[:, 0]
-        core_grads[k] = ((lefts[k][:, :, None] * phi[:, k, None, :]).reshape(batch, a * i).T
-                         @ right).reshape(a, i, c)
+        np.matmul((lefts[k][:, :, None] * phi[:, k, None, :]).reshape(batch, a * i).T,
+                  right, out=grads[k].reshape(a * i, c))
         right = (mixed @ phi[:, k, :, None])[:, :, 0]
-    return core_grads, dphi
+    return grads, dphi
 
 
-def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
+def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
+                grads: list):
     """Factor and feature gradients for the separable-sum contraction.
 
     Leave-one-out products over the sequence are the forward's running
@@ -336,40 +379,39 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
     suffix[: d - 1] = np.cumprod(dots[::-1], axis=0)[::-1]
     # prefix[k] = prod_{l<k} dots_l ; suffix[k] = prod_{l>=k} dots_l
     head = (last @ upstream[:, :, None])[:, :, 0]
-    factor_grads = []
     dphi = np.empty_like(phi)
     for k in range(d - 1):
         others = prefix[k] * suffix[k + 1] * head  # (B, r)
-        factor_grads.append(phi[:, k, :].T @ others)
+        np.matmul(phi[:, k, :].T, others, out=grads[k])
         dphi[:, k, :] = others @ weights.factors[k].T
     full = prefix[d - 1]  # product of all d-1 dots
     outer = (full[:, :, None] * upstream[:, None, :]).reshape(batch, rank * num_classes)
-    factor_grads.append((phi[:, -1, :].T @ outer).reshape(weights.factors[-1].shape))
+    np.matmul(phi[:, -1, :].T, outer, out=grads[-1].reshape(-1, rank * num_classes))
     dphi[:, -1, :] = outer @ weights.output_factor.reshape(-1, rank * num_classes).T
-    return factor_grads, dphi
+    return grads, dphi
 
 
-def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list):
+def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
+                grads: list):
     """Leaf/transfer and feature gradients for the tree contraction, from
     the root down; node t's children are nodes 2t and 2t+1 of ``states``.
     Each transfer tensor is mixed with its node's sensitivity once, and
     that (B, a, c) stack gives both children's sensitivities."""
     d, nodes = weights.ndim, weights.parameters()
     batch = phi.shape[0]
-    grads = [None] * len(states)
     deltas = [None] * len(states)  # downstream sensitivity of each node
     deltas[-1] = upstream
     for t in range(d - 2, -1, -1):
         left, right, delta = states[2 * t], states[2 * t + 1], deltas[d + t]
         a, c, o = nodes[d + t].shape
-        grads[d + t] = ((left[:, :, None] * right[:, None, :]).reshape(batch, a * c).T
-                        @ delta).reshape(a, c, o)
+        np.matmul((left[:, :, None] * right[:, None, :]).reshape(batch, a * c).T, delta,
+                  out=grads[d + t].reshape(a * c, o))
         mixed = (delta @ nodes[d + t].reshape(a * c, o).T).reshape(batch, a, c)
         deltas[2 * t] = (mixed @ right[:, :, None])[:, :, 0]
         deltas[2 * t + 1] = (left[:, None, :] @ mixed)[:, 0]
     dphi = np.empty_like(phi)
     for k, leaf in enumerate(weights.leaves):
-        grads[k] = phi[:, k, :].T @ deltas[k]
+        np.matmul(phi[:, k, :].T, deltas[k], out=grads[k])
         dphi[:, k, :] = deltas[k] @ leaf.T
     return grads, dphi
 
@@ -504,6 +546,5 @@ def build_similarity_network(d: int, n: int) -> ScoreNetwork:
 
 def count_parameters(net: ScoreNetwork) -> tuple[int, int]:
     """(weight parameters, total including the feature map)."""
-    w = sum(p.size for p in net.weights.parameters())
     fm = net.feature_map.A.size + net.feature_map.b.size
-    return w, w + fm
+    return net.vector.size - fm, net.vector.size

@@ -10,7 +10,18 @@ Three claims are checked by sampling:
   interior cores are all equal (the weight-shared, RNN-like class).
 * ``ht-bounds`` -- rank transfer between the chain and tree formats:
   a train of rank r has tree ranks <= r**2, and a tree of rank r has
-  train ranks <= r**(log2(d)/2).
+  train ranks <= r**ceil(log2(d)/2).
+
+The tree-to-chain bound counts cut edges.  The prefix {1..k} of a
+balanced tree over d = 2**L leaves is the disjoint union of popcount(k)
+complete subtrees, and its complement of popcount(d - k); each subtree
+meets the rest of the tree through one edge of rank r, so the prefix
+matricization has rank <= r**min(popcount(k), popcount(d - k)).  The
+largest exponent over k is ceil(L/2) (popcount(k) + popcount(d - k) is
+one plus the carries of the sum, at most L + 1), and random trees reach
+it.  The paper's r**(log2(d)/2) is the same number when L is even
+(d = 4, 16, ...); when L is odd (d = 2, 8, 32, ...) it is not an integer
+and random trees exceed it, e.g. rank r**2 > r**1.5 at d = 8.
 
 "Almost every" is operationalized as "every Monte-Carlo sample
 satisfies the bound"; a single failing sample is reported rather than
@@ -211,7 +222,9 @@ def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
 
     ``tt2ht``: samples rank-r trains, measures max tree-node rank,
     bound r**2.  ``ht2tt``: samples trees with all node ranks r,
-    measures max prefix rank, bound r**(log2(d)/2).
+    measures max prefix rank, bound r**ceil(log2(d)/2), the largest
+    r**min(popcount(k), popcount(d - k)) over prefix splits k (see the
+    module docstring).
     """
     d, n, r = int(d), int(n), int(r)
     if d < 2 or d & (d - 1):
@@ -222,7 +235,7 @@ def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
     if direction == "tt2ht":
         bound = r * r
     else:
-        bound = round(r ** (np.log2(d) / 2.0))
+        bound = max(r ** min(bin(k).count("1"), bin(d - k).count("1")) for k in range(1, d))
     report = BoundReport(direction=direction, d=d, n=n, r=r, bound=bound,
                          seed=int(seed), rel_tol=rel_tol)
     for i in range(int(num_samples)):

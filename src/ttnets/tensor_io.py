@@ -43,6 +43,8 @@ Network checkpoint::
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .decompositions import CPTensor, HTTensor, TTTensor
@@ -83,6 +85,13 @@ class _LineReader:
         self.lines = [ln for ln in self.lines if ln]
         self.pos = 0
 
+    def file_line(self, index: int) -> int:
+        """Line number in the file of kept (non-blank) line ``index``; read
+        again only to word an error."""
+        with open(self.path) as fh:
+            kept = (i for i, ln in enumerate(fh, start=1) if ln.strip())
+            return next(itertools.islice(kept, index, None))
+
     def next_line(self, what: str) -> str:
         if self.pos >= len(self.lines):
             raise ValueError(f"{self.path}: unexpected end of file, expected {what}")
@@ -109,6 +118,7 @@ class _LineReader:
 
     def values(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
+        start = self.pos
         out = np.empty(size)
         for i in range(size):
             token = self.next_line("a value")
@@ -116,6 +126,10 @@ class _LineReader:
                 out[i] = float(token)
             except ValueError:
                 raise ValueError(f"{self.path}: expected a number, got {token!r}") from None
+        if not np.isfinite(out).all():
+            bad = start + int(np.flatnonzero(~np.isfinite(out))[0])
+            raise ValueError(f"{self.path}: line {self.file_line(bad)}: value "
+                             f"{self.lines[bad]!r} is not a finite number")
         return out.reshape(shape)
 
     def block(self, tag: str) -> np.ndarray:
@@ -127,7 +141,8 @@ class _LineReader:
 
     def expect_end(self) -> None:
         if self.pos != len(self.lines):
-            raise ValueError(f"{self.path}: trailing content at line {self.pos + 1}")
+            raise ValueError(f"{self.path}: trailing content at line "
+                             f"{self.file_line(self.pos)}")
 
 
 # ---------------------------------------------------------------------------

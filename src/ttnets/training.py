@@ -2,8 +2,9 @@
 
 Training is single-threaded and bit-deterministic given the config seed:
 shuffling uses one seeded generator, batch gradients are accumulated in a
-fixed order, and the optimizer touches parameters in a fixed order.  The
-end-of-epoch revival of dead ReLU units draws no random numbers: it is a
+fixed order, and the optimizer updates the network's one flat parameter
+vector elementwise, one vector operation per step.  The end-of-epoch
+revival of dead ReLU units draws no random numbers: it is a
 fixed function of the parameters and the training inputs.
 """
 
@@ -180,35 +181,40 @@ def cross_entropy(scores: np.ndarray, label: int):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators: two vectors laid out like the
+    parameter vector they update."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """One bias-corrected moment update, applied to params in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must have matching lengths")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig):
+    """One bias-corrected moment update of a parameter vector, in place.
+
+    The update is elementwise, so a whole network (``ScoreNetwork.vector``
+    and a gradient vector of the same layout) takes one vector update."""
+    grads = np.asarray(grads)
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match parameter "
+                         f"{params.shape}")
+    if state.m.shape != params.shape or state.v.shape != params.shape:
+        raise ValueError(f"moment shape {state.m.shape} does not match parameter "
+                         f"{params.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grads
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grads * grads
+    params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
     return params, state
 
 
@@ -245,9 +251,9 @@ def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray,
     input: its gradient is then zero, so training alone never brings it
     back.  Reviving unit i moves its kink to the median of ``x @ A[i]``
     over all patches of ``inputs``, zeros every weight slice that reads
-    feature i and, when ``state`` is given (Adam moments aligned with
-    ``net.weights.parameters() + [A, b]``), resets the moments of those
-    slices and of ``A[i]`` and ``b[i]``.  Because the slices are zero, the
+    feature i and, when ``state`` is given (Adam moments laid out like
+    ``net.vector``), resets the moments of those slices and of ``A[i]``
+    and ``b[i]``.  Because the slices are zero, the
     network computes exactly the same scores as before, on any input.
     Returns the revived unit indices; other activations never die.
     """
@@ -268,8 +274,8 @@ def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray,
     axes = net.weights.feature_axes()
     zero_dead(net.weights.parameters(), axes)
     if state is not None:
-        zero_dead(state.m, axes + [0, 0])
-        zero_dead(state.v, axes + [0, 0])
+        zero_dead(net.views(state.m), axes + [0, 0])
+        zero_dead(net.views(state.v), axes + [0, 0])
     return [int(i) for i in dead]
 
 
@@ -282,8 +288,7 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
     :func:`revive_dead_units`, which leaves the scores unchanged.  Zero
     epochs returns an empty history and leaves parameters untouched.
     """
-    params = net.weights.parameters() + [net.feature_map.A, net.feature_map.b]
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(net.vector)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
@@ -293,8 +298,7 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
             idx = order[start : start + cfg.batch_size]
             scores, fp = net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
-            grads = net.backward(fp, dscores)
-            adam_step(params, grads.weight_grads + [grads.dA, grads.db], state, cfg)
+            adam_step(net.vector, net.backward(fp, dscores).vector, state, cfg)
             batch_losses.append(loss)
         revive_dead_units(net, data.inputs, state)
         history.append(EpochStats(epoch + 1, float(np.mean(batch_losses)),

@@ -127,6 +127,15 @@ class TestTrainCommand:
         assert len(history) == 4
         assert (tmp_path / "checkpoint.txt").exists()
 
+    def test_diverged_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "train", "--dataset", "moons", "--lr", "1e200",
+                               "--epochs", "3", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "diverged" in err and "1e+200" in err
+        assert not (tmp_path / "history.csv").exists()
+        assert not (tmp_path / "checkpoint.txt").exists()
+
     def test_zero_epochs(self, tmp_path, capsys):
         code, out, _ = run(capsys, "train", "--dataset", "circles", "--points", "40",
                            "--epochs", "0", "--lr", "0.001", "--out-dir", str(tmp_path))
@@ -225,6 +234,18 @@ class TestBoundaryCommand:
         assert "finite" in err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_checkpoint_exits_two(self, tmp_path, capsys, checkpoint, token):
+        lines = checkpoint.read_text().splitlines()
+        lines[lines.index("A: 4 1") + 1] = token
+        checkpoint.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "grid"
+        code, _, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
+                           "--resolution", "3", "--out-dir", str(out))
+        assert code == 2
+        assert "checkpoint.txt: line" in err and "not a finite number" in err
+        assert not (out / "grid.csv").exists()
+
     def test_non_2d_checkpoint_rejected(self, tmp_path, capsys):
         images, labels = synthetic_digits(30, seed=2)
         save_idx_images(tmp_path / "im.idx", images)
@@ -250,6 +271,15 @@ class TestSweepCommand:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[:4] == ["tt", "1", "12", "20"]
+
+    def test_diverged_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "sweep", "--dataset", "moons", "--ranks", "2,4",
+                               "--lr", "1e200", "--epochs", "2",
+                               "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "diverged" in err and "1e+200" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_empty_rank_list(self, tmp_path, capsys):
         for ranks in ("", ","):

@@ -26,6 +26,7 @@ from ttnets.networks import (
     ht_scores_from_features,
     make_score_network,
     network_gradients,
+    network_gradients_batch,
     tt_backward,
     tt_scores_from_features,
 )
@@ -340,12 +341,57 @@ class TestBackwardAgainstEinsum:
         backward = {"tt": tt_backward, "cp": cp_backward, "ht": ht_backward}[kind]
         reference = {"tt": einsum_tt_backward, "cp": einsum_cp_backward,
                      "ht": einsum_ht_backward}[kind]
-        grads, dphi = backward(net.weights, fp.phi, upstream, fp.states)
+        grads, dphi = backward(net.weights, fp.phi, upstream, fp.states,
+                               [np.empty_like(p) for p in net.weights.parameters()])
         ref_grads, ref_dphi = reference(net.weights, fp.phi, upstream)
         assert len(grads) == len(ref_grads)
         for got, want in zip([*grads, dphi], [*ref_grads, ref_dphi]):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestFlatParameterVector:
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_arrays_and_gradients_are_views_of_one_vector(self, kind):
+        net = make_score_network(kind, 4, 3, 3, 2, 2, seed=1)
+        arrays = net.weights.parameters() + [net.feature_map.A, net.feature_map.b]
+        assert net.vector.ndim == 1 and net.vector.flags.c_contiguous
+        for a in arrays:
+            assert np.shares_memory(a, net.vector)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]),
+                                      net.vector)
+        rng = np.random.default_rng(2)
+        grads = network_gradients_batch(net, rng.normal(size=(5, 4, 3)),
+                                        rng.normal(size=(5, 2)))
+        grad_arrays = grads.weight_grads + [grads.dA, grads.db]
+        assert grads.vector.shape == net.vector.shape
+        for g in grad_arrays:
+            assert np.shares_memory(g, grads.vector)
+        np.testing.assert_array_equal(np.concatenate([g.ravel() for g in grad_arrays]),
+                                      grads.vector)
+
+    def test_vector_updates_reach_the_scores(self):
+        # doubling A and b doubles every ReLU feature; with every factor
+        # doubled too, each of the three dots grows fourfold
+        net = make_score_network("cp", 3, 2, 3, 2, 2, seed=4)
+        x = np.random.default_rng(3).normal(size=(3, 2))
+        before = net.scores(x)
+        assert before.any()
+        net.vector *= 2.0
+        np.testing.assert_array_equal(net.scores(x), 64.0 * before)
+        net.vector[:] = 0.0
+        assert not net.scores(x).any()
+
+    def test_construction_copies_its_inputs(self):
+        fm = FeatureMap(np.eye(2), np.zeros(2), "identity")
+        w = TTTensor([np.ones((1, 2, 2)), np.ones((2, 2, 1))])
+        first, second = ScoreNetwork(fm, w), ScoreNetwork(fm, w)
+        first.vector[:] = 0.0
+        assert not np.shares_memory(first.vector, second.vector)
+        assert fm.A[0, 0] == 1.0 and w.cores[0][0, 0, 0] == 1.0
+        np.testing.assert_array_equal(second.vector, np.concatenate(
+            [w.cores[0].ravel(), w.cores[1].ravel(), fm.A.ravel(), fm.b]))
+
 
 class TestSimilarityNetwork:
     def test_orthonormal_pairs(self):

@@ -102,6 +102,19 @@ class TestBounds:
         assert report.bound == 2
         assert report.observed_max <= 2 and report.violations == 0
 
+    @pytest.mark.parametrize("n, r, samples", [(2, 2, 5), (3, 2, 5), (3, 3, 5)])
+    def test_tree_to_chain_at_eight_leaves_is_r_squared_and_reached(self, n, r, samples):
+        # the prefix {1, 2, 3} cuts two subtree edges on each side
+        report = verify_ht_tt_bounds(8, n, r, samples, seed=1, direction="ht2tt")
+        assert report.bound == r ** 2
+        assert report.violations == 0
+        assert report.observed_max_ranks == [r ** 2] * samples
+
+    def test_tree_to_chain_at_sixteen_leaves_is_reached(self):
+        report = verify_ht_tt_bounds(16, 2, 2, 2, seed=1, direction="ht2tt")
+        assert report.bound == 4
+        assert report.violations == 0 and report.observed_max == 4
+
     def test_rank_one_both_directions(self):
         for direction in ("tt2ht", "ht2tt"):
             report = verify_ht_tt_bounds(4, 2, 1, 5, seed=0, direction=direction)

@@ -43,6 +43,52 @@ class TestDenseFiles:
             tensor_io.load_dense(path)
 
 
+def _replace_line(path, number, token):
+    lines = path.read_text().splitlines()
+    lines[number - 1] = token
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteValues:
+    """Every loader names the file and line of a value that is not finite."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_dense(self, tmp_path, token):
+        path = tmp_path / "x.txt"
+        tensor_io.save_dense(path, np.ones((2, 2)))
+        _replace_line(path, 4, token)
+        with pytest.raises(ValueError, match=f"x.txt: line 4: value '{token}' is not a finite number"):
+            tensor_io.load_dense(path)
+
+    @pytest.mark.parametrize("save, load, tensor", [
+        (tensor_io.save_tt, tensor_io.load_tt, tt_random((2, 3, 2), (2, 2), seed=0)),
+        (tensor_io.save_cp, tensor_io.load_cp, cp_random((2, 3), 2, seed=0)),
+        (tensor_io.save_ht, tensor_io.load_ht, ht_random((2, 2, 2, 2), 2, seed=0)),
+    ])
+    def test_factor_files(self, tmp_path, save, load, tensor):
+        path = tmp_path / "t.txt"
+        save(path, tensor)
+        last = len(path.read_text().splitlines())
+        _replace_line(path, last, "nan")
+        with pytest.raises(ValueError, match=f"t.txt: line {last}: value 'nan'"):
+            load(path)
+
+    def test_checkpoint_feature_map(self, tmp_path):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 2, seed=0))
+        lines = path.read_text().splitlines()
+        line = lines.index("A: 2 1") + 2
+        _replace_line(path, line, "inf")
+        with pytest.raises(ValueError, match=f"net.txt: line {line}: value 'inf'"):
+            tensor_io.load_checkpoint(path)
+
+    def test_blank_lines_do_not_shift_the_line_number(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("shape: 2\n\n1.0\n\nnan\n")
+        with pytest.raises(ValueError, match="line 5"):
+            tensor_io.load_dense(path)
+
+
 class TestFactorFiles:
     def test_tt_roundtrip(self, tmp_path):
         tt = tt_random((2, 3, 2), (2, 4), seed=0)

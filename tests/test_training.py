@@ -113,9 +113,10 @@ class TestCrossEntropy:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0]), np.ones((2, 2))]
-        state = AdamState.for_params(params)
-        adam_step(params, [np.zeros(2), np.zeros((2, 2))], state, TrainConfig())
+        flat = np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0])
+        params = [flat[:2], flat[2:].reshape(2, 2)]
+        state = AdamState.for_params(flat)
+        adam_step(flat, np.zeros(6), state, TrainConfig())
         np.testing.assert_array_equal(params[0], [1.0, -2.0])
         np.testing.assert_array_equal(params[1], np.ones((2, 2)))
 
@@ -124,7 +125,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.05)
         g = np.array([0.5, -3.0, 1e-12])
         params = [np.zeros(3)]
-        adam_step(params, [g], AdamState.for_params(params), cfg)
+        adam_step(params[0], g, AdamState.for_params(params[0]), cfg)
         want = -cfg.learning_rate * g / (np.abs(g) + cfg.eps)
         np.testing.assert_allclose(params[0], want, rtol=1e-12)
 
@@ -132,21 +133,65 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(0)
             params = [rng.normal(size=(3, 2))]
-            state = AdamState.for_params(params)
+            state = AdamState.for_params(params[0])
             cfg = TrainConfig(learning_rate=1e-2)
             for _ in range(5):
-                adam_step(params, [rng.normal(size=(3, 2))], state, cfg)
+                adam_step(params[0], rng.normal(size=(3, 2)), state, cfg)
             return params[0]
 
         np.testing.assert_array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, [np.zeros(3)], AdamState.for_params(params), TrainConfig())
+            adam_step(params, np.zeros(3), AdamState.for_params(params), TrainConfig())
+
+    @staticmethod
+    def per_array_step(params, grads, m, v, t, cfg):
+        """The update applied one parameter array at a time."""
+        c1 = 1.0 - cfg.beta1 ** t
+        c2 = 1.0 - cfg.beta2 ** t
+        for p, g, mk, vk in zip(params, grads, m, v):
+            mk *= cfg.beta1
+            mk += (1.0 - cfg.beta1) * g
+            vk *= cfg.beta2
+            vk += (1.0 - cfg.beta2) * g * g
+            p -= cfg.learning_rate * (mk / c1) / (np.sqrt(vk / c2) + cfg.eps)
+
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_vector_step_matches_per_array_steps_bit_for_bit(self, kind):
+        net = make_score_network(kind, 4, 3, 3, 2, 2, seed=1)
+        ref = [p.copy() for p in net.parameters()]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        state = AdamState.for_params(net.vector)
+        cfg = TrainConfig(learning_rate=3e-3)
+        rng = np.random.default_rng(7)
+        for t in range(1, 21):
+            grad = rng.normal(size=net.vector.size) * 10.0 ** rng.integers(-9, 3)
+            grad[rng.random(grad.size) < 0.1] = 0.0
+            adam_step(net.vector, grad, state, cfg)
+            self.per_array_step(ref, net.views(grad), ref_m, ref_v, t, cfg)
+        for got, want in [(net.parameters(), ref), (net.views(state.m), ref_m),
+                          (net.views(state.v), ref_v)]:
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_arrays_taken_before_training_hold_trained_values(self, kind):
+        data = make_moons(40, 0.1, seed=0)
+        net = make_score_network(kind, 2, 1, 4, 3, 2, seed=1)
+        arrays = net.parameters()
+        before = [a.copy() for a in arrays]
+        train(net, data, TrainConfig(epochs=2, learning_rate=1e-2, seed=0))
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]),
+                                      net.vector)
+        for a, b in zip(arrays, net.parameters()):
+            np.testing.assert_array_equal(a, b)
+        assert not all(np.array_equal(a, old) for a, old in zip(arrays, before))
+
     def test_zero_epochs_noop(self):
         data = make_moons(20, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=1)
@@ -245,15 +290,13 @@ class TestDeadUnitRevival:
         data = make_moons(40, 0.1, seed=0)
         net = make_score_network(kind, 2, 1, 4, 3, 2, seed=1)
         self.kill_unit(net, data, 2)
-        params = net.weights.parameters() + [net.feature_map.A, net.feature_map.b]
-        state = AdamState([np.ones_like(p) for p in params],
-                          [np.ones_like(p) for p in params], step=5)
+        state = AdamState(np.ones_like(net.vector), np.ones_like(net.vector), step=5)
         before = net.scores_batch(data.inputs)
         revived = revive_dead_units(net, data.inputs, state)
         assert 2 in revived
         assert all(self.fires(net, data, unit) for unit in revived)
         np.testing.assert_array_equal(net.scores_batch(data.inputs), before)
-        for moments in (state.m, state.v):
+        for moments in (net.views(state.m), net.views(state.v)):
             for mom, axis in zip(moments, net.weights.feature_axes() + [0, 0]):
                 if axis is None:
                     assert np.all(mom == 1.0)
