@@ -30,6 +30,7 @@ from .networks import (
 )
 from .rank_analysis import (
     CERT_REL_TOL,
+    cp_rank_lower_bound,
     verify_ht_tt_bounds,
     verify_hypothesis1,
     verify_theorem1,
@@ -228,8 +229,6 @@ def cmd_rank(args) -> int:
         splits = [AxisSplit.from_row_axes(d, range(1, k + 1)) for k in range(1, d)]
         if d % 2 == 0:
             splits.append(odd_even_split(d))
-    from .rank_analysis import cp_rank_lower_bound
-
     bound = cp_rank_lower_bound(x, splits, rel_tol=args.rel_tol)
     print(f"cp-rank lower bound: {bound}")
     return 0
@@ -376,11 +375,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        args = _resolve(raw)
-        for extra in ("kind", "tensor_file"):
-            if hasattr(raw, extra):
-                setattr(args, extra, getattr(raw, extra))
-        return _COMMANDS[raw.command](args)
+        return _COMMANDS[raw.command](_resolve(raw))
     except (ValueError, IndexError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

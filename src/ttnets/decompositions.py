@@ -7,9 +7,9 @@ All three formats store a d-dimensional tensor through small factors:
 * ``TTTensor`` -- a chain of 3-way cores ``G_k`` of shape
   ``(r_{k-1}, n_k, r_k)`` with ``r_0 = 1``; an entry is the product
   ``G_1[1, i_1, :] @ G_2[:, i_2, :] @ ... @ G_d[:, i_d, :]``.
-* ``HTTensor`` -- a perfect binary tree whose leaves carry matrices and
-  whose internal nodes carry 3-way transfer tensors contracting the two
-  child outputs.
+* ``HTTensor`` -- a perfect binary tree as one list of its 2d-1 nodes:
+  the d leaf matrices, then the 3-way transfer tensors bottom-up, root
+  last; internal node ``d + t`` contracts nodes ``2t`` and ``2t + 1``.
 
 Each format ends in an output leg of size C, the class axis of a score
 network: the last TT core is ``(r, n, C)``, the last CP factor may be
@@ -21,12 +21,12 @@ and an entry is the scores at one-hot features.  Dense reconstruction
 keeps a reshape-then-matmul form, far cheaper than contracting all
 prod(n) one-hot inputs.
 
-``with_parameters`` rebuilds a container of the same structure over
-other arrays given in :meth:`parameters` order; a score network uses it
-to lay its weights over views of one flat parameter vector, which
-training updates in place.  Random sampling uses numpy's PCG64 generator
-seeded explicitly, so every construction is reproducible across
-platforms.
+Each container is exactly its parameter list (cores, factors or nodes),
+and ``type(t)(arrays)`` rebuilds one over other arrays in that order; a
+score network uses this to lay its weights over views of one flat
+parameter vector, which training updates in place.  Random sampling
+uses numpy's PCG64 generator seeded explicitly, so every construction
+is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .tensor import AxisSplit, as_dense, matricize
 __all__ = [
     "CPTensor",
     "DENSE_CAP",
+    "FORMATS",
     "HTTensor",
     "TTTensor",
     "cp_entry",
@@ -127,10 +128,6 @@ class TTTensor:
     def parameters(self) -> list[np.ndarray]:
         return list(self.cores)
 
-    def with_parameters(self, arrays) -> TTTensor:
-        """The same chain over ``arrays`` given in :meth:`parameters` order."""
-        return TTTensor(list(arrays))
-
     def feature_axes(self) -> list[int | None]:
         """Axis of each array in :meth:`parameters` that indexes the
         mode (feature), or None for an array that reads no feature."""
@@ -183,62 +180,49 @@ class CPTensor:
     def parameters(self) -> list[np.ndarray]:
         return list(self.factors)
 
-    def with_parameters(self, arrays) -> CPTensor:
-        return CPTensor(list(arrays))
-
     def feature_axes(self) -> list[int | None]:
         return [0] * len(self.factors)
 
 
 @dataclass
 class HTTensor:
-    """Perfect-binary-tree format: leaf matrices plus transfer tensors.
+    """Perfect-binary-tree format: 2d-1 nodes in contraction order.
 
-    ``transfer[j]`` holds the internal nodes whose subtrees cover
-    ``2**(j+1)`` leaves each, ordered left to right; the last level is
-    the root, whose output size is the leg size C.  Node
-    ``transfer[j][i]`` has shape ``(r_left, r_right, r_out)`` where the
-    children are the nodes (or leaves) covering the two halves of
-    ``leaves[i*2**(j+1) : (i+1)*2**(j+1)]``.
+    ``nodes[:d]`` are the (n_k, r_k) leaf matrices in mode order; the
+    rest are the (r_left, r_right, r_out) transfer tensors bottom-up and
+    left to right, so internal node ``d + t`` merges nodes ``2t`` and
+    ``2t + 1`` and the root comes last, its r_out the leg size C.
     """
 
-    leaves: list[np.ndarray]
-    transfer: list[list[np.ndarray]]
+    nodes: list[np.ndarray]
 
     kind = "ht"
 
     def __post_init__(self):
-        self.leaves = _float_arrays(self.leaves)
-        self.transfer = [_float_arrays(level) for level in self.transfer]
-        d = len(self.leaves)
-        if d < 2 or d & (d - 1):
-            raise ValueError(f"number of leaves must be a power of two >= 2, got {d}")
-        depth = d.bit_length() - 1
-        if len(self.transfer) != depth:
-            raise ValueError(f"expected {depth} transfer levels, got {len(self.transfer)}")
-        child_ranks = [m.shape[1] for m in self.leaves]
-        for j, level in enumerate(self.transfer):
-            if len(level) != d >> (j + 1):
-                raise ValueError(f"level {j} must hold {d >> (j + 1)} nodes")
-            out_ranks = []
-            for i, b in enumerate(level):
-                if b.ndim != 3:
-                    raise ValueError("transfer tensors must be 3-way")
-                if b.shape[0] != child_ranks[2 * i] or b.shape[1] != child_ranks[2 * i + 1]:
-                    raise ValueError(
-                        f"node {i} at level {j} expects child ranks "
-                        f"({child_ranks[2 * i]}, {child_ranks[2 * i + 1]}), got {b.shape[:2]}"
-                    )
-                out_ranks.append(b.shape[2])
-            child_ranks = out_ranks
+        self.nodes = _float_arrays(self.nodes)
+        d = self.ndim
+        if len(self.nodes) != 2 * d - 1 or d < 2 or d & (d - 1):
+            raise ValueError(f"a tree needs 2d-1 nodes with d a power of two >= 2, "
+                             f"got {len(self.nodes)} nodes")
+        for k, leaf in enumerate(self.nodes[:d]):
+            if leaf.ndim != 2:
+                raise ValueError(f"node {k} is a leaf and must be 2-way, got shape {leaf.shape}")
+        for t, b in enumerate(self.nodes[d:]):
+            if b.ndim != 3:
+                raise ValueError(f"node {d + t} is a transfer tensor and must be 3-way, "
+                                 f"got shape {b.shape}")
+            ranks = (self.nodes[2 * t].shape[-1], self.nodes[2 * t + 1].shape[-1])
+            if b.shape[:2] != ranks:
+                raise ValueError(f"node {d + t} expects child ranks {ranks} from nodes "
+                                 f"{2 * t} and {2 * t + 1}, got {b.shape[:2]}")
 
     @property
     def ndim(self) -> int:
-        return len(self.leaves)
+        return (len(self.nodes) + 1) // 2
 
     @property
-    def depth(self) -> int:
-        return len(self.transfer)
+    def leaves(self) -> list[np.ndarray]:
+        return self.nodes[: self.ndim]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -247,32 +231,24 @@ class HTTensor:
     @property
     def node_ranks(self) -> tuple[int, ...]:
         """Output sizes of all non-root nodes: leaves first, then bottom-up."""
-        ranks = [m.shape[1] for m in self.leaves]
-        for level in self.transfer[:-1]:
-            ranks.extend(b.shape[2] for b in level)
-        return tuple(ranks)
+        return tuple(b.shape[-1] for b in self.nodes[:-1])
 
     @property
     def num_classes(self) -> int:
-        return self.transfer[-1][0].shape[2]
+        return self.nodes[-1].shape[2]
 
     def class_tensor(self, y: int) -> HTTensor:
-        root = self.transfer[-1][0][:, :, y : y + 1]
-        return HTTensor(self.leaves, [*self.transfer[:-1], [root]])
+        return HTTensor((*self.nodes[:-1], self.nodes[-1][:, :, y : y + 1]))
 
     def parameters(self) -> list[np.ndarray]:
-        return [*self.leaves, *(b for level in self.transfer for b in level)]
-
-    def with_parameters(self, arrays) -> HTTensor:
-        arrays = list(arrays)
-        transfer, start = [], self.ndim
-        for level in self.transfer:
-            transfer.append(arrays[start : start + len(level)])
-            start += len(level)
-        return HTTensor(arrays[: self.ndim], transfer)
+        return list(self.nodes)
 
     def feature_axes(self) -> list[int | None]:
-        return [0] * len(self.leaves) + [None] * (len(self.leaves) - 1)
+        return [0] * self.ndim + [None] * (self.ndim - 1)
+
+
+# The container class of each format, by its ``kind``.
+FORMATS = {cls.kind: cls for cls in (TTTensor, CPTensor, HTTensor)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +290,12 @@ def cp_states(cp: CPTensor, phi) -> list[np.ndarray]:
 
 
 def ht_states(ht: HTTensor, phi) -> list[np.ndarray]:
-    """Tree pass: the output of every node, in :meth:`HTTensor.parameters`
+    """Tree pass: the output of every node, in :attr:`HTTensor.nodes`
     order (leaves, then bottom-up), so the (B, C) root is last.  Internal
-    node t merges the outputs of nodes 2t and 2t+1."""
+    node d+t merges the outputs of nodes 2t and 2t+1."""
     phi = _modes(phi)
     outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
-    for t, b in enumerate(ht.parameters()[ht.ndim:]):
+    for t, b in enumerate(ht.nodes[ht.ndim:]):
         outputs.append(np.einsum("ba,bc,aco->bo", outputs[2 * t], outputs[2 * t + 1], b))
     return outputs
 
@@ -503,7 +479,8 @@ def cp_random(shape, r: int, seed) -> CPTensor:
 
 
 def ht_node_leaf_sets(d: int) -> list[tuple[int, ...]]:
-    """1-based leaf sets of all non-root tree nodes, leaves first then bottom-up.
+    """1-based leaf sets of all non-root tree nodes, in :attr:`HTTensor.nodes`
+    order: internal node d+t covers the leaves of nodes 2t and 2t+1.
 
     Matches the ordering of :attr:`HTTensor.node_ranks` and of the
     ``node_ranks`` argument accepted by :func:`ht_random`.
@@ -511,58 +488,36 @@ def ht_node_leaf_sets(d: int) -> list[tuple[int, ...]]:
     if d < 2 or d & (d - 1):
         raise ValueError(f"tree size must be a power of two >= 2, got {d}")
     sets = [(k,) for k in range(1, d + 1)]
-    width = 2
-    while width < d:
-        for start in range(1, d + 1, width):
-            sets.append(tuple(range(start, start + width)))
-        width *= 2
+    for t in range(d - 2):
+        sets.append(sets[2 * t] + sets[2 * t + 1])
     return sets
 
 
-def _ht_ranks_per_level(d: int, node_ranks) -> list[list[int]]:
-    """Normalize node_ranks (scalar or flat non-root list) to per-level lists."""
-    depth = d.bit_length() - 1
-    counts = [d >> j for j in range(depth)]  # leaves, then internal levels sans root
-    if np.isscalar(node_ranks):
-        return [[int(node_ranks)] * c for c in counts]
-    flat = [int(r) for r in node_ranks]
-    if len(flat) != sum(counts):
-        raise ValueError(
-            f"node_ranks must have {sum(counts)} entries "
-            f"(leaves then bottom-up internal nodes, root excluded), got {len(flat)}"
-        )
-    levels, pos = [], 0
-    for c in counts:
-        levels.append(flat[pos : pos + c])
-        pos += c
-    return levels
-
-
 def ht_random(shape, node_ranks, seed) -> HTTensor:
-    """Hierarchical tensor with i.i.d. standard Gaussian leaves and transfers.
+    """Hierarchical tensor with i.i.d. standard Gaussian nodes.
 
     ``node_ranks`` is a single int applied to every non-root node, or a
     flat list in :func:`ht_node_leaf_sets` order.
     """
     shape = tuple(int(n) for n in shape)
     d = len(shape)
-    levels = _ht_ranks_per_level(d, node_ranks)
-    if any(r < 1 for level in levels for r in level):
-        raise ValueError("node ranks must be positive")
-    rng = _as_generator(seed)
-    leaves = tuple(rng.standard_normal((n, r)) for n, r in zip(shape, levels[0]))
-    transfer = []
-    child = levels[0]
-    for j in range(1, len(levels) + 1):
-        out = levels[j] if j < len(levels) else [1]
-        transfer.append(
-            tuple(
-                rng.standard_normal((child[2 * i], child[2 * i + 1], out[i]))
-                for i in range(len(out))
-            )
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"number of leaves must be a power of two >= 2, got {d}")
+    if np.isscalar(node_ranks):
+        node_ranks = [node_ranks] * (2 * d - 2)
+    ranks = [int(r) for r in node_ranks]
+    if len(ranks) != 2 * d - 2:
+        raise ValueError(
+            f"node_ranks must have {2 * d - 2} entries "
+            f"(leaves then bottom-up internal nodes, root excluded), got {len(ranks)}"
         )
-        child = out
-    return HTTensor(leaves, tuple(transfer))
+    if any(r < 1 for r in ranks):
+        raise ValueError("node ranks must be positive")
+    ranks.append(1)  # the root's output leg
+    shapes = [*zip(shape, ranks), *((ranks[2 * t], ranks[2 * t + 1], ranks[d + t])
+                                   for t in range(d - 1))]
+    rng = _as_generator(seed)
+    return HTTensor([rng.standard_normal(s) for s in shapes])
 
 
 def ht_entry(ht: HTTensor, idx) -> float:
@@ -574,14 +529,11 @@ def ht_to_dense(ht: HTTensor, cap: int = DENSE_CAP) -> np.ndarray:
     _check_dense(ht, cap)
     # Each partial result is (prod of covered mode sizes, r_out), flattened row-major.
     parts = list(ht.leaves)
-    for level in ht.transfer:
-        merged = []
-        for i, b in enumerate(level):
-            left, right = parts[2 * i], parts[2 * i + 1]
-            combo = np.einsum("xa,yb,abo->xyo", left, right, b)
-            merged.append(combo.reshape(left.shape[0] * right.shape[0], -1))
-        parts = merged
-    return np.ascontiguousarray(parts[0][:, 0].reshape(ht.shape))
+    for t, b in enumerate(ht.nodes[ht.ndim:]):
+        left, right = parts[2 * t], parts[2 * t + 1]
+        combo = np.einsum("xa,yb,abo->xyo", left, right, b)
+        parts.append(combo.reshape(left.shape[0] * right.shape[0], -1))
+    return np.ascontiguousarray(parts[-1][:, 0].reshape(ht.shape))
 
 
 def ranks_from_dense(x, which: str = "tt", rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

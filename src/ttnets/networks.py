@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompositions import (
+    FORMATS,
     CPTensor,
     HTTensor,
     TTTensor,
@@ -259,7 +260,7 @@ class ScoreNetwork:
         self._shapes = [a.shape for a in arrays]
         self.vector = np.concatenate([a.ravel() for a in arrays])
         *weights, a, b = self.views(self.vector)
-        self.weights = self.weights.with_parameters(weights)
+        self.weights = type(self.weights)(weights)
         self.feature_map = FeatureMap(a, b, self.feature_map.activation)
 
     def parameters(self) -> list[np.ndarray]:
@@ -394,10 +395,10 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
 def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
                 grads: list):
     """Leaf/transfer and feature gradients for the tree contraction, from
-    the root down; node t's children are nodes 2t and 2t+1 of ``states``.
+    the root down; node d+t's children are nodes 2t and 2t+1 of ``states``.
     Each transfer tensor is mixed with its node's sensitivity once, and
     that (B, a, c) stack gives both children's sensitivities."""
-    d, nodes = weights.ndim, weights.parameters()
+    d, nodes = weights.ndim, weights.nodes
     batch = phi.shape[0]
     deltas = [None] * len(states)  # downstream sensitivity of each node
     deltas[-1] = upstream
@@ -435,30 +436,20 @@ def network_gradients(net: ScoreNetwork, x, upstream) -> NetworkGradients:
 
 def _random_weights(kind: str, d: int, m: int, rank: int, num_classes: int,
                     rng: np.random.Generator):
-    scale = 1.0 / np.sqrt(rank)
     if kind == "tt":
         if d < 2:
             raise ValueError("chain networks need d >= 2")
-        cores = [rng.normal(scale=scale, size=(1, m, rank))]
-        cores += [rng.normal(scale=scale, size=(rank, m, rank)) for _ in range(d - 2)]
-        cores.append(rng.normal(scale=scale, size=(rank, m, num_classes)))
-        return TTTensor(cores)
-    if kind == "cp":
-        factors = [rng.normal(scale=1.0 / np.sqrt(m), size=(m, rank)) for _ in range(d - 1)]
-        factors.append(rng.normal(scale=1.0 / np.sqrt(m), size=(m, rank, num_classes)))
-        return CPTensor(factors)
-    if kind == "ht":
+        shapes = [(1, m, rank), *[(rank, m, rank)] * (d - 2), (rank, m, num_classes)]
+    elif kind == "cp":
+        shapes = [*[(m, rank)] * (d - 1), (m, rank, num_classes)]
+    elif kind == "ht":
         if d < 2 or d & (d - 1):
             raise ValueError("tree networks need d a power of two")
-        leaves = [rng.normal(scale=scale, size=(m, rank)) for _ in range(d)]
-        transfer, width = [], d // 2
-        while width > 1:
-            transfer.append([rng.normal(scale=scale, size=(rank, rank, rank))
-                             for _ in range(width)])
-            width //= 2
-        transfer.append([rng.normal(scale=scale, size=(rank, rank, num_classes))])
-        return HTTensor(leaves, transfer)
-    raise ValueError(f"unknown network kind {kind!r}")
+        shapes = [*[(m, rank)] * d, *[(rank, rank, rank)] * (d - 2), (rank, rank, num_classes)]
+    else:
+        raise ValueError(f"unknown network kind {kind!r}")
+    scale = 1.0 / np.sqrt(m if kind == "cp" else rank)
+    return FORMATS[kind]([rng.normal(scale=scale, size=shape) for shape in shapes])
 
 
 def make_score_network(kind: str, d: int, n: int, m: int, rank: int,

@@ -11,16 +11,18 @@ Dense tensor::
     <prod(n) values>
 
 Each factorized format has one block codec, shared by its tensor file
-and by network checkpoints:
+and by network checkpoints: the arrays of the container's parameter
+list, in order, each tagged by its ndim:
 
 * tensor train -- d ``core: r_prev n r_next`` blocks with chained ranks,
   r_0 = 1 and r_d the output leg size (1 for a plain tensor, the class
   count in a checkpoint);
 * separable sum -- d ``factor: n r`` blocks; the last one may instead be
   ``factor3: n r C``, as it is in checkpoints;
-* tree (d a power of two) -- d ``leaf: n r`` blocks in leaf order, then
-  ``node: r_left r_right r_out`` blocks level by level bottom-up, left to
-  right; the root comes last, its r_out the output leg size.
+* tree (d a power of two) -- its 2d-1 nodes: d ``leaf: n r`` blocks in
+  leaf order, then ``node: r_left r_right r_out`` blocks bottom-up and
+  left to right, node d+t merging nodes 2t and 2t+1; the root comes
+  last, its r_out the output leg size.
 
 Tensor files put one header line before the blocks::
 
@@ -47,7 +49,7 @@ import itertools
 
 import numpy as np
 
-from .decompositions import CPTensor, HTTensor, TTTensor
+from .decompositions import FORMATS, CPTensor, HTTensor, TTTensor
 from .networks import FeatureMap, ScoreNetwork
 
 __all__ = [
@@ -65,10 +67,9 @@ __all__ = [
 
 CHECKPOINT_HEADER = "ttnets-checkpoint v1"
 
-# Block tag of each (format, array ndim), and the ndim of each block tag.
-_TAGS = {("tt", 3): "core", ("cp", 2): "factor", ("cp", 3): "factor3",
-         ("ht", 2): "leaf", ("ht", 3): "node"}
-_BLOCK_DIMS = {"A": 2, "b": 1, **{tag: ndim for (_kind, ndim), tag in _TAGS.items()}}
+# Block tag of each format's arrays by ndim, and the ndim of each block tag.
+_TAGS = {"tt": {3: "core"}, "cp": {2: "factor", 3: "factor3"}, "ht": {2: "leaf", 3: "node"}}
+_BLOCK_DIMS = {"A": 2, "b": 1, **{t: n for tags in _TAGS.values() for n, t in tags.items()}}
 
 
 def _write_block(fh, tag: str, arr: np.ndarray) -> None:
@@ -132,7 +133,9 @@ class _LineReader:
                              f"{self.lines[bad]!r} is not a finite number")
         return out.reshape(shape)
 
-    def block(self, tag: str) -> np.ndarray:
+    def block(self, *tags: str) -> np.ndarray:
+        """The next block, whose tag is one of ``tags``."""
+        tag = next((t for t in tags if self.has(f"{t}:")), tags[0])
         dims = self.header(f"{tag}:")
         if len(dims) != _BLOCK_DIMS[tag]:
             raise ValueError(f"{self.path}: {tag} header needs {_BLOCK_DIMS[tag]} dims, "
@@ -151,23 +154,15 @@ class _LineReader:
 
 def _write_tensor(fh, t: TTTensor | CPTensor | HTTensor) -> None:
     for arr in t.parameters():
-        _write_block(fh, _TAGS[t.kind, arr.ndim], arr)
+        _write_block(fh, _TAGS[t.kind][arr.ndim], arr)
 
 
 def _read_tensor(reader: _LineReader, kind: str, d: int):
-    if kind == "tt":
-        return TTTensor([reader.block("core") for _ in range(d)])
-    if kind == "cp":
-        return CPTensor([reader.block("factor3" if reader.has("factor3:") else "factor")
-                         for _ in range(d)])
-    if kind == "ht":
-        leaves = [reader.block("leaf") for _ in range(d)]
-        transfer, width = [], d // 2
-        while width >= 1:
-            transfer.append([reader.block("node") for _ in range(width)])
-            width //= 2
-        return HTTensor(leaves, transfer)
-    raise ValueError(f"{reader.path}: unsupported network kind {kind!r}")
+    """The ``kind`` container over its next d blocks (2d-1 for a tree)."""
+    if kind not in FORMATS:
+        raise ValueError(f"{reader.path}: unsupported network kind {kind!r}")
+    count = 2 * d - 1 if kind == "ht" else d
+    return FORMATS[kind]([reader.block(*_TAGS[kind].values()) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------

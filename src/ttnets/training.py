@@ -286,7 +286,9 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
     accuracy (full pass at epoch end).  After each epoch, every ReLU unit
     that fires on no training input is revived by
     :func:`revive_dead_units`, which leaves the scores unchanged.  Zero
-    epochs returns an empty history and leaves parameters untouched.
+    epochs returns an empty history and leaves parameters untouched.  A
+    run ends at the first batch whose loss is NaN or infinite, which takes
+    no step; the history then ends with that epoch's non-finite loss.
     """
     state = AdamState.for_params(net.vector)
     rng = np.random.default_rng(cfg.seed)
@@ -298,11 +300,15 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
             idx = order[start : start + cfg.batch_size]
             scores, fp = net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
-            adam_step(net.vector, net.backward(fp, dscores).vector, state, cfg)
             batch_losses.append(loss)
+            if not math.isfinite(loss):
+                break
+            adam_step(net.vector, net.backward(fp, dscores).vector, state, cfg)
         revive_dead_units(net, data.inputs, state)
         history.append(EpochStats(epoch + 1, float(np.mean(batch_losses)),
                                   accuracy(net, data)))
+        if not math.isfinite(history[-1].loss):
+            break
     return history
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ class TestHT:
     def test_two_leaf_identity(self):
         root = np.zeros((2, 2, 1))
         root[:, :, 0] = np.eye(2)
-        ht = HTTensor((np.eye(2), np.eye(2)), ((root,),))
+        ht = HTTensor((np.eye(2), np.eye(2), root))
         np.testing.assert_array_equal(ht_to_dense(ht), np.eye(2))
 
     def test_entry_matches_dense(self):
@@ -254,7 +255,7 @@ class TestHT:
 
     def test_zero_root_zero_tensor(self):
         ht = ht_random((2, 2), 2, seed=1)
-        ht.transfer[0][0][:] = 0.0
+        ht.nodes[-1][:] = 0.0
         assert not ht_to_dense(ht).any()
 
     def test_determinism(self):
@@ -276,6 +277,38 @@ class TestHT:
     def test_leaf_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             ht_random((2, 2, 2), 2, seed=0)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 5, 6, 11])
+    def test_node_count_must_be_2d_minus_1_with_d_a_power_of_two(self, count):
+        # 1, 5 and 11 nodes are 2d-1 for d = 1, 3 and 6
+        with pytest.raises(ValueError, match=f"2d-1 nodes.*got {count} nodes"):
+            HTTensor([np.ones((2, 1))] * count)
+
+    def test_three_way_leaf_rejected(self):
+        nodes = ht_random((2, 2, 2, 2), 1, seed=0).nodes
+        nodes[1] = np.ones((2, 1, 1))
+        with pytest.raises(ValueError, match="node 1 is a leaf and must be 2-way"):
+            HTTensor(nodes)
+
+    def test_two_way_transfer_rejected(self):
+        nodes = ht_random((2, 2, 2, 2), 1, seed=0).nodes
+        nodes[5] = np.ones((1, 1))
+        with pytest.raises(ValueError, match="node 5 is a transfer tensor and must be 3-way"):
+            HTTensor(nodes)
+
+    def test_child_rank_mismatch_names_the_node(self):
+        nodes = ht_random((2, 2, 2, 2), 2, seed=0).nodes
+        nodes[2] = np.ones((2, 3))
+        with pytest.raises(ValueError, match=re.escape(
+                "node 5 expects child ranks (3, 2) from nodes 2 and 3, got (2, 2)")):
+            HTTensor(nodes)
+
+    def test_nodes_are_leaves_then_bottom_up(self):
+        ht = ht_random((2, 3, 2, 3), [1, 2, 3, 4, 5, 6], seed=0)
+        assert [b.shape for b in ht.nodes] == [
+            (2, 1), (3, 2), (2, 3), (3, 4), (1, 2, 5), (3, 4, 6), (5, 6, 1)]
+        assert ht.ndim == 4 and len(ht.leaves) == 4
+        assert all(leaf is node for leaf, node in zip(ht.leaves, ht.nodes))
 
 
 class TestRanksFromDense:
@@ -306,8 +339,8 @@ def with_leg(t, c, seed):
     if isinstance(t, CPTensor):
         n = t.factors[-1].shape[0]
         return CPTensor((*t.factors[:-1], rng.normal(size=(n, t.rank, c))))
-    root = t.transfer[-1][0]
-    return HTTensor(t.leaves, (*t.transfer[:-1], (rng.normal(size=(*root.shape[:2], c)),)))
+    root = t.nodes[-1]
+    return HTTensor((*t.nodes[:-1], rng.normal(size=(*root.shape[:2], c))))
 
 
 FORMATS = {

@@ -183,7 +183,7 @@ class TestForwardAgainstBruteForce:
         leaves = [rng.normal(size=(m, 1)) for _ in range(4)]
         ones = np.ones((1, 1, 1))
         net = ScoreNetwork(FeatureMap(np.eye(m), np.zeros(m), "identity"),
-                           HTTensor(leaves, ((ones, ones), (ones,))))
+                           HTTensor([*leaves, ones, ones, ones]))
         x = rng.normal(size=(4, m))
         want = np.prod([x[k] @ leaves[k][:, 0] for k in range(4)])
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,11 +113,8 @@ class TestFactorFiles:
         path = tmp_path / "ht.txt"
         tensor_io.save_ht(path, ht)
         back = tensor_io.load_ht(path)
-        for a, b in zip(ht.leaves, back.leaves):
+        for a, b in zip(ht.nodes, back.nodes):
             np.testing.assert_array_equal(a, b)
-        for la, lb in zip(ht.transfer, back.transfer):
-            for a, b in zip(la, lb):
-                np.testing.assert_array_equal(a, b)
 
     def test_cp_rank_consistency_checked(self, tmp_path):
         path = tmp_path / "bad_cp.txt"
@@ -196,3 +195,43 @@ class TestCheckpoints:
         path.write_text(path.read_text().replace("classes: 2\n", "classes: 3\n"))
         with pytest.raises(ValueError, match="classes"):
             tensor_io.load_checkpoint(path)
+
+
+# A d=4 tree as a tensor file and as a network checkpoint: (save, load).
+TREE_FILES = {
+    "ht": (lambda path: tensor_io.save_ht(path, ht_random((2, 3, 2, 3), 2, seed=0)),
+           tensor_io.load_ht),
+    "checkpoint": (lambda path: tensor_io.save_checkpoint(
+        path, make_score_network("ht", 4, 2, 3, 2, 2, seed=0)), tensor_io.load_checkpoint),
+}
+
+
+def _tree_blocks(path):
+    """The file's text before its first leaf block, and its 7 tree blocks."""
+    head, *blocks = re.split(r"(?m)^(?=(?:leaf|node):)", path.read_text())
+    assert len(blocks) == 7
+    return head, blocks
+
+
+class TestTreeBlocks:
+    @pytest.mark.parametrize("which", list(TREE_FILES))
+    def test_node_block_where_a_leaf_belongs(self, tmp_path, which):
+        save, load = TREE_FILES[which]
+        path = tmp_path / "tree.txt"
+        save(path)
+        head, blocks = _tree_blocks(path)
+        blocks[1], blocks[6] = blocks[6], blocks[1]
+        path.write_text(head + "".join(blocks))
+        with pytest.raises(ValueError, match="node 1 is a leaf and must be 2-way"):
+            load(path)
+
+    @pytest.mark.parametrize("which", list(TREE_FILES))
+    @pytest.mark.parametrize("missing", [1, 5])
+    def test_missing_block(self, tmp_path, which, missing):
+        save, load = TREE_FILES[which]
+        path = tmp_path / "tree.txt"
+        save(path)
+        head, blocks = _tree_blocks(path)
+        path.write_text(head + "".join(blocks[:missing] + blocks[missing + 1:]))
+        with pytest.raises(ValueError, match="end of file"):
+            load(path)

@@ -192,6 +192,18 @@ class TestTrainLoop:
             np.testing.assert_array_equal(a, b)
         assert not all(np.array_equal(a, old) for a, old in zip(arrays, before))
 
+    def test_diverged_run_stops_at_its_first_non_finite_epoch(self):
+        data = make_moons(200, 0.1, seed=0)
+        net = make_score_network("tt", 2, 1, 4, 8, 2, seed=0)
+        with np.errstate(all="ignore"):
+            history = train(net, data, TrainConfig(learning_rate=1e200, epochs=50))
+        assert 1 <= len(history) < 50
+        assert [h.epoch for h in history] == list(range(1, len(history) + 1))
+        assert not np.isfinite(history[-1].loss)
+        assert all(np.isfinite(h.loss) for h in history[:-1])
+        # the batch whose loss is not finite takes no step
+        assert np.isfinite(net.vector).all()
+
     def test_zero_epochs_noop(self):
         data = make_moons(20, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=1)
@@ -355,6 +367,20 @@ class TestSweep:
             assert np.isfinite(out.history[-1].loss)
             with pytest.raises(ValueError, match="1e\\+150, 1e\\+140"):
                 train_lr_sweep(build, data, cfg, (1e150, 1e140))
+
+    def test_finite_rate_kept_over_a_run_that_diverges_at_once(self):
+        data = make_moons(200, 0.1, seed=0)
+        kept = []
+
+        def build(seed):
+            kept.append(make_score_network("tt", 2, 1, 4, 8, 2, seed=seed))
+            return kept[-1]
+
+        with np.errstate(all="ignore"):
+            out = train_lr_sweep(build, data, TrainConfig(epochs=10), (1e200, 1e-3))
+        assert out.best_lr == 1e-3 and out.net is kept[1]
+        assert len(out.history) == 10 and np.isfinite(out.history[-1].loss)
+        assert not np.isfinite(out.final_losses[1e200])
 
 
 class TestDecisionGrid:
