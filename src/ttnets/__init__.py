@@ -29,8 +29,7 @@ from .networks import (
     network_gradients,
 )
 from .rank_analysis import (
-    BoundReport,
-    SeparationReport,
+    RankReport,
     cp_rank_lower_bound,
     verify_ht_tt_bounds,
     verify_hypothesis1,

@@ -3,7 +3,8 @@
 Subcommands: verify, rank, train, boundary, sweep, patches.  Every
 command accepts --seed, --out-dir and --config; the config file is flat
 JSON whose keys mirror the long flag names (hyphen or underscore), and
-explicit flags override file values.  Unknown config keys are rejected.
+explicit flags override file values.  Unknown config keys are rejected,
+and so are abbreviated flags: both must name an option in full.
 
 Exit codes: 0 success / all checks passed, 1 runtime failure (I/O, or a
 numerical routine that did not converge), 2 usage or precondition failure.
@@ -128,12 +129,12 @@ _OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ttnets",
+    parser = argparse.ArgumentParser(prog="ttnets", allow_abbrev=False,
                                      description="tensor-network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, positional=None, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         if positional:
             for pos_name, pos_help in positional:
                 p.add_argument(pos_name, help=pos_help)
@@ -193,28 +194,25 @@ def _out_path(args, name: str) -> Path:
 def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "theorem1":
-        report = verify_theorem1(args.d, args.n, args.r, args.samples, args.seed,
-                                 rel_tol=args.rel_tol)
-        reports, satisfied, total = [report], report.num_satisfying, report.num_samples
+        reports = [verify_theorem1(args.d, args.n, args.r, args.samples, args.seed,
+                                   rel_tol=args.rel_tol)]
     elif kind == "hypothesis1":
         reports = verify_hypothesis1(args.d, _int_list(args.n_range),
                                      _int_list(args.r_range), args.samples,
                                      args.seed, rel_tol=args.rel_tol)
-        satisfied = sum(r.num_satisfying for r in reports)
-        total = sum(r.num_samples for r in reports)
     elif kind == "ht-bounds":
         report = verify_ht_tt_bounds(args.d, args.n, args.r, args.samples,
                                      args.seed, direction=args.direction,
                                      rel_tol=args.rel_tol)
         reports = [report]
-        satisfied = report.num_samples - report.violations
-        total = report.num_samples
         print(f"max_observed {report.observed_max} bound {report.bound}")
     else:
         raise ValueError(f"unknown verification {kind!r}; "
                          "expected theorem1, hypothesis1 or ht-bounds")
     csv_path = _out_path(args, f"{kind.replace('-', '_')}_report.csv")
     write_report_csv(csv_path, reports)
+    satisfied = sum(r.num_satisfying for r in reports)
+    total = sum(r.num_samples for r in reports)
     verdict = "PASS" if satisfied == total else "FAIL"
     print(f"{verdict} {satisfied}/{total}")
     return 0 if satisfied == total else 1

@@ -334,13 +334,13 @@ def _one_hot(t, idx) -> list[np.ndarray]:
     return [np.eye(1, n, i) for n, i in zip(t.shape, idx)]
 
 
-def _check_dense(t, cap) -> None:
+def _check_dense(t) -> None:
     _check_scalar(t)
     size = math.prod(t.shape)
-    if size > cap:
+    if size > DENSE_CAP:
         raise ValueError(
             f"dense reconstruction of shape {t.shape} has {size} entries, "
-            f"exceeding the cap of {cap}"
+            f"exceeding the cap of {DENSE_CAP}"
         )
 
 
@@ -349,9 +349,9 @@ def tt_entry(tt: TTTensor, idx) -> float:
     return float(tt_scores_from_features(tt, _one_hot(tt, idx))[0, 0])
 
 
-def tt_to_dense(tt: TTTensor, cap: int = DENSE_CAP) -> np.ndarray:
+def tt_to_dense(tt: TTTensor) -> np.ndarray:
     """Contract all cores into the dense tensor."""
-    _check_dense(tt, cap)
+    _check_dense(tt)
     out = tt.cores[0][0]  # (n_1, r_1)
     for core in tt.cores[1:]:
         r_prev, n_k, r_k = core.shape
@@ -459,8 +459,8 @@ def cp_entry(cp: CPTensor, idx) -> float:
     return float(cp_scores_from_features(cp, _one_hot(cp, idx))[0, 0])
 
 
-def cp_to_dense(cp: CPTensor, cap: int = DENSE_CAP) -> np.ndarray:
-    _check_dense(cp, cap)
+def cp_to_dense(cp: CPTensor) -> np.ndarray:
+    _check_dense(cp)
     factors = [f.reshape(f.shape[0], cp.rank) for f in cp.factors]
     out = factors[0]  # (n_1, r)
     for factor in factors[1:]:
@@ -524,9 +524,9 @@ def ht_entry(ht: HTTensor, idx) -> float:
     return float(ht_scores_from_features(ht, _one_hot(ht, idx))[0, 0])
 
 
-def ht_to_dense(ht: HTTensor, cap: int = DENSE_CAP) -> np.ndarray:
+def ht_to_dense(ht: HTTensor) -> np.ndarray:
     """Contract the tree bottom-up into the dense tensor."""
-    _check_dense(ht, cap)
+    _check_dense(ht)
     # Each partial result is (prod of covered mode sizes, r_out), flattened row-major.
     parts = list(ht.leaves)
     for t, b in enumerate(ht.nodes[ht.ndim:]):

@@ -23,6 +23,11 @@ it.  The paper's r**(log2(d)/2) is the same number when L is even
 (d = 4, 16, ...); when L is odd (d = 2, 8, 32, ...) it is not an integer
 and random trees exceed it, e.g. rank r**2 > r**1.5 at d = 8.
 
+The verifiers differ only in the sampler, the splits (paired-mode; tree
+nodes or prefixes) and whether the threshold is a floor (separations) or
+a ceiling (bounds).  Each fills a :class:`RankReport` through one loop
+recording :func:`cp_rank_lower_bound` of every sample.
+
 "Almost every" is operationalized as "every Monte-Carlo sample
 satisfies the bound"; a single failing sample is reported rather than
 tolerated, since it far more likely signals a tolerance bug than a
@@ -38,21 +43,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompositions import (
+    ht_node_leaf_sets,
     ht_random,
-    ranks_from_dense,
+    ht_to_dense,
     tt_equal_cores_random,
     tt_random,
     tt_to_dense,
-    ht_to_dense,
 )
 from .svd import DEFAULT_REL_TOL, numerical_rank
 from .tensor import as_dense, matricize, odd_even_split
 
 __all__ = [
-    "BoundReport",
     "CERT_REL_TOL",
     "REPORT_CSV_HEADER",
-    "SeparationReport",
+    "RankReport",
     "cp_rank_lower_bound",
     "sample_rng",
     "verify_ht_tt_bounds",
@@ -90,8 +94,13 @@ def cp_rank_lower_bound(x, splits, rel_tol: float = DEFAULT_REL_TOL) -> int:
 
 
 @dataclass
-class SeparationReport:
-    """Per-sample paired-mode ranks versus the q**(d/2) threshold."""
+class RankReport:
+    """Per-sample matricization ranks of one (d, n, r) cell versus a threshold.
+
+    With ``floor`` set a sample passes when its rank reaches the threshold
+    (the separation claims); otherwise when its rank stays at or below it
+    (the transfer bounds, whose threshold is the ``bound``).
+    """
 
     d: int
     n: int
@@ -100,7 +109,11 @@ class SeparationReport:
     threshold: int
     seed: int
     rel_tol: float
+    floor: bool
     observed_ranks: list[int] = field(default_factory=list)
+
+    def passes(self, rank: int) -> bool:
+        return rank >= self.threshold if self.floor else rank <= self.threshold
 
     @property
     def num_samples(self) -> int:
@@ -108,53 +121,24 @@ class SeparationReport:
 
     @property
     def num_satisfying(self) -> int:
-        return sum(rank >= self.threshold for rank in self.observed_ranks)
+        return sum(map(self.passes, self.observed_ranks))
 
     @property
-    def all_pass(self) -> bool:
-        return self.num_satisfying == self.num_samples
+    def bound(self) -> int:
+        return self.threshold
+
+    @property
+    def observed_max(self) -> int:
+        return max(self.observed_ranks, default=0)
+
+    @property
+    def violations(self) -> int:
+        return self.num_samples - self.num_satisfying
 
     def rows(self):
         for i, rank in enumerate(self.observed_ranks):
             yield [i, self.seed, self.d, self.n, self.r, self.q, self.threshold,
-                   rank, int(rank >= self.threshold)]
-
-
-@dataclass
-class BoundReport:
-    """Per-sample max ranks in the other format versus the transfer bound."""
-
-    direction: str  # 'tt2ht' or 'ht2tt'
-    d: int
-    n: int
-    r: int
-    bound: int
-    seed: int
-    rel_tol: float
-    observed_max_ranks: list[int] = field(default_factory=list)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.observed_max_ranks)
-
-    @property
-    def observed_max(self) -> int:
-        return max(self.observed_max_ranks, default=0)
-
-    @property
-    def violations(self) -> int:
-        return sum(rank > self.bound for rank in self.observed_max_ranks)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.violations == 0
-
-    def rows(self):
-        # Same column contract as SeparationReport; threshold holds the
-        # bound and pass means observed <= bound.
-        for i, rank in enumerate(self.observed_max_ranks):
-            yield [i, self.seed, self.d, self.n, self.r, self.r, self.bound,
-                   rank, int(rank <= self.bound)]
+                   rank, int(self.passes(rank))]
 
 
 def write_report_csv(path, reports) -> None:
@@ -168,56 +152,64 @@ def write_report_csv(path, reports) -> None:
             writer.writerows(report.rows())
 
 
-def _check_samples(num_samples: int) -> None:
+def _sample_ranks(report: RankReport, num_samples: int, first: int, draw,
+                  splits) -> RankReport:
+    """Fill ``report``: sample i records the largest rank over ``splits``
+    of ``draw(d, n, r, sample_rng(seed, first + i))``."""
     if int(num_samples) < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
+    for i in range(int(num_samples)):
+        dense = draw(report.d, report.n, report.r, sample_rng(report.seed, first + i))
+        report.observed_ranks.append(cp_rank_lower_bound(dense, splits, report.rel_tol))
+    return report
+
+
+# The samplers: (d, n, r, generator) -> dense tensor.
+def _chain(d: int, n: int, r: int, rng) -> np.ndarray:
+    return tt_to_dense(tt_random((n,) * d, (r,) * (d - 1), rng))
+
+
+def _equal_core_chain(d: int, n: int, r: int, rng) -> np.ndarray:
+    return tt_to_dense(tt_equal_cores_random(d, n, r, rng))
+
+
+def _tree(d: int, n: int, r: int, rng) -> np.ndarray:
+    return ht_to_dense(ht_random((n,) * d, r, rng))
+
+
+def _separation_report(d: int, n: int, r: int, seed: int, rel_tol: float) -> RankReport:
+    q = min(n, r)
+    return RankReport(d=d, n=n, r=r, q=q, threshold=q ** (d // 2), seed=int(seed),
+                      rel_tol=rel_tol, floor=True)
 
 
 def verify_theorem1(d: int, n: int, r: int, num_samples: int, seed: int,
-                    rel_tol: float = CERT_REL_TOL) -> SeparationReport:
+                    rel_tol: float = CERT_REL_TOL) -> RankReport:
     """Sample Gaussian tensor trains and check the separation threshold."""
     d, n, r = int(d), int(n), int(r)
     if d < 2 or d % 2:
         raise ValueError(f"the separation check needs an even d >= 2, got {d}")
-    _check_samples(num_samples)
-    q = min(n, r)
-    report = SeparationReport(d=d, n=n, r=r, q=q, threshold=q ** (d // 2),
-                              seed=int(seed), rel_tol=rel_tol)
-    split = odd_even_split(d)
-    for i in range(int(num_samples)):
-        tt = tt_random((n,) * d, (r,) * (d - 1), sample_rng(seed, i))
-        mat = matricize(tt_to_dense(tt), split)
-        report.observed_ranks.append(numerical_rank(mat, rel_tol))
-    return report
+    return _sample_ranks(_separation_report(d, n, r, seed, rel_tol), num_samples, 0,
+                         _chain, [odd_even_split(d)])
 
 
 def verify_hypothesis1(d: int, n_range, r_range, samples_per_cell: int, seed: int,
-                       rel_tol: float = CERT_REL_TOL) -> list[SeparationReport]:
+                       rel_tol: float = CERT_REL_TOL) -> list[RankReport]:
     """Same check on the equal-interior-core class, one report per (n, r) cell."""
     d = int(d)
     if d < 4 or d % 2:
         raise ValueError(f"the equal-core check needs an even d >= 4, got {d}")
-    _check_samples(samples_per_cell)
     if len(n_range) == 0 or len(r_range) == 0:
         raise ValueError("the n and r ranges must each hold at least one value")
-    split = odd_even_split(d)
-    reports = []
-    for cell, (n, r) in enumerate((n, r) for n in n_range for r in r_range):
-        q = min(int(n), int(r))
-        report = SeparationReport(d=d, n=int(n), r=int(r), q=q,
-                                  threshold=q ** (d // 2), seed=int(seed),
-                                  rel_tol=rel_tol)
-        for i in range(int(samples_per_cell)):
-            tt = tt_equal_cores_random(d, n, r, sample_rng(seed, cell * 1_000_003 + i))
-            mat = matricize(tt_to_dense(tt), split)
-            report.observed_ranks.append(numerical_rank(mat, rel_tol))
-        reports.append(report)
-    return reports
+    cells = [(int(n), int(r)) for n in n_range for r in r_range]
+    return [_sample_ranks(_separation_report(d, n, r, seed, rel_tol), samples_per_cell,
+                          cell * 1_000_003, _equal_core_chain, [odd_even_split(d)])
+            for cell, (n, r) in enumerate(cells)]
 
 
 def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
                         direction: str = "tt2ht",
-                        rel_tol: float = CERT_REL_TOL) -> BoundReport:
+                        rel_tol: float = CERT_REL_TOL) -> RankReport:
     """Check the chain<->tree rank transfer bounds on random samples.
 
     ``tt2ht``: samples rank-r trains, measures max tree-node rank,
@@ -231,20 +223,11 @@ def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
         raise ValueError(f"tree comparisons need d a power of two, got {d}")
     if direction not in ("tt2ht", "ht2tt"):
         raise ValueError(f"direction must be 'tt2ht' or 'ht2tt', got {direction!r}")
-    _check_samples(num_samples)
     if direction == "tt2ht":
-        bound = r * r
+        bound, draw, splits = r * r, _chain, ht_node_leaf_sets(d)
     else:
         bound = max(r ** min(bin(k).count("1"), bin(d - k).count("1")) for k in range(1, d))
-    report = BoundReport(direction=direction, d=d, n=n, r=r, bound=bound,
-                         seed=int(seed), rel_tol=rel_tol)
-    for i in range(int(num_samples)):
-        rng = sample_rng(seed, i)
-        if direction == "tt2ht":
-            dense = tt_to_dense(tt_random((n,) * d, (r,) * (d - 1), rng))
-            ranks = ranks_from_dense(dense, "ht", rel_tol)
-        else:
-            dense = ht_to_dense(ht_random((n,) * d, r, rng))
-            ranks = ranks_from_dense(dense, "tt", rel_tol)
-        report.observed_max_ranks.append(int(ranks.max()))
-    return report
+        draw, splits = _tree, [range(1, k + 1) for k in range(1, d)]
+    report = RankReport(d=d, n=n, r=r, q=r, threshold=bound, seed=int(seed),
+                        rel_tol=rel_tol, floor=False)
+    return _sample_ranks(report, num_samples, 0, draw, splits)

@@ -45,6 +45,7 @@ Network checkpoint::
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -142,6 +143,14 @@ class _LineReader:
                              f"got {dims}")
         return self.values(dims)
 
+    @contextlib.contextmanager
+    def naming_errors(self):
+        """Prefix the path to errors raised by the objects built from the blocks."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
+
     def expect_end(self) -> None:
         if self.pos != len(self.lines):
             raise ValueError(f"{self.path}: trailing content at line "
@@ -162,7 +171,9 @@ def _read_tensor(reader: _LineReader, kind: str, d: int):
     if kind not in FORMATS:
         raise ValueError(f"{reader.path}: unsupported network kind {kind!r}")
     count = 2 * d - 1 if kind == "ht" else d
-    return FORMATS[kind]([reader.block(*_TAGS[kind].values()) for _ in range(count)])
+    blocks = [reader.block(*_TAGS[kind].values()) for _ in range(count)]
+    with reader.naming_errors():
+        return FORMATS[kind](blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -261,5 +272,6 @@ def load_checkpoint(path) -> ScoreNetwork:
     if weights.num_classes != classes:
         raise ValueError(f"{path}: {classes} classes declared, the weights hold "
                          f"{weights.num_classes}")
-    fm = FeatureMap(A=a, b=b, activation=activation)
-    return ScoreNetwork(feature_map=fm, weights=weights, input_order=order)
+    with reader.naming_errors():
+        fm = FeatureMap(A=a, b=b, activation=activation)
+        return ScoreNetwork(feature_map=fm, weights=weights, input_order=order)

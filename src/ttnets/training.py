@@ -19,6 +19,9 @@ import numpy as np
 from .networks import PatchConfig, ScoreNetwork, patch_sequences
 
 __all__ = [
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPS",
     "AdamState",
     "Dataset",
     "DEFAULT_LR_SWEEP",
@@ -42,6 +45,12 @@ __all__ = [
 
 # Default learning-rate sweep for "pick the best run by train loss".
 DEFAULT_LR_SWEEP = (4e-3, 2e-3, 1e-3, 5e-4)
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# Samples scored per forward call in predict.
+PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -74,9 +83,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -207,14 +213,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: Trai
                          f"{params.shape}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grads
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grads * grads
-    params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -229,12 +235,12 @@ class EpochStats:
     accuracy: float
 
 
-def predict(net: ScoreNetwork, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
+def predict(net: ScoreNetwork, inputs: np.ndarray) -> np.ndarray:
     """Argmax class per sample; ties resolve to the lowest class index."""
     inputs = np.asarray(inputs, dtype=np.float64)
     out = np.empty(inputs.shape[0], dtype=np.int64)
-    for start in range(0, inputs.shape[0], chunk):
-        stop = start + chunk
+    for start in range(0, inputs.shape[0], PREDICT_CHUNK):
+        stop = start + PREDICT_CHUNK
         out[start:stop] = np.argmax(net.scores_batch(inputs[start:stop]), axis=1)
     return out
 

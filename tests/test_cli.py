@@ -246,6 +246,18 @@ class TestBoundaryCommand:
         assert "checkpoint.txt: line" in err and "not a finite number" in err
         assert not (out / "grid.csv").exists()
 
+    def test_inconsistent_cores_name_the_checkpoint(self, tmp_path, capsys, checkpoint):
+        # the first core's width no longer matches the second core's input rank
+        lines = checkpoint.read_text().splitlines()
+        lines[lines.index("core: 1 4 8")] = "core: 1 8 4"
+        checkpoint.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "grid"
+        code, _, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
+                           "--resolution", "3", "--out-dir", str(out))
+        assert code == 2
+        assert f"{checkpoint}: rank mismatch" in err
+        assert not (out / "grid.csv").exists()
+
     def test_non_2d_checkpoint_rejected(self, tmp_path, capsys):
         images, labels = synthetic_digits(30, seed=2)
         save_idx_images(tmp_path / "im.idx", images)
@@ -342,6 +354,16 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--samp", "--out"])
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys, flag):
+        # a flag is spelled out in full, as a config-file key must be
+        value = {"--samp": "2", "--out": str(tmp_path / "out")}[flag]
+        code, _, err = run(capsys, "verify", "theorem1", "--d", "4", "--n", "2", "--r", "2",
+                           "--out-dir", str(tmp_path), flag, value)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_train_output(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ttnets.decompositions import (
     tt_to_dense,
 )
 from ttnets.rank_analysis import (
+    RankReport,
     cp_rank_lower_bound,
     verify_ht_tt_bounds,
     verify_hypothesis1,
@@ -108,7 +111,7 @@ class TestBounds:
         report = verify_ht_tt_bounds(8, n, r, samples, seed=1, direction="ht2tt")
         assert report.bound == r ** 2
         assert report.violations == 0
-        assert report.observed_max_ranks == [r ** 2] * samples
+        assert report.observed_ranks == [r ** 2] * samples
 
     def test_tree_to_chain_at_sixteen_leaves_is_reached(self):
         report = verify_ht_tt_bounds(16, 2, 2, 2, seed=1, direction="ht2tt")
@@ -152,3 +155,41 @@ class TestReportCSV:
         write_report_csv(p1, verify_theorem1(4, 2, 2, 6, seed=3))
         write_report_csv(p2, verify_theorem1(4, 2, 2, 6, seed=3))
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of report CSVs recorded with the earlier per-verifier sampling
+    # loops: the verifiers must keep writing the same bytes.
+    @pytest.mark.parametrize("run,digest", [
+        (lambda: verify_theorem1(4, 2, 3, 10, seed=5),
+         "f4ad1ed957900fb1cca45392612dc0ab7ced84b9e23819b608ca5df64cbb4d66"),
+        (lambda: verify_hypothesis1(4, [2, 3], [2, 3], 5, seed=9),
+         "f748935eef70c7d9b6b2821fafefc608a7884945c481c9a8835eb97522f4b8d0"),
+        (lambda: verify_ht_tt_bounds(4, 3, 2, 10, seed=2, direction="tt2ht"),
+         "49dd3667b8738a72dd0c4141262079092ed927c9bf4dd66e3dc18e4a016359bb"),
+        (lambda: verify_ht_tt_bounds(4, 3, 2, 10, seed=2, direction="ht2tt"),
+         "19d0f5f54c99b0d5f446469c03761fedf753a463fc30b1e62d2055b69c3e845f"),
+        (lambda: verify_ht_tt_bounds(8, 2, 2, 3, seed=1, direction="ht2tt"),
+         "cb96757fdee0ad4676065e9b71f3e879d8fbd87ad7a3a7913756d3c8cd486479"),
+    ], ids=["theorem1", "hypothesis1-grid", "tt2ht", "ht2tt", "ht2tt-d8"])
+    def test_recorded_digest(self, tmp_path, run, digest):
+        path = tmp_path / "report.csv"
+        write_report_csv(path, run())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestRankReport:
+    @staticmethod
+    def report(floor):
+        return RankReport(d=4, n=3, r=2, q=2, threshold=4, seed=0, rel_tol=1e-12,
+                          floor=floor, observed_ranks=[3, 4, 5])
+
+    def test_ceiling_admits_the_bound_itself(self):
+        report = self.report(floor=False)
+        assert report.bound == 4 and report.passes(4) and not report.passes(5)
+        assert report.violations == 1 and report.observed_max == 5
+        assert [row[-1] for row in report.rows()] == [1, 1, 0]
+
+    def test_floor_rejects_one_below_the_threshold(self):
+        report = self.report(floor=True)
+        assert report.passes(4) and not report.passes(3)
+        assert report.num_satisfying == 2 and report.violations == 1
+        assert [row[-1] for row in report.rows()] == [0, 1, 1]

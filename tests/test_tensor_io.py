@@ -116,6 +116,12 @@ class TestFactorFiles:
         for a, b in zip(ht.nodes, back.nodes):
             np.testing.assert_array_equal(a, b)
 
+    def test_rank_mismatch_names_the_file(self, tmp_path):
+        path = tmp_path / "bad_tt.txt"
+        path.write_text("tt: 2\ncore: 1 2 1\n1\n2\ncore: 2 2 1\n1\n2\n3\n4\n")
+        with pytest.raises(ValueError, match="bad_tt.txt: rank mismatch between cores 1 and 2"):
+            tensor_io.load_tt(path)
+
     def test_cp_rank_consistency_checked(self, tmp_path):
         path = tmp_path / "bad_cp.txt"
         path.write_text("cp: 1 2\nfactor: 2 3\n1\n2\n3\n4\n5\n6\n")
@@ -222,7 +228,7 @@ class TestTreeBlocks:
         head, blocks = _tree_blocks(path)
         blocks[1], blocks[6] = blocks[6], blocks[1]
         path.write_text(head + "".join(blocks))
-        with pytest.raises(ValueError, match="node 1 is a leaf and must be 2-way"):
+        with pytest.raises(ValueError, match="tree.txt: node 1 is a leaf and must be 2-way"):
             load(path)
 
     @pytest.mark.parametrize("which", list(TREE_FILES))

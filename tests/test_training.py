@@ -3,6 +3,9 @@ import pytest
 
 from ttnets.networks import make_score_network, network_gradients
 from ttnets.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Dataset,
     TrainConfig,
@@ -126,7 +129,7 @@ class TestAdam:
         g = np.array([0.5, -3.0, 1e-12])
         params = [np.zeros(3)]
         adam_step(params[0], g, AdamState.for_params(params[0]), cfg)
-        want = -cfg.learning_rate * g / (np.abs(g) + cfg.eps)
+        want = -cfg.learning_rate * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(params[0], want, rtol=1e-12)
 
     def test_deterministic_trajectories(self):
@@ -149,14 +152,14 @@ class TestAdam:
     @staticmethod
     def per_array_step(params, grads, m, v, t, cfg):
         """The update applied one parameter array at a time."""
-        c1 = 1.0 - cfg.beta1 ** t
-        c2 = 1.0 - cfg.beta2 ** t
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         for p, g, mk, vk in zip(params, grads, m, v):
-            mk *= cfg.beta1
-            mk += (1.0 - cfg.beta1) * g
-            vk *= cfg.beta2
-            vk += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (mk / c1) / (np.sqrt(vk / c2) + cfg.eps)
+            mk *= ADAM_BETA1
+            mk += (1.0 - ADAM_BETA1) * g
+            vk *= ADAM_BETA2
+            vk += (1.0 - ADAM_BETA2) * g * g
+            p -= cfg.learning_rate * (mk / c1) / (np.sqrt(vk / c2) + ADAM_EPS)
 
     @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
     def test_vector_step_matches_per_array_steps_bit_for_bit(self, kind):
