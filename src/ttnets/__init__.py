@@ -4,15 +4,13 @@ from .decompositions import (
     CPTensor,
     HTTensor,
     TTTensor,
-    cp_entry,
     cp_random,
     cp_to_dense,
-    ht_entry,
+    entry,
     ht_random,
     ht_to_dense,
     ranks_from_dense,
     tt_delta_example,
-    tt_entry,
     tt_equal_cores_random,
     tt_random,
     tt_svd,

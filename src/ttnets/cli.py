@@ -234,9 +234,9 @@ def cmd_rank(args) -> int:
 
 def _load_dataset(args):
     if args.dataset == "moons":
-        return make_moons(args.points, args.noise, seed=args.seed), 1
+        return make_moons(args.points, args.noise, seed=args.seed)
     if args.dataset == "circles":
-        return make_circles(args.points, args.noise, args.factor, seed=args.seed), 1
+        return make_circles(args.points, args.noise, args.factor, seed=args.seed)
     if args.dataset == "mnist":
         if not args.images or not args.labels:
             raise ValueError("mnist needs --images and --labels IDX files")
@@ -247,14 +247,14 @@ def _load_dataset(args):
             images, labels = images[: args.limit], labels[: args.limit]
         cfg = PatchConfig(images.shape[1], images.shape[2],
                           args.patch_size, args.patch_size, args.stride)
-        return sequence_dataset(images, labels, cfg, 10), cfg.patch_size
+        return sequence_dataset(images, labels, cfg, 10)
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
 
-def _train_one(args, data, input_size, rank):
+def _train_one(args, data, rank):
     cfg = TrainConfig(learning_rate=1e-3 if args.lr is None else args.lr,
                       epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    num_patches = data.inputs.shape[1]
+    num_patches, input_size = data.inputs.shape[1:]
 
     def build(seed):
         net = make_score_network(args.network, num_patches, input_size,
@@ -277,8 +277,8 @@ def _train_one(args, data, input_size, rank):
 
 
 def cmd_train(args) -> int:
-    data, input_size = _load_dataset(args)
-    net, history = _train_one(args, data, input_size, args.rank)
+    data = _load_dataset(args)
+    net, history = _train_one(args, data, args.rank)
     write_history_csv(_out_path(args, "history.csv"), history)
     tensor_io.save_checkpoint(_out_path(args, "checkpoint.txt"), net)
     if history:
@@ -324,10 +324,10 @@ def cmd_sweep(args) -> int:
     ranks = _int_list(args.ranks)
     if not ranks:
         raise ValueError("sweep needs at least one rank in --ranks")
-    data, input_size = _load_dataset(args)
+    data = _load_dataset(args)
     rows = []  # written only once every rank has trained
     for rank in ranks:
-        net, history = _train_one(args, data, input_size, rank)
+        net, history = _train_one(args, data, rank)
         core_params, total_params = count_parameters(net)
         loss = f"{history[-1].loss:.17g}" if history else ""
         acc = f"{history[-1].accuracy:.17g}" if history else ""

@@ -15,11 +15,11 @@ Each format ends in an output leg of size C, the class axis of a score
 network: the last TT core is ``(r, n, C)``, the last CP factor may be
 ``(n, r, C)`` and the HT root is ``(r_left, r_right, C)``.  A plain
 tensor has C = 1; ``class_tensor(y)`` cuts a wider leg down to class y.
-One batched contraction per format (``*_states``) keeps the states of
-every step; its last state is the scores (``*_scores_from_features``),
-and an entry is the scores at one-hot features.  Dense reconstruction
-keeps a reshape-then-matmul form, far cheaper than contracting all
-prod(n) one-hot inputs.
+One batched contraction per format (``*_states``, picked by ``t.kind`` in
+``states(t, phi)``) keeps the states of every step, the last being the
+scores; ``entry(t, idx)`` is the scores at one-hot features.  Dense
+reconstruction keeps a reshape-then-matmul form, far cheaper than
+contracting all prod(n) one-hot inputs.
 
 Each container is exactly its parameter list (cores, factors or nodes),
 and ``type(t)(arrays)`` rebuilds one over other arrays in that order; a
@@ -45,20 +45,19 @@ __all__ = [
     "FORMATS",
     "HTTensor",
     "TTTensor",
-    "cp_entry",
     "cp_random",
     "cp_scores_from_features",
     "cp_states",
     "cp_to_dense",
-    "ht_entry",
+    "entry",
     "ht_node_leaf_sets",
     "ht_random",
     "ht_scores_from_features",
     "ht_states",
     "ht_to_dense",
     "ranks_from_dense",
+    "states",
     "tt_delta_example",
-    "tt_entry",
     "tt_equal_cores_random",
     "tt_random",
     "tt_scores_from_features",
@@ -69,12 +68,6 @@ __all__ = [
 
 # Guardrail for dense reconstructions; experiments never need more.
 DENSE_CAP = 10**7
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _float_arrays(arrays) -> list[np.ndarray]:
@@ -312,6 +305,11 @@ def ht_scores_from_features(ht: HTTensor, phi) -> np.ndarray:
     return ht_states(ht, phi)[-1]
 
 
+def states(t: TTTensor | CPTensor | HTTensor, phi) -> list[np.ndarray]:
+    """The states of ``t``'s own contraction, looked up by its kind."""
+    return {"tt": tt_states, "cp": cp_states, "ht": ht_states}[t.kind](t, phi)
+
+
 # ---------------------------------------------------------------------------
 # entries and dense reconstruction (a leg of size 1)
 
@@ -344,9 +342,9 @@ def _check_dense(t) -> None:
         )
 
 
-def tt_entry(tt: TTTensor, idx) -> float:
-    """One entry: the chain contracted with one-hot features."""
-    return float(tt_scores_from_features(tt, _one_hot(tt, idx))[0, 0])
+def entry(t: TTTensor | CPTensor | HTTensor, idx) -> float:
+    """One entry: the tensor contracted with one-hot features."""
+    return float(states(t, _one_hot(t, idx))[-1][0, 0])
 
 
 def tt_to_dense(tt: TTTensor) -> np.ndarray:
@@ -407,7 +405,7 @@ def tt_random(shape, ranks, seed) -> TTTensor:
         raise ValueError(f"need {len(shape) - 1} ranks for {len(shape)} modes, got {len(ranks)}")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     bounds = (1, *ranks, 1)
     cores = tuple(
         rng.standard_normal((bounds[k], shape[k], bounds[k + 1]))
@@ -447,16 +445,12 @@ def tt_equal_cores_random(d: int, n: int, r: int, seed) -> TTTensor:
     d, n, r = int(d), int(n), int(r)
     if d < 3:
         raise ValueError(f"equal-core construction needs d >= 3, got {d}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     first = rng.standard_normal((1, n, r))
     middle = rng.standard_normal((r, n, r))
     last = rng.standard_normal((r, n, 1))
     cores = [first] + [middle] * (d - 2) + [last]
     return TTTensor(tuple(cores))
-
-
-def cp_entry(cp: CPTensor, idx) -> float:
-    return float(cp_scores_from_features(cp, _one_hot(cp, idx))[0, 0])
 
 
 def cp_to_dense(cp: CPTensor) -> np.ndarray:
@@ -474,7 +468,7 @@ def cp_random(shape, r: int, seed) -> CPTensor:
     r = int(r)
     if r < 1:
         raise ValueError("rank must be positive")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     return CPTensor(tuple(rng.standard_normal((n, r)) for n in shape))
 
 
@@ -516,12 +510,8 @@ def ht_random(shape, node_ranks, seed) -> HTTensor:
     ranks.append(1)  # the root's output leg
     shapes = [*zip(shape, ranks), *((ranks[2 * t], ranks[2 * t + 1], ranks[d + t])
                                    for t in range(d - 1))]
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     return HTTensor([rng.standard_normal(s) for s in shapes])
-
-
-def ht_entry(ht: HTTensor, idx) -> float:
-    return float(ht_scores_from_features(ht, _one_hot(ht, idx))[0, 0])
 
 
 def ht_to_dense(ht: HTTensor) -> np.ndarray:

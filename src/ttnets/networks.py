@@ -6,7 +6,7 @@ contracts the rank-1 feature tensor ``Phi(X) = phi(x_1) o ... o phi(x_d)``
 against a weight tensor stored in TT, CP or HT form, producing one score
 per class.  The weights are a ``TTTensor``, ``CPTensor`` or ``HTTensor``
 whose output leg is the class axis, and the contraction is the format's
-``*_scores_from_features``, which never materializes ``Phi``:
+``*_states`` (``decompositions.states``), which never materializes ``Phi``:
 
 * TT weights give a recurrent pass: a running state of size r_k is mixed
   with the next feature vector by the bilinear core ``G_k``.
@@ -44,12 +44,10 @@ from .decompositions import (
     HTTensor,
     TTTensor,
     cp_scores_from_features,
-    cp_states,
     ht_scores_from_features,
-    ht_states,
+    states,
     tt_delta_example,
     tt_scores_from_features,
-    tt_states,
 )
 
 __all__ = [
@@ -313,9 +311,8 @@ class ScoreNetwork:
         phi = apply_feature_map(self.feature_map, batch)
         if self.input_order is not None:
             phi = phi[:, list(self.input_order), :]
-        contract = {"tt": tt_states, "cp": cp_states, "ht": ht_states}[self.kind]
-        states = contract(self.weights, phi)
-        return states[-1], ForwardPass(batch, phi, states)
+        kept = states(self.weights, phi)
+        return kept[-1], ForwardPass(batch, phi, kept)
 
     def backward(self, fp: ForwardPass, upstream: np.ndarray) -> NetworkGradients:
         """Exact gradients of sum_{b,y} upstream[b,y] * score_y(X_b), written
@@ -462,7 +459,7 @@ def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
     """
     if rank < 1 or m < 1:
         raise ValueError(f"rank and feature count must be positive, got rank {rank}, m {m}")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     weights = _random_weights(kind, d, m, rank, num_classes, rng)
     fm = FeatureMap(A=rng.normal(scale=1.0 / np.sqrt(n), size=(m, n)),
                     b=rng.normal(scale=0.5, size=m), activation=activation)

@@ -62,6 +62,7 @@ __all__ = [
     "verify_ht_tt_bounds",
     "verify_hypothesis1",
     "verify_theorem1",
+    "write_report_csv",
 ]
 
 # Random core products accumulate conditioning: the smallest genuine

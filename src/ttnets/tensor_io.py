@@ -24,7 +24,9 @@ list, in order, each tagged by its ndim:
   left to right, node d+t merging nodes 2t and 2t+1; the root comes
   last, its r_out the output leg size.
 
-Tensor files put one header line before the blocks::
+A factor file (``save_tensor``, ``load_tensor``) puts one header line
+naming its format before the blocks; ``load_tensor`` reads the format
+from it::
 
     tt: d            cp: d r            ht: d
 
@@ -55,15 +57,11 @@ from .networks import FeatureMap, ScoreNetwork
 
 __all__ = [
     "load_checkpoint",
-    "load_cp",
     "load_dense",
-    "load_ht",
-    "load_tt",
+    "load_tensor",
     "save_checkpoint",
-    "save_cp",
     "save_dense",
-    "save_ht",
-    "save_tt",
+    "save_tensor",
 ]
 
 CHECKPOINT_HEADER = "ttnets-checkpoint v1"
@@ -101,14 +99,18 @@ class _LineReader:
         self.pos += 1
         return line
 
-    def fields(self, tag: str) -> list[str]:
+    def fields(self, tag: str, count: int | None) -> list[str]:
+        """The fields after ``tag`` on the next line, ``count`` of them unless None."""
         line = self.next_line(f"'{tag}' header")
         if not line.startswith(tag):
             raise ValueError(f"{self.path}: expected '{tag}' header, got {line!r}")
-        return line[len(tag):].split()
+        fields = line[len(tag):].split()
+        if count is not None and len(fields) != count:
+            raise ValueError(f"{self.path}: '{tag}' header needs {count} fields, got {fields}")
+        return fields
 
-    def header(self, tag: str) -> list[int]:
-        fields = self.fields(tag)
+    def header(self, tag: str, count: int | None) -> list[int]:
+        fields = self.fields(tag, count)
         try:
             return [int(tok) for tok in fields]
         except ValueError:
@@ -137,11 +139,7 @@ class _LineReader:
     def block(self, *tags: str) -> np.ndarray:
         """The next block, whose tag is one of ``tags``."""
         tag = next((t for t in tags if self.has(f"{t}:")), tags[0])
-        dims = self.header(f"{tag}:")
-        if len(dims) != _BLOCK_DIMS[tag]:
-            raise ValueError(f"{self.path}: {tag} header needs {_BLOCK_DIMS[tag]} dims, "
-                             f"got {dims}")
-        return self.values(dims)
+        return self.values(self.header(f"{tag}:", _BLOCK_DIMS[tag]))
 
     @contextlib.contextmanager
     def naming_errors(self):
@@ -187,7 +185,7 @@ def save_dense(path, x) -> None:
 
 def load_dense(path) -> np.ndarray:
     reader = _LineReader(path)
-    shape = reader.header("shape:")
+    shape = reader.header("shape:", None)
     if not shape or any(n < 1 for n in shape):
         raise ValueError(f"{path}: invalid shape {shape}")
     x = reader.values(shape)
@@ -195,46 +193,30 @@ def load_dense(path) -> np.ndarray:
     return x
 
 
-def _save_tensor(path, header: str, t) -> None:
+def _tensor_header(t) -> list[int]:
+    """The numbers on a factor file's first line: d, then the rank for cp."""
+    return [t.ndim, t.rank] if t.kind == "cp" else [t.ndim]
+
+
+def save_tensor(path, t: TTTensor | CPTensor | HTTensor) -> None:
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(f"{t.kind}: " + " ".join(str(n) for n in _tensor_header(t)) + "\n")
         _write_tensor(fh, t)
 
 
-def _load_tensor(path, kind: str):
+def load_tensor(path) -> TTTensor | CPTensor | HTTensor:
+    """The tensor of a factor file, in the format its first line names."""
     reader = _LineReader(path)
-    header = reader.header(f"{kind}:")
+    kind = next((k for k in FORMATS if reader.has(f"{k}:")), None)
+    if kind is None:
+        raise ValueError(f"{path}: not a factor file (no 'tt:', 'cp:' or 'ht:' header)")
+    header = reader.header(f"{kind}:", None)
     t = _read_tensor(reader, kind, (header or [0])[0])
     reader.expect_end()
-    expected = [t.ndim, t.rank] if kind == "cp" else [t.ndim]
-    if header != expected:
+    if header != _tensor_header(t):
         raise ValueError(f"{path}: '{kind}:' header {header} inconsistent with the blocks, "
-                         f"which give {expected} (d, then the rank for cp)")
+                         f"which give {_tensor_header(t)} (d, then the rank for cp)")
     return t
-
-
-def save_tt(path, tt: TTTensor) -> None:
-    _save_tensor(path, f"tt: {tt.ndim}", tt)
-
-
-def load_tt(path) -> TTTensor:
-    return _load_tensor(path, "tt")
-
-
-def save_cp(path, cp: CPTensor) -> None:
-    _save_tensor(path, f"cp: {cp.ndim} {cp.rank}", cp)
-
-
-def load_cp(path) -> CPTensor:
-    return _load_tensor(path, "cp")
-
-
-def save_ht(path, ht: HTTensor) -> None:
-    _save_tensor(path, f"ht: {ht.ndim}", ht)
-
-
-def load_ht(path) -> HTTensor:
-    return _load_tensor(path, "ht")
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +241,11 @@ def load_checkpoint(path) -> ScoreNetwork:
     reader = _LineReader(path)
     if reader.next_line("checkpoint header") != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a {CHECKPOINT_HEADER!r} file")
-    (kind,) = reader.fields("kind:")
-    (classes,) = reader.header("classes:")
-    d, n = reader.header("input:")
-    order = tuple(reader.header("order:")) if reader.has("order:") else None
-    (activation,) = reader.fields("activation:")
+    (kind,) = reader.fields("kind:", 1)
+    (classes,) = reader.header("classes:", 1)
+    d, n = reader.header("input:", 2)
+    order = tuple(reader.header("order:", None)) if reader.has("order:") else None
+    (activation,) = reader.fields("activation:", 1)
     a, b = reader.block("A"), reader.block("b")
     weights = _read_tensor(reader, kind, d)
     reader.expect_end()

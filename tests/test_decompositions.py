@@ -8,18 +8,16 @@ from ttnets.decompositions import (
     CPTensor,
     HTTensor,
     TTTensor,
-    cp_entry,
     cp_random,
     cp_scores_from_features,
     cp_to_dense,
-    ht_entry,
+    entry,
     ht_node_leaf_sets,
     ht_random,
     ht_scores_from_features,
     ht_to_dense,
     ranks_from_dense,
     tt_delta_example,
-    tt_entry,
     tt_equal_cores_random,
     tt_random,
     tt_scores_from_features,
@@ -45,12 +43,12 @@ class TestTTBasics:
         tt = tt_random((2, 3, 2, 3), (2, 3, 2), seed=5)
         dense = tt_to_dense(tt)
         for idx in itertools.product(*(range(n) for n in tt.shape)):
-            e = tt_entry(tt, idx)
+            e = entry(tt, idx)
             assert abs(e - dense[idx]) <= 1e-13 * max(abs(e), 1.0)
 
     def test_zero_cores_zero_entries(self):
         tt = TTTensor((np.zeros((1, 2, 2)), np.zeros((2, 2, 1))))
-        assert tt_entry(tt, (1, 1)) == 0.0
+        assert entry(tt, (1, 1)) == 0.0
         assert not tt_to_dense(tt).any()
 
     def test_rank_one_chain_is_outer_product(self):
@@ -61,7 +59,7 @@ class TestTTBasics:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            tt_entry(hand_tt(), (0, 2))
+            entry(hand_tt(), (0, 2))
 
     def test_rank_chain_validation(self):
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -145,7 +143,7 @@ class TestDeltaChain:
         assert tt.ranks == (2, 1, 2, 1, 2)
 
     def test_entry_at_origin(self):
-        assert tt_entry(tt_delta_example(6, 2, 2), (0,) * 6) == 1.0
+        assert entry(tt_delta_example(6, 2, 2), (0,) * 6) == 1.0
 
     @pytest.mark.parametrize("d,n,r,expected", [(4, 2, 2, 4), (6, 3, 2, 8), (2, 2, 2, 2)])
     def test_paired_matricization_rank(self, d, n, r, expected):
@@ -200,7 +198,7 @@ class TestCP:
         cp = cp_random((2, 3, 2), 3, seed=6)
         dense = cp_to_dense(cp)
         for idx in itertools.product(range(2), range(3), range(2)):
-            assert abs(cp_entry(cp, idx) - dense[idx]) <= 1e-12
+            assert abs(entry(cp, idx) - dense[idx]) <= 1e-12
 
     def test_determinism(self):
         np.testing.assert_array_equal(cp_to_dense(cp_random((2, 2), 2, 3)),
@@ -245,7 +243,7 @@ class TestHT:
         ht = ht_random((2, 3, 2, 3), 2, seed=7)
         dense = ht_to_dense(ht)
         for idx in itertools.product(range(2), range(3), range(2), range(3)):
-            assert abs(ht_entry(ht, idx) - dense[idx]) <= 1e-12 * max(1.0, abs(dense[idx]))
+            assert abs(entry(ht, idx) - dense[idx]) <= 1e-12 * max(1.0, abs(dense[idx]))
 
     def test_all_leaf_ranks_one_separable(self):
         ht = ht_random((2, 2, 2, 2), 1, seed=3)
@@ -345,11 +343,11 @@ def with_leg(t, c, seed):
 
 FORMATS = {
     "tt": (lambda: tt_random((2, 3, 2), (2, 3), seed=1), tt_scores_from_features,
-           tt_entry, tt_to_dense),
+           entry, tt_to_dense),
     "cp": (lambda: cp_random((2, 3, 2), 3, seed=2), cp_scores_from_features,
-           cp_entry, cp_to_dense),
+           entry, cp_to_dense),
     "ht": (lambda: ht_random((2, 3, 2, 3), 2, seed=3), ht_scores_from_features,
-           ht_entry, ht_to_dense),
+           entry, ht_to_dense),
 }
 
 

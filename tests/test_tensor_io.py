@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from ttnets import tensor_io
-from ttnets.decompositions import cp_random, ht_random, tt_random
+from ttnets.decompositions import cp_random, ht_random, tt_delta_example, tt_random
 from ttnets.networks import build_similarity_network, make_score_network
 
 
@@ -63,9 +64,9 @@ class TestNonFiniteValues:
             tensor_io.load_dense(path)
 
     @pytest.mark.parametrize("save, load, tensor", [
-        (tensor_io.save_tt, tensor_io.load_tt, tt_random((2, 3, 2), (2, 2), seed=0)),
-        (tensor_io.save_cp, tensor_io.load_cp, cp_random((2, 3), 2, seed=0)),
-        (tensor_io.save_ht, tensor_io.load_ht, ht_random((2, 2, 2, 2), 2, seed=0)),
+        (tensor_io.save_tensor, tensor_io.load_tensor, tt_random((2, 3, 2), (2, 2), seed=0)),
+        (tensor_io.save_tensor, tensor_io.load_tensor, cp_random((2, 3), 2, seed=0)),
+        (tensor_io.save_tensor, tensor_io.load_tensor, ht_random((2, 2, 2, 2), 2, seed=0)),
     ])
     def test_factor_files(self, tmp_path, save, load, tensor):
         path = tmp_path / "t.txt"
@@ -95,24 +96,24 @@ class TestFactorFiles:
     def test_tt_roundtrip(self, tmp_path):
         tt = tt_random((2, 3, 2), (2, 4), seed=0)
         path = tmp_path / "tt.txt"
-        tensor_io.save_tt(path, tt)
-        back = tensor_io.load_tt(path)
+        tensor_io.save_tensor(path, tt)
+        back = tensor_io.load_tensor(path)
         for a, b in zip(tt.cores, back.cores):
             np.testing.assert_array_equal(a, b)
 
     def test_cp_roundtrip(self, tmp_path):
         cp = cp_random((4, 2, 3), 3, seed=1)
         path = tmp_path / "cp.txt"
-        tensor_io.save_cp(path, cp)
-        back = tensor_io.load_cp(path)
+        tensor_io.save_tensor(path, cp)
+        back = tensor_io.load_tensor(path)
         for a, b in zip(cp.factors, back.factors):
             np.testing.assert_array_equal(a, b)
 
     def test_ht_roundtrip(self, tmp_path):
         ht = ht_random((2, 3, 2, 3), [2, 2, 2, 2, 3, 2], seed=2)
         path = tmp_path / "ht.txt"
-        tensor_io.save_ht(path, ht)
-        back = tensor_io.load_ht(path)
+        tensor_io.save_tensor(path, ht)
+        back = tensor_io.load_tensor(path)
         for a, b in zip(ht.nodes, back.nodes):
             np.testing.assert_array_equal(a, b)
 
@@ -120,13 +121,48 @@ class TestFactorFiles:
         path = tmp_path / "bad_tt.txt"
         path.write_text("tt: 2\ncore: 1 2 1\n1\n2\ncore: 2 2 1\n1\n2\n3\n4\n")
         with pytest.raises(ValueError, match="bad_tt.txt: rank mismatch between cores 1 and 2"):
-            tensor_io.load_tt(path)
+            tensor_io.load_tensor(path)
 
     def test_cp_rank_consistency_checked(self, tmp_path):
         path = tmp_path / "bad_cp.txt"
         path.write_text("cp: 1 2\nfactor: 2 3\n1\n2\n3\n4\n5\n6\n")
         with pytest.raises(ValueError, match="rank"):
-            tensor_io.load_cp(path)
+            tensor_io.load_tensor(path)
+
+    # sha256 of factor files recorded with the earlier per-format writers
+    # (save_tt, save_cp, save_ht): the one writer must keep the same bytes.
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: tt_random((2, 3, 2), (2, 3), seed=1),
+         "f5d79be770333ef29fd97313caf8b5c936847a3da75a3fe5409465dd110a5957"),
+        (lambda: cp_random((2, 3, 4), 3, seed=2),
+         "01e8411797c9ab43931f2d712ce0135a4e0ef9df6d8f378437a0cd14e425cc4f"),
+        (lambda: ht_random((2, 3, 2, 3), 2, seed=3),
+         "267aefc52a0ee6df503fdccd6a1c34061d3838f697b24f392d4ccbe7387283b0"),
+        (lambda: ht_random((2,) * 8, [1, 2, 3, 2, 1, 2, 3, 2, 2, 3, 1, 2, 3, 2], seed=4),
+         "e93344502b1932747c4f307b2604f4c378c6d0328e14b7f98e20d5263735bf4a"),
+        (lambda: tt_delta_example(6, 3, 3),
+         "1278142b649eda48a1515470b13e474af3f2c2284e59e25746946087db936812"),
+    ], ids=["tt", "cp", "ht", "ht-d8", "tt-delta"])
+    def test_recorded_digest(self, tmp_path, build, digest):
+        path = tmp_path / "t.txt"
+        t = build()
+        tensor_io.save_tensor(path, t)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = tensor_io.load_tensor(path)
+        assert back.kind == t.kind
+        for a, b in zip(t.parameters(), back.parameters()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("save", [
+        lambda path: tensor_io.save_dense(path, np.ones((2, 2))),
+        lambda path: tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 2,
+                                                                        seed=0)),
+    ], ids=["dense", "checkpoint"])
+    def test_other_files_rejected(self, tmp_path, save):
+        path = tmp_path / "other.txt"
+        save(path)
+        with pytest.raises(ValueError, match="other.txt: not a factor file"):
+            tensor_io.load_tensor(path)
 
 
 class TestCheckpoints:
@@ -194,6 +230,20 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             tensor_io.load_checkpoint(path)
 
+    @pytest.mark.parametrize("line,edited", [
+        ("kind: tt", "kind: tt cp"), ("classes: 2", "classes: 2 3"),
+        ("input: 2 1", "input: 2"), ("activation: relu", "activation: relu sigmoid")])
+    def test_header_field_count_checked(self, tmp_path, line, edited):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 4, 2, 2, seed=0))
+        text = path.read_text()
+        assert line + "\n" in text
+        path.write_text(text.replace(line + "\n", edited + "\n"))
+        tag = line.split()[0]
+        with pytest.raises(ValueError, match=f"net.txt: '{tag}' header needs "
+                                             f"{len(line.split()) - 1} fields, got"):
+            tensor_io.load_checkpoint(path)
+
     def test_class_count_checked(self, tmp_path):
         net = make_score_network("cp", 2, 1, 4, 2, 2, seed=0)
         path = tmp_path / "net.txt"
@@ -205,8 +255,8 @@ class TestCheckpoints:
 
 # A d=4 tree as a tensor file and as a network checkpoint: (save, load).
 TREE_FILES = {
-    "ht": (lambda path: tensor_io.save_ht(path, ht_random((2, 3, 2, 3), 2, seed=0)),
-           tensor_io.load_ht),
+    "ht": (lambda path: tensor_io.save_tensor(path, ht_random((2, 3, 2, 3), 2, seed=0)),
+           tensor_io.load_tensor),
     "checkpoint": (lambda path: tensor_io.save_checkpoint(
         path, make_score_network("ht", 4, 2, 3, 2, 2, seed=0)), tensor_io.load_checkpoint),
 }
