@@ -105,6 +105,13 @@ class TestRankCommand:
         assert code == 0
         assert "lower bound: 1" in out
 
+    def test_one_mode_file(self, tmp_path, capsys):
+        path = tmp_path / "vector.txt"
+        tensor_io.save_dense(path, np.array([1.0, 2.0, 3.0]))
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        assert out.strip() == "cp-rank lower bound: 1"
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("shape: 2 2\n1\n2\n")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ttnets import rank_analysis, svd
 from ttnets.decompositions import (
     cp_random,
     cp_to_dense,
@@ -13,6 +14,7 @@ from ttnets.decompositions import (
 from ttnets.rank_analysis import (
     RankReport,
     cp_rank_lower_bound,
+    sample_rng,
     verify_ht_tt_bounds,
     verify_hypothesis1,
     verify_theorem1,
@@ -35,6 +37,11 @@ class TestLowerBound:
         for seed in range(3):
             x = tt_to_dense(tt_random((2,) * 4, (2,) * 3, seed=seed))
             assert cp_rank_lower_bound(x, [odd_even_split(4)], 1e-10) == 4
+
+    def test_one_mode_tensor(self):
+        # no split exists: a nonzero vector still has CP rank 1
+        assert cp_rank_lower_bound(np.array([1.0, 2.0, 3.0]), []) == 1
+        assert cp_rank_lower_bound(np.zeros(3), []) == 0
 
     def test_never_exceeds_known_separable_rank(self):
         for seed in range(5):
@@ -174,6 +181,56 @@ class TestReportCSV:
         path = tmp_path / "report.csv"
         write_report_csv(path, run())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestStackedSampling:
+    RUNS = {
+        "theorem1": lambda: [verify_theorem1(4, 2, 3, 9, seed=5)],
+        "hypothesis1": lambda: verify_hypothesis1(4, [2, 3], [2], 5, seed=9),
+        "tt2ht": lambda: [verify_ht_tt_bounds(4, 3, 2, 7, seed=2, direction="tt2ht")],
+        "ht2tt-d8": lambda: [verify_ht_tt_bounds(8, 2, 2, 4, seed=1, direction="ht2tt")],
+    }
+
+    # 2000 bytes hold three n=3, d=4 samples: chunks of 3+2 and 3+3+1
+    @pytest.mark.parametrize("budget", [1, 2000], ids=["one-per-chunk", "a-few-per-chunk"])
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_chunk_budget_changes_no_rank(self, monkeypatch, kind, budget):
+        whole = [r.observed_ranks for r in self.RUNS[kind]()]
+        monkeypatch.setattr(rank_analysis, "_STACK_BYTES", budget)
+        assert [r.observed_ranks for r in self.RUNS[kind]()] == whole
+
+    @pytest.mark.parametrize("budget", [1, 2000, rank_analysis._STACK_BYTES],
+                             ids=["one-per-chunk", "a-few-per-chunk", "default"])
+    def test_each_sample_keeps_its_own_rank(self, monkeypatch, budget):
+        def draw(d, n, r, rng):  # ranks that differ from sample to sample
+            k = int(rng.integers(1, 6))
+            return (rng.normal(size=(9, k)) @ rng.normal(size=(k, 9))).reshape(3, 3, 3, 3)
+
+        # rank k on the first split, at most 3 on the second
+        splits = [AxisSplit.from_row_axes(4, [1, 2]), AxisSplit.from_row_axes(4, [1])]
+        monkeypatch.setattr(rank_analysis, "_STACK_BYTES", budget)
+        report = RankReport(d=4, n=3, r=1, q=1, threshold=9, seed=7, rel_tol=1e-12,
+                            floor=False)
+        rank_analysis._sample_ranks(report, 11, 5, draw, splits)
+        expected = [cp_rank_lower_bound(draw(4, 3, 1, sample_rng(7, 5 + i)), splits, 1e-12)
+                    for i in range(11)]
+        assert report.observed_ranks == expected
+        assert len(set(expected)) > 2
+
+    def test_one_stacked_call_per_split_through_the_svd_module(self, monkeypatch):
+        # the benchmark's tracer rebinds svd.singular_values, so the stacked
+        # call must look it up there
+        shapes = []
+        original = svd.singular_values
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(svd, "singular_values", recording)
+        report = verify_ht_tt_bounds(4, 3, 2, 10, seed=2, direction="ht2tt")
+        assert shapes == [(10, 3, 27), (10, 9, 9), (10, 27, 3)]
+        assert all(isinstance(rank, int) for rank in report.observed_ranks)
 
 
 class TestRankReport:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnets.decompositions import tt_delta_example, tt_to_dense
-from ttnets.svd import jacobi_svd, numerical_rank, singular_values
-from ttnets.tensor import AxisSplit, matricize
+from ttnets import svd
+from ttnets.decompositions import tt_delta_example, tt_random, tt_to_dense
+from ttnets.svd import _round_robin_schedule, jacobi_svd, numerical_rank, singular_values
+from ttnets.tensor import AxisSplit, matricize, odd_even_split
 
 
 def reconstruction_error(a):
@@ -113,3 +114,88 @@ class TestNumericalRank:
         a = np.random.default_rng(seed).normal(size=(6, 5))
         looser = min(tol * factor, 0.999)
         assert numerical_rank(a, looser) <= numerical_rank(a, tol)
+
+
+def _stack_members():
+    # five 81x9 matrices: random, the d=6 delta chain's rank-1
+    # matricization with its repeated columns, diagonal, graded columns
+    # down to 1e-15 (below the other matrices' roundoff floors, above its
+    # own), and a small random one of rank 3
+    rng = np.random.default_rng(81)
+    delta = matricize(tt_to_dense(tt_delta_example(6, 3, 3)),
+                      AxisSplit.from_row_axes(6, (1, 2, 3, 4)))
+    q, _ = np.linalg.qr(rng.normal(size=(81, 9)))
+    return [
+        rng.normal(size=(81, 9)),
+        delta,
+        np.eye(81, 9) * np.arange(9, 0, -1),
+        q * np.logspace(0, -15, 9),
+        1e-6 * rng.normal(size=(81, 3)) @ rng.normal(size=(3, 9)),
+    ]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_stack_matches_one_at_a_time_bit_for_bit(self, wide):
+        mats = [m.T if wide else m for m in _stack_members()]
+        stacked = singular_values(np.stack(mats))
+        assert stacked.shape == (len(mats), 9)
+        for row, mat in zip(stacked, mats):
+            assert row.tobytes() == singular_values(mat).tobytes()
+
+    def test_stack_matches_lapack(self):
+        mats = np.stack(_stack_members())
+        ref = np.linalg.svd(mats, compute_uv=False)
+        np.testing.assert_allclose(singular_values(mats), ref, rtol=0,
+                                   atol=1e-12 * ref[:, :1].max())
+
+    def test_numerical_rank_per_matrix(self):
+        # at 1e-10 the graded matrix keeps 6 of its singular values
+        # 1, 10**-1.875, ..., 1e-15
+        mats = np.stack(_stack_members() + [np.zeros((81, 9))])
+        ranks = numerical_rank(mats, 1e-10)
+        np.testing.assert_array_equal(ranks, [9, 1, 9, 6, 3, 0])
+        assert [numerical_rank(m, 1e-10) for m in mats] == ranks.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anywhere_rejected(self, bad):
+        mats = np.stack(_stack_members())
+        mats[3, 80, 8] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values(mats)
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="ndim=4"):
+            singular_values(np.zeros((2, 2, 3, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            jacobi_svd(np.zeros((2, 3, 3)))
+
+
+def test_preconditioning_cuts_the_sweep_count(monkeypatch):
+    # deterministic: on the 81x81 matricization of a random d=8, n=r=3
+    # chain, singular_values' QR-preconditioned Jacobi converges in at most
+    # 10 sweeps; jacobi_svd's plain one takes 14-22
+    kernel = svd._orthogonalize_columns
+    sweeps = []
+
+    def counting(w, v):
+        sweeps.append(kernel(w, v))
+        return sweeps[-1]
+
+    monkeypatch.setattr(svd, "_orthogonalize_columns", counting)
+    mat = matricize(tt_to_dense(tt_random((3,) * 8, (3,) * 7, seed=0)), odd_even_split(8))
+    assert mat.shape == (81, 81)
+    singular_values(mat)
+    jacobi_svd(mat)
+    assert sweeps[0] <= 10 < sweeps[1]
+
+
+def test_round_robin_schedule_cached_and_read_only():
+    rounds = _round_robin_schedule(7)
+    assert _round_robin_schedule(7) is rounds
+    pairs = {(p, q) for ps, qs in rounds for p, q in zip(ps.tolist(), qs.tolist())}
+    assert pairs == {(p, q) for p in range(7) for q in range(p + 1, 7)}
+    for ps, qs in rounds:
+        with pytest.raises(ValueError):
+            ps[0] = 1
+        assert not qs.flags.writeable
