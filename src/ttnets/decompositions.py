@@ -24,9 +24,12 @@ contracting all prod(n) one-hot inputs.
 Each container is exactly its parameter list (cores, factors or nodes),
 and ``type(t)(arrays)`` rebuilds one over other arrays in that order; a
 score network uses this to lay its weights over views of one flat
-parameter vector, which training updates in place.  Random sampling
-uses numpy's PCG64 generator seeded explicitly, so every construction
-is reproducible across platforms.
+parameter vector, which training updates in place.  Any parameter
+arrays may carry the same leading axes (:attr:`lead`), each container
+checking only the trailing ones: a ``(K, ...)`` stack of K tensors of
+one shape is one container, and ``*_states`` contracts all K at once.
+Random sampling uses numpy's PCG64 generator seeded explicitly, so every
+construction is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ def _float_arrays(arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=np.float64) for a in arrays]
 
 
+def _check_lead(arrays, lead: tuple, what: str, first: int) -> None:
+    """Every array of a container must carry the same leading axes."""
+    for k, a in enumerate(arrays):
+        if a.shape[: len(lead)] != lead:
+            raise ValueError(f"{what} {k + first} has leading axes {a.shape[: len(lead)]}, "
+                             f"expected {lead} like the first")
+
+
 @dataclass
 class TTTensor:
     """Tensor-train format: a chain of 3-way cores, the last one (r, n, C)."""
@@ -86,17 +97,23 @@ class TTTensor:
         if len(self.cores) < 1:
             raise ValueError("a TT tensor needs at least one core")
         self.cores = _float_arrays(self.cores)
+        lead = self.lead
         for k, core in enumerate(self.cores):
-            if core.ndim != 3:
+            if core.ndim != len(lead) + 3:
                 raise ValueError(f"core {k + 1} must be 3-way, got shape {core.shape}")
-        if self.cores[0].shape[0] != 1:
+        _check_lead(self.cores, lead, "core", 1)
+        if self.cores[0].shape[-3] != 1:
             raise ValueError("boundary rank r_0 must equal 1")
         for k in range(len(self.cores) - 1):
-            if self.cores[k].shape[2] != self.cores[k + 1].shape[0]:
+            if self.cores[k].shape[-1] != self.cores[k + 1].shape[-3]:
                 raise ValueError(
                     f"rank mismatch between cores {k + 1} and {k + 2}: "
-                    f"{self.cores[k].shape[2]} vs {self.cores[k + 1].shape[0]}"
+                    f"{self.cores[k].shape[-1]} vs {self.cores[k + 1].shape[-3]}"
                 )
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.cores[0].shape[:-3]
 
     @property
     def ndim(self) -> int:
@@ -104,27 +121,28 @@ class TTTensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
+        return tuple(c.shape[-2] for c in self.cores)
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(c.shape[2] for c in self.cores[:-1])
+        return tuple(c.shape[-1] for c in self.cores[:-1])
 
     @property
     def num_classes(self) -> int:
-        return self.cores[-1].shape[2]
+        return self.cores[-1].shape[-1]
 
     def class_tensor(self, y: int) -> TTTensor:
         """The d-way tensor of class y (a leg of size 1)."""
-        return TTTensor((*self.cores[:-1], self.cores[-1][:, :, y : y + 1]))
+        return TTTensor((*self.cores[:-1], self.cores[-1][..., y : y + 1]))
 
     def parameters(self) -> list[np.ndarray]:
         return list(self.cores)
 
     def feature_axes(self) -> list[int | None]:
         """Axis of each array in :meth:`parameters` that indexes the
-        mode (feature), or None for an array that reads no feature."""
-        return [1] * len(self.cores)
+        mode (feature), counted from the end so that leading axes do not
+        move it, or None for an array that reads no feature."""
+        return [-2] * len(self.cores)
 
 
 @dataclass
@@ -140,10 +158,20 @@ class CPTensor:
         if len(self.factors) < 1:
             raise ValueError("a CP tensor needs at least one factor")
         self.factors = _float_arrays(self.factors)
-        if any(f.ndim != 2 for f in self.factors[:-1]) or self.factors[-1].ndim not in (2, 3) \
-                or len({f.shape[1] for f in self.factors}) != 1:
+        lead = len(self.lead)
+        *modes, last = self.factors
+        if any(f.ndim != lead + 2 for f in modes) or last.ndim not in (lead + 2, lead + 3) \
+                or len({f.shape[lead + 1] for f in self.factors}) != 1:
             raise ValueError("all CP factors must be matrices sharing one width r "
                              "(the last may be (n, r, C))")
+        _check_lead(self.factors, self.lead, "factor", 1)
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        """Leading axes, read off the first factor; a lone factor of three
+        or more axes is read as carrying the output leg."""
+        first = self.factors[0]
+        return first.shape[:-2] if len(self.factors) > 1 else first.shape[:-3]
 
     @property
     def ndim(self) -> int:
@@ -151,30 +179,31 @@ class CPTensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.factors)
+        lead = len(self.lead)
+        return tuple(f.shape[lead] for f in self.factors)
 
     @property
     def rank(self) -> int:
-        return self.factors[0].shape[1]
+        return self.factors[0].shape[len(self.lead) + 1]
 
     @property
     def output_factor(self) -> np.ndarray:
-        """The last factor as (n, r, C), a view."""
-        last = self.factors[-1]
-        return last.reshape(last.shape[0], self.rank, -1)
+        """The last factor as (..., n, r, C), a view."""
+        last, lead = self.factors[-1], self.lead
+        return last.reshape(*lead, last.shape[len(lead)], self.rank, -1)
 
     @property
     def num_classes(self) -> int:
-        return self.output_factor.shape[2]
+        return self.output_factor.shape[-1]
 
     def class_tensor(self, y: int) -> CPTensor:
-        return CPTensor((*self.factors[:-1], self.output_factor[:, :, y]))
+        return CPTensor((*self.factors[:-1], self.output_factor[..., y]))
 
     def parameters(self) -> list[np.ndarray]:
         return list(self.factors)
 
     def feature_axes(self) -> list[int | None]:
-        return [0] * len(self.factors)
+        return [-2] * (self.ndim - 1) + [len(self.lead) - self.factors[-1].ndim]
 
 
 @dataclass
@@ -197,17 +226,24 @@ class HTTensor:
         if len(self.nodes) != 2 * d - 1 or d < 2 or d & (d - 1):
             raise ValueError(f"a tree needs 2d-1 nodes with d a power of two >= 2, "
                              f"got {len(self.nodes)} nodes")
+        lead = self.lead
         for k, leaf in enumerate(self.nodes[:d]):
-            if leaf.ndim != 2:
+            if leaf.ndim != len(lead) + 2:
                 raise ValueError(f"node {k} is a leaf and must be 2-way, got shape {leaf.shape}")
         for t, b in enumerate(self.nodes[d:]):
-            if b.ndim != 3:
+            if b.ndim != len(lead) + 3:
                 raise ValueError(f"node {d + t} is a transfer tensor and must be 3-way, "
                                  f"got shape {b.shape}")
+        _check_lead(self.nodes, lead, "node", 0)
+        for t, b in enumerate(self.nodes[d:]):
             ranks = (self.nodes[2 * t].shape[-1], self.nodes[2 * t + 1].shape[-1])
-            if b.shape[:2] != ranks:
+            if b.shape[-3:-1] != ranks:
                 raise ValueError(f"node {d + t} expects child ranks {ranks} from nodes "
-                                 f"{2 * t} and {2 * t + 1}, got {b.shape[:2]}")
+                                 f"{2 * t} and {2 * t + 1}, got {b.shape[-3:-1]}")
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.nodes[0].shape[:-2]
 
     @property
     def ndim(self) -> int:
@@ -219,7 +255,7 @@ class HTTensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(m.shape[0] for m in self.leaves)
+        return tuple(m.shape[-2] for m in self.leaves)
 
     @property
     def node_ranks(self) -> tuple[int, ...]:
@@ -228,16 +264,16 @@ class HTTensor:
 
     @property
     def num_classes(self) -> int:
-        return self.nodes[-1].shape[2]
+        return self.nodes[-1].shape[-1]
 
     def class_tensor(self, y: int) -> HTTensor:
-        return HTTensor((*self.nodes[:-1], self.nodes[-1][:, :, y : y + 1]))
+        return HTTensor((*self.nodes[:-1], self.nodes[-1][..., y : y + 1]))
 
     def parameters(self) -> list[np.ndarray]:
         return list(self.nodes)
 
     def feature_axes(self) -> list[int | None]:
-        return [0] * self.ndim + [None] * (self.ndim - 1)
+        return [-2] * self.ndim + [None] * (self.ndim - 1)
 
 
 # The container class of each format, by its ``kind``.
@@ -247,49 +283,60 @@ FORMATS = {cls.kind: cls for cls in (TTTensor, CPTensor, HTTensor)}
 # ---------------------------------------------------------------------------
 # contractions with one feature vector per mode (batched)
 #
-# ``phi`` is a (B, d, n) array, or a sequence of d (B, n_k) arrays when the
-# mode sizes differ.  ``*_states`` keeps every intermediate of the one
-# contraction for the gradients; the scores (B, C) are its last entry.
+# ``phi`` is a (..., B, d, n) array, or a sequence of d (..., B, n_k) arrays
+# when the mode sizes differ.  ``*_states`` keeps every intermediate of the
+# one contraction for the gradients; the scores (..., B, C) are its last
+# entry.  The leading axes ``...`` are those of the tensor (:attr:`lead`):
+# a stack of K tensors, each parameter array (K, ...), contracted with K
+# feature batches (K, B, d, n) takes one pass.  Every product acts on the
+# same 2-D slices as for one tensor alone, so each of the K results is bit
+# for bit the one that tensor gives alone.
 
 
 def _modes(phi):
-    return phi.transpose(1, 0, 2) if isinstance(phi, np.ndarray) else phi
+    """The mode axis of a feature array moved to the front (a view)."""
+    if not isinstance(phi, np.ndarray):
+        return phi
+    return phi.transpose(phi.ndim - 2, *range(phi.ndim - 2), phi.ndim - 1)
 
 
 def tt_states(tt: TTTensor, phi) -> list[np.ndarray]:
-    """Recurrent pass: the running state (B, r_k) after every core; the
-    last one is the (B, C) scores."""
+    """Recurrent pass: the running state (..., B, r_k) after every core;
+    the last one is the (..., B, C) scores."""
     phi = _modes(phi)
-    states = [phi[0] @ tt.cores[0][0]]
+    states = [phi[0] @ tt.cores[0][..., 0, :, :]]
     for k in range(1, tt.ndim):
-        r_prev, n, r_next = tt.cores[k].shape
-        mixed = states[-1] @ tt.cores[k].reshape(r_prev, n * r_next)
-        states.append(np.einsum("bnr,bn->br", mixed.reshape(-1, n, r_next), phi[k]))
+        r_prev, n, r_next = tt.cores[k].shape[-3:]
+        mixed = states[-1] @ tt.cores[k].reshape(*tt.lead, r_prev, n * r_next)
+        states.append(np.einsum("...bnr,...bn->...br",
+                                mixed.reshape(*mixed.shape[:-1], n, r_next), phi[k]))
     return states
 
 
 def cp_states(cp: CPTensor, phi) -> list[np.ndarray]:
-    """Shallow pass: the per-mode dots (d-1, B, r), their running products
-    (d, B, r; entry k multiplies the first k dots), the output-leg product
-    (B, r, C) and, last, the (B, C) scores."""
+    """Shallow pass: the per-mode dots (d-1, ..., B, r), their running
+    products (d, ..., B, r; entry k multiplies the first k dots), the
+    output-leg product (..., B, r, C) and, last, the (..., B, C) scores."""
     phi = _modes(phi)
-    dots = np.empty((cp.ndim - 1, phi[0].shape[0], cp.rank))
+    last = np.einsum("...bm,...mrc->...brc", phi[-1], cp.output_factor)
+    dots = np.empty((cp.ndim - 1, *last.shape[:-1]))
+    prods = np.empty((cp.ndim, *last.shape[:-1]))
+    prods[0] = 1.0
     for k, factor in enumerate(cp.factors[:-1]):
-        dots[k] = phi[k] @ factor
-    prods = np.ones((cp.ndim, *dots.shape[1:]))
-    prods[1:] = np.cumprod(dots, axis=0)
-    last = np.einsum("bm,mrc->brc", phi[-1], cp.output_factor)
-    return [dots, prods, last, np.einsum("br,brc->bc", prods[-1], last)]
+        np.matmul(phi[k], factor, out=dots[k])
+        np.multiply(prods[k], dots[k], out=prods[k + 1])
+    return [dots, prods, last, np.einsum("...br,...brc->...bc", prods[-1], last)]
 
 
 def ht_states(ht: HTTensor, phi) -> list[np.ndarray]:
     """Tree pass: the output of every node, in :attr:`HTTensor.nodes`
-    order (leaves, then bottom-up), so the (B, C) root is last.  Internal
-    node d+t merges the outputs of nodes 2t and 2t+1."""
+    order (leaves, then bottom-up), so the (..., B, C) root is last.
+    Internal node d+t merges the outputs of nodes 2t and 2t+1."""
     phi = _modes(phi)
     outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
     for t, b in enumerate(ht.nodes[ht.ndim:]):
-        outputs.append(np.einsum("ba,bc,aco->bo", outputs[2 * t], outputs[2 * t + 1], b))
+        outputs.append(np.einsum("...ba,...bc,...aco->...bo",
+                                 outputs[2 * t], outputs[2 * t + 1], b))
     return outputs
 
 

@@ -28,7 +28,11 @@ step runs one forward and one backward.
 A network keeps all its trainable numbers in one flat vector, and its
 weights and feature map are views of it; the backward writes into the
 same views of one flat gradient vector, so an optimizer step is one
-vector update.
+vector update.  K networks of one architecture stack into one network
+whose every array, the vector included, has a leading run axis
+(:func:`stack_networks`); the feature map, the contraction and its
+backward then run once for all K runs, on the same 2-D slices as for
+each run alone, so each run's numbers are bit for bit its own.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
     "ht_scores_from_features",
     "make_score_network",
     "network_gradients",
+    "stack_networks",
     "tt_scores_from_features",
 ]
 
@@ -162,18 +167,34 @@ class FeatureMap:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
+        if self.A.ndim < 2 or self.b.shape != self.A.shape[:-1]:
             raise ValueError(f"bias shape {self.b.shape} does not match A {self.A.shape}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def num_features(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-2]
 
     @property
     def input_size(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """A x before the bias: x (*X, n) goes to (..., *X, m), one image
+        per leading index of A (..., m, n), all of the same x."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.input_size:
+            raise ValueError(f"input size {x.shape[-1]} does not match feature map "
+                             f"({self.input_size})")
+        units = (1,) * (x.ndim - 2)
+        return x @ _t(self.A).reshape(*self.A.shape[:-2], *units, self.input_size,
+                                      self.num_features)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes, a view."""
+    return a.swapaxes(-1, -2)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -194,12 +215,13 @@ def _activate_grad(phi: np.ndarray, kind: str) -> np.ndarray:
 
 
 def apply_feature_map(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """sigma(A x + b); the trailing axis of x is the input dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != fm.input_size:
-        raise ValueError(f"input size {x.shape[-1]} does not match feature map "
-                         f"({fm.input_size})")
-    return _activate(x @ fm.A.T + fm.b, fm.activation)
+    """sigma(A x + b); the trailing axis of x is the input dimension.
+
+    A map with leading axes, A (..., m, n), sends x (*X, n) to
+    (..., *X, m): every map of the stack reads the same x."""
+    z = fm.project(x)
+    b = fm.b.reshape(*fm.b.shape[:-1], *(1,) * (z.ndim - fm.b.ndim), -1)
+    return _activate(z + b, fm.activation)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +262,12 @@ class ScoreNetwork:
     contiguous float64 ``vector`` and rebuilds ``weights`` and
     ``feature_map`` over views of it, so updating the vector in place
     updates every array, and the reverse.
+
+    A stack of K networks of one architecture (:func:`stack_networks`) is
+    one network whose arrays all carry a leading run axis: its vector is
+    (K, P), row k being network k's vector, and :meth:`forward` and
+    :meth:`backward` compute all K runs on one shared batch, each bit for
+    bit as it computes alone.
     """
 
     feature_map: FeatureMap
@@ -250,13 +278,17 @@ class ScoreNetwork:
     def __post_init__(self):
         if self.weights.shape != (self.feature_map.num_features,) * self.weights.ndim:
             raise ValueError("feature count does not match weight mode size")
+        lead = self.feature_map.A.shape[:-2]
+        if self.weights.lead != lead:
+            raise ValueError(f"the weights' leading axes {self.weights.lead} do not match "
+                             f"the feature map's {lead}")
         if self.input_order is not None and \
                 sorted(self.input_order) != list(range(self.weights.ndim)):
             raise ValueError(f"input order {self.input_order} is not a permutation "
                              f"of the {self.weights.ndim} input slots")
         arrays = self.parameters()
-        self._shapes = [a.shape for a in arrays]
-        self.vector = np.concatenate([a.ravel() for a in arrays])
+        self._shapes = [a.shape[len(lead):] for a in arrays]
+        self.vector = np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1)
         *weights, a, b = self.views(self.vector)
         self.weights = type(self.weights)(weights)
         self.feature_map = FeatureMap(a, b, self.feature_map.activation)
@@ -268,10 +300,10 @@ class ScoreNetwork:
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like ``vector``, shaped like
         :meth:`parameters`."""
-        out, start = [], 0
+        out, start, lead = [], 0, vector.shape[:-1]
         for shape in self._shapes:
             stop = start + math.prod(shape)
-            out.append(vector[start:stop].reshape(shape))
+            out.append(vector[..., start:stop].reshape(*lead, *shape))
             start = stop
         return out
 
@@ -299,8 +331,8 @@ class ScoreNetwork:
         return self.forward(batch)[0]
 
     def forward(self, batch: np.ndarray) -> tuple[np.ndarray, ForwardPass]:
-        """Scores (B, C) for a batch of input sequences (B, d, n), and the
-        pass that :meth:`backward` reads."""
+        """Scores (..., B, C) for a batch of input sequences (B, d, n), and
+        the pass that :meth:`backward` reads."""
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 3 or batch.shape[1] != self.num_patches:
             raise ValueError(
@@ -310,7 +342,7 @@ class ScoreNetwork:
             raise ValueError("network inputs must be finite (found NaN or inf)")
         phi = apply_feature_map(self.feature_map, batch)
         if self.input_order is not None:
-            phi = phi[:, list(self.input_order), :]
+            phi = phi[..., list(self.input_order), :]
         kept = states(self.weights, phi)
         return kept[-1], ForwardPass(batch, phi, kept)
 
@@ -323,17 +355,18 @@ class ScoreNetwork:
         dphi = grads(self.weights, fp.phi, np.asarray(upstream), fp.states, weight_grads)[1]
         dz = dphi * _activate_grad(fp.phi, self.feature_map.activation)
         if self.input_order is not None:
-            dz = dz[:, np.argsort(self.input_order), :]
-        np.matmul(dz.reshape(-1, dz.shape[2]).T, fp.inputs.reshape(-1, fp.inputs.shape[2]),
-                  out=dA)
-        dz.sum(axis=(0, 1), out=db)
+            dz = dz[..., np.argsort(self.input_order), :]
+        np.matmul(_t(dz.reshape(*dz.shape[:-3], -1, dz.shape[-1])),
+                  fp.inputs.reshape(-1, fp.inputs.shape[-1]), out=dA)
+        dz.sum(axis=(-3, -2), out=db)
         return NetworkGradients(vector, weight_grads, dA, db)
 
 
 # ---------------------------------------------------------------------------
 # gradients: each reads the states of the format's forward contraction and
 # writes the weight gradients into ``grads``, arrays shaped like
-# ``weights.parameters()``; it returns them with the feature gradients
+# ``weights.parameters()``; it returns them with the feature gradients.
+# The features, upstream and states carry the weights' leading axes.
 
 
 def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
@@ -347,17 +380,19 @@ def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states
     gives grad phi_k against L_{k-1} and the next right state R_k against
     phi_k.
     """
-    batch = phi.shape[0]
-    lefts = [np.ones((batch, 1)), *states[:-1]]
+    *lead, batch = phi.shape[:-2]
+    lefts = [np.ones((*lead, batch, 1)), *states[:-1]]
     dphi = np.empty_like(phi)
     right = upstream
     for k in range(weights.ndim - 1, -1, -1):
-        a, i, c = weights.cores[k].shape
-        mixed = (right @ weights.cores[k].reshape(a * i, c).T).reshape(batch, a, i)
-        dphi[:, k, :] = (lefts[k][:, None, :] @ mixed)[:, 0]
-        np.matmul((lefts[k][:, :, None] * phi[:, k, None, :]).reshape(batch, a * i).T,
-                  right, out=grads[k].reshape(a * i, c))
-        right = (mixed @ phi[:, k, :, None])[:, :, 0]
+        a, i, c = weights.cores[k].shape[-3:]
+        core = weights.cores[k].reshape(*weights.lead, a * i, c)
+        mixed = (right @ _t(core)).reshape(*lead, batch, a, i)
+        dphi[..., k, :] = (lefts[k][..., None, :] @ mixed)[..., 0, :]
+        outer = lefts[k][..., :, None] * phi[..., k, None, :]
+        np.matmul(_t(outer.reshape(*lead, batch, a * i)), right,
+                  out=grads[k].reshape(*weights.lead, a * i, c))
+        right = (mixed @ phi[..., k, :, None])[..., 0]
     return grads, dphi
 
 
@@ -372,20 +407,24 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
     """
     dots, prefix, last, _ = states
     d = weights.ndim
-    batch, rank, num_classes = last.shape
-    suffix = np.ones_like(prefix)
-    suffix[: d - 1] = np.cumprod(dots[::-1], axis=0)[::-1]
+    *lead, batch, rank, num_classes = last.shape
     # prefix[k] = prod_{l<k} dots_l ; suffix[k] = prod_{l>=k} dots_l
-    head = (last @ upstream[:, :, None])[:, :, 0]
+    suffix = np.empty_like(prefix)
+    suffix[d - 1] = 1.0
+    for k in range(d - 2, -1, -1):
+        np.multiply(suffix[k + 1], dots[k], out=suffix[k])
+    head = (last @ upstream[..., :, None])[..., 0]
     dphi = np.empty_like(phi)
     for k in range(d - 1):
-        others = prefix[k] * suffix[k + 1] * head  # (B, r)
-        np.matmul(phi[:, k, :].T, others, out=grads[k])
-        dphi[:, k, :] = others @ weights.factors[k].T
+        others = prefix[k] * suffix[k + 1] * head  # (..., B, r)
+        np.matmul(_t(phi[..., k, :]), others, out=grads[k])
+        dphi[..., k, :] = others @ _t(weights.factors[k])
     full = prefix[d - 1]  # product of all d-1 dots
-    outer = (full[:, :, None] * upstream[:, None, :]).reshape(batch, rank * num_classes)
-    np.matmul(phi[:, -1, :].T, outer, out=grads[-1].reshape(-1, rank * num_classes))
-    dphi[:, -1, :] = outer @ weights.output_factor.reshape(-1, rank * num_classes).T
+    outer = (full[..., :, None] * upstream[..., None, :]).reshape(*lead, batch,
+                                                                  rank * num_classes)
+    out_leg = (*weights.lead, -1, rank * num_classes)
+    np.matmul(_t(phi[..., -1, :]), outer, out=grads[-1].reshape(out_leg))
+    dphi[..., -1, :] = outer @ _t(weights.output_factor.reshape(out_leg))
     return grads, dphi
 
 
@@ -396,21 +435,23 @@ def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states
     Each transfer tensor is mixed with its node's sensitivity once, and
     that (B, a, c) stack gives both children's sensitivities."""
     d, nodes = weights.ndim, weights.nodes
-    batch = phi.shape[0]
+    *lead, batch = phi.shape[:-2]
     deltas = [None] * len(states)  # downstream sensitivity of each node
     deltas[-1] = upstream
     for t in range(d - 2, -1, -1):
         left, right, delta = states[2 * t], states[2 * t + 1], deltas[d + t]
-        a, c, o = nodes[d + t].shape
-        np.matmul((left[:, :, None] * right[:, None, :]).reshape(batch, a * c).T, delta,
-                  out=grads[d + t].reshape(a * c, o))
-        mixed = (delta @ nodes[d + t].reshape(a * c, o).T).reshape(batch, a, c)
-        deltas[2 * t] = (mixed @ right[:, :, None])[:, :, 0]
-        deltas[2 * t + 1] = (left[:, None, :] @ mixed)[:, 0]
+        a, c, o = nodes[d + t].shape[-3:]
+        node = nodes[d + t].reshape(*weights.lead, a * c, o)
+        outer = left[..., :, None] * right[..., None, :]
+        np.matmul(_t(outer.reshape(*lead, batch, a * c)), delta,
+                  out=grads[d + t].reshape(*weights.lead, a * c, o))
+        mixed = (delta @ _t(node)).reshape(*lead, batch, a, c)
+        deltas[2 * t] = (mixed @ right[..., :, None])[..., 0]
+        deltas[2 * t + 1] = (left[..., None, :] @ mixed)[..., 0, :]
     dphi = np.empty_like(phi)
     for k, leaf in enumerate(weights.leaves):
-        np.matmul(phi[:, k, :].T, deltas[k], out=grads[k])
-        dphi[:, k, :] = deltas[k] @ leaf.T
+        np.matmul(_t(phi[..., k, :]), deltas[k], out=grads[k])
+        dphi[..., k, :] = deltas[k] @ _t(leaf)
     return grads, dphi
 
 
@@ -425,6 +466,24 @@ def network_gradients(net: ScoreNetwork, x, upstream) -> NetworkGradients:
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64).reshape(1, -1)
     return network_gradients_batch(net, x[None], upstream)
+
+
+def stack_networks(nets) -> ScoreNetwork:
+    """One network holding ``nets`` as a stack of runs: every parameter
+    array gains a leading run axis, so row k of the (K, P) ``vector`` is
+    ``nets[k].vector`` (copied).  The networks must share kind, shapes,
+    activation and input order."""
+    if not nets:
+        raise ValueError("need at least one network to stack")
+    first = nets[0]
+    for net in nets[1:]:
+        if (net.kind, net._shapes, net.feature_map.activation, net.input_order) != \
+                (first.kind, first._shapes, first.feature_map.activation, first.input_order):
+            raise ValueError("stacked networks must share kind, shapes, activation "
+                             "and input order")
+    *weights, a, b = (np.stack(group) for group in zip(*(net.parameters() for net in nets)))
+    return ScoreNetwork(FeatureMap(a, b, first.feature_map.activation),
+                        FORMATS[first.kind](weights), first.input_order)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ relative accuracy on graded columns included.
 :func:`jacobi_svd` runs the same kernel on a copy of A itself (its
 transpose if A is wide) and accumulates the rotations into V; U is the
 normalized columns of W.
+
+Scale: both first scale each matrix by 2**-e, e the binary exponent of
+its largest |entry|, and scale the singular values back by 2**e.  The
+squared column norms and the roundoff floor then stay far from under-
+and overflow whatever the scale of the input (unscaled, a matrix with
+entries near 1e-150 never converges and one near 1e160 gets rank 0).
+Every step of the kernel commutes with a power-of-two scaling, so the
+results are bit for bit those of the unscaled computation wherever that
+one stays in range.
 """
 
 from __future__ import annotations
@@ -201,6 +210,14 @@ def _preconditioned(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(0, 2, 1))
 
 
+def _scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a stack (S, m, n) times 2**-e, with e (S,) the
+    binary exponent of its largest |entry| (0 for a zero matrix), so that
+    entry lies in [0.5, 1); returns the new stack and e."""
+    e = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
+    return np.ldexp(stack, -e[:, None, None]), e
+
+
 def _check_matrix(a, stack: bool) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 2 and not (stack and a.ndim == 3):
@@ -222,9 +239,10 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m < n:
         u, s, vt = jacobi_svd(a.T)
         return vt.T, s, u.T
-    w = a.copy()
+    w, e = _scaled(a[None])
     v = np.eye(n)
-    _orthogonalize_columns(w[None], v[None])
+    _orthogonalize_columns(w, v[None])
+    w = w[0]
     sig = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
@@ -233,18 +251,19 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = np.zeros_like(w)
     nonzero = sig > 0.0
     u[:, nonzero] = w[:, nonzero] / sig[nonzero]
-    return u, sig, v.T
+    return u, np.ldexp(sig, e[0]), v.T
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, of a matrix (m, n) or of each matrix
     of a stack (S, m, n); a stack gives an (S, min(m, n)) array."""
     a = _check_matrix(a, stack=True)
-    w = _preconditioned(a if a.ndim == 3 else a[None])
+    stack, e = _scaled(a if a.ndim == 3 else a[None])
+    w = _preconditioned(stack)
     _orthogonalize_columns(w, None)
     sig = np.sqrt(np.einsum("sij,sij->sj", w, w))
     sig.sort(axis=1)
-    sig = sig[:, ::-1]
+    sig = np.ldexp(sig[:, ::-1], e[:, None])
     return sig if a.ndim == 3 else sig[0]
 
 

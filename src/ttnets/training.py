@@ -6,6 +6,14 @@ fixed order, and the optimizer updates the network's one flat parameter
 vector elementwise, one vector operation per step.  The end-of-epoch
 revival of dead ReLU units draws no random numbers: it is a
 fixed function of the parameters and the training inputs.
+
+A learning-rate sweep trains its runs as one stack: the runs see the
+same batches, so each step is one forward, one loss, one backward and
+one Adam update of a (K, P) matrix whose row k is run k's parameter
+vector, at run k's own rate.  Every stacked operation acts on each run's
+rows exactly as it would on that run alone, and each run keeps its own
+moments, revival and stop, so each run's result is bit-identical to
+training it alone.  A single :func:`train` is the stack of one.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import PatchConfig, ScoreNetwork, patch_sequences
+from .networks import PatchConfig, ScoreNetwork, patch_sequences, stack_networks
 
 __all__ = [
     "ADAM_BETA1",
@@ -39,6 +47,7 @@ __all__ = [
     "sequence_dataset",
     "train",
     "train_lr_sweep",
+    "train_runs",
     "write_grid_csv",
     "write_history_csv",
 ]
@@ -79,6 +88,9 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
+    """``learning_rate`` is one rate, or a (K, 1) column of rates, one per
+    run of a stack."""
+
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
@@ -87,7 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        rates = np.asarray(self.learning_rate, dtype=np.float64)
+        if not (np.isfinite(rates).all() and (rates > 0).all()):
             raise ValueError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
@@ -158,20 +171,20 @@ def cross_entropy_batch(scores: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy and its gradient w.r.t. the scores.
 
     Stabilized by max subtraction; the gradient rows are
-    (softmax - onehot) / batch and sum to zero.
+    (softmax - onehot) / batch and sum to zero.  Scores (..., B, C) of a
+    stack of runs on one batch give one mean loss per run.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    batch, num_classes = scores.shape
+    batch, num_classes = scores.shape[-2:]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
         raise ValueError("label out of range")
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(batch), labels]
-    loss = float(np.mean(log_norm - picked))
-    grad = np.exp(shifted - log_norm[:, None])
-    grad[np.arange(batch), labels] -= 1.0
-    return loss, grad / batch
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    loss = (log_norm - shifted[..., np.arange(batch), labels]).sum(axis=-1) / batch
+    grad = np.exp(shifted - log_norm[..., None])
+    grad -= labels[:, None] == np.arange(num_classes)  # x - 0.0 is x: only labels change
+    return (float(loss) if loss.ndim == 0 else loss), grad / batch
 
 
 def cross_entropy(scores: np.ndarray, label: int):
@@ -203,7 +216,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: Trai
     """One bias-corrected moment update of a parameter vector, in place.
 
     The update is elementwise, so a whole network (``ScoreNetwork.vector``
-    and a gradient vector of the same layout) takes one vector update."""
+    and a gradient vector of the same layout) takes one vector update, and
+    a (K, P) stack of vectors with a (K, 1) column ``cfg.learning_rate``
+    updates each row at its own rate."""
     grads = np.asarray(grads)
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match parameter "
@@ -236,21 +251,23 @@ class EpochStats:
 
 
 def predict(net: ScoreNetwork, inputs: np.ndarray) -> np.ndarray:
-    """Argmax class per sample; ties resolve to the lowest class index."""
+    """Argmax class per sample, (N,), or (K, N) for a stack of K runs;
+    ties resolve to the lowest class index."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    out = np.empty(inputs.shape[0], dtype=np.int64)
+    out = np.empty((*net.vector.shape[:-1], inputs.shape[0]), dtype=np.int64)
     for start in range(0, inputs.shape[0], PREDICT_CHUNK):
         stop = start + PREDICT_CHUNK
-        out[start:stop] = np.argmax(net.scores_batch(inputs[start:stop]), axis=1)
+        out[..., start:stop] = np.argmax(net.scores_batch(inputs[start:stop]), axis=-1)
     return out
 
 
-def accuracy(net: ScoreNetwork, data: Dataset) -> float:
-    return float(np.mean(predict(net, data.inputs) == data.labels))
+def accuracy(net: ScoreNetwork, data: Dataset):
+    """Share of samples predicted right: a float, or one per run of a stack."""
+    hits = np.mean(predict(net, data.inputs) == data.labels, axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
-def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray,
-                      state: AdamState | None = None) -> list[int]:
+def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray, state: AdamState | None = None):
     """Revive every ReLU feature unit that fires on no input (in place).
 
     A unit is dead when its pre-activation is <= 0 at every patch of every
@@ -261,28 +278,32 @@ def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray,
     ``net.vector``), resets the moments of those slices and of ``A[i]``
     and ``b[i]``.  Because the slices are zero, the
     network computes exactly the same scores as before, on any input.
-    Returns the revived unit indices; other activations never die.
+    Returns the revived unit indices, or one list of them per run of a
+    stack, each run revived on its own; other activations never die.
     """
     fm = net.feature_map
-    if fm.activation != "relu":
-        return []
-    proj = np.asarray(inputs, dtype=np.float64) @ fm.A.T  # (N, d, m)
-    dead = np.flatnonzero(np.all(proj + fm.b <= 0.0, axis=(0, 1)))
-    if dead.size == 0:
-        return []
-    fm.b[dead] = -np.median(proj[:, :, dead], axis=(0, 1))
+    dead = np.zeros(fm.b.shape, dtype=bool)
+    if fm.activation == "relu":
+        proj = fm.project(inputs)  # (..., N, d, m)
+        dead = np.all(proj + fm.b[..., None, None, :] <= 0.0, axis=(-3, -2))
+    if dead.any():
+        fm.b[dead] = -np.median(proj.swapaxes(-1, -3)[dead], axis=(-2, -1))
+        lead = dead.shape[:-1]
 
-    def zero_dead(arrays, axes):
-        for a, axis in zip(arrays, axes):
-            if axis is not None:
-                np.moveaxis(a, axis, 0)[dead] = 0.0
+        def zero_dead(arrays, axes):
+            for a, axis in zip(arrays, axes):
+                if axis is not None:
+                    units = (1,) * (a.ndim - len(lead) - 1)
+                    np.copyto(a.swapaxes(axis, -1), 0.0,
+                              where=dead.reshape(*lead, *units, -1))
 
-    axes = net.weights.feature_axes()
-    zero_dead(net.weights.parameters(), axes)
-    if state is not None:
-        zero_dead(net.views(state.m), axes + [0, 0])
-        zero_dead(net.views(state.v), axes + [0, 0])
-    return [int(i) for i in dead]
+        axes = net.weights.feature_axes()
+        zero_dead(net.weights.parameters(), axes)
+        if state is not None:
+            zero_dead(net.views(state.m), axes + [-2, -1])
+            zero_dead(net.views(state.v), axes + [-2, -1])
+    revived = [np.flatnonzero(row).tolist() for row in dead.reshape(-1, dead.shape[-1])]
+    return revived[0] if dead.ndim == 1 else revived
 
 
 def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats]:
@@ -296,26 +317,85 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
     run ends at the first batch whose loss is NaN or infinite, which takes
     no step; the history then ends with that epoch's non-finite loss.
     """
-    state = AdamState.for_params(net.vector)
+    return train_runs([net], data, cfg, [cfg.learning_rate])[0]
+
+
+class _Stack:
+    """The runs still taking steps, as one stacked network: row i of
+    ``net`` trains ``nets[runs[i]]``, with the moments in row i of
+    ``state`` and the learning rate in row i of ``cfg.learning_rate``."""
+
+    def __init__(self, nets: list[ScoreNetwork], cfg: TrainConfig, rates):
+        self.nets, self.runs = nets, list(range(len(nets)))
+        self.net = stack_networks(nets)
+        self.state = AdamState.for_params(self.net.vector)
+        self.cfg = replace(cfg, learning_rate=np.array(rates, dtype=np.float64)[:, None])
+
+    def unstack(self) -> None:
+        """Write every row back into its run's network."""
+        for run, row in zip(self.runs, self.net.vector):
+            self.nets[run].vector[:] = row
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Unstack, then keep only the rows where the mask ``rows`` holds."""
+        self.unstack()
+        self.runs = [run for run, kept in zip(self.runs, rows) if kept]
+        if self.runs:
+            self.net = stack_networks([self.nets[run] for run in self.runs])
+        self.state = AdamState(self.state.m[rows], self.state.v[rows], self.state.step)
+        self.cfg = replace(self.cfg, learning_rate=self.cfg.learning_rate[rows])
+
+
+def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
+               rates) -> list[list[EpochStats]]:
+    """:func:`train` of ``nets[k]`` at learning rate ``rates[k]``, for
+    every k at once as one stack on the same batches; one history per run.
+
+    Each run's history and final parameters are bit for bit those of
+    ``train(nets[k], data, replace(cfg, learning_rate=rates[k]))``.  A run
+    whose batch loss is not finite takes no further step and leaves the
+    stack; it still gets that epoch's revival and accuracy, on its own
+    network.  Each network ends holding its run's parameters."""
+    histories: list[list[EpochStats]] = [[] for _ in nets]
+    live = _Stack(nets, cfg, rates)
     rng = np.random.default_rng(cfg.seed)
-    history: list[EpochStats] = []
+    starts = range(0, len(data), cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(data))
-        batch_losses = []
-        for start in range(0, len(data), cfg.batch_size):
+        losses = np.empty((len(live.runs), len(starts)))  # row i: run live.runs[i]
+        stopped = {}  # run -> its batch losses, up to its first non-finite one
+        for j, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
-            scores, fp = net.forward(data.inputs[idx])
+            scores, fp = live.net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
-            batch_losses.append(loss)
-            if not math.isfinite(loss):
-                break
-            adam_step(net.vector, net.backward(fp, dscores).vector, state, cfg)
-        revive_dead_units(net, data.inputs, state)
-        history.append(EpochStats(epoch + 1, float(np.mean(batch_losses)),
-                                  accuracy(net, data)))
-        if not math.isfinite(history[-1].loss):
+            losses[:, j] = loss
+            finite = np.isfinite(loss)
+            if not finite.all():
+                stopped.update((live.runs[i], losses[i, : j + 1])
+                               for i in np.flatnonzero(~finite))
+                live.keep(finite)
+                losses = losses[finite]
+                if not live.runs:
+                    break
+                scores, fp = live.net.forward(data.inputs[idx])
+                dscores = cross_entropy_batch(scores, data.labels[idx])[1]
+            adam_step(live.net.vector, live.net.backward(fp, dscores).vector, live.state,
+                      live.cfg)
+        if live.runs:
+            revive_dead_units(live.net, data.inputs, live.state)
+            for run, row, hits in zip(live.runs, losses, accuracy(live.net, data)):
+                histories[run].append(EpochStats(epoch + 1, float(np.mean(row)), float(hits)))
+        for run, row in stopped.items():
+            revive_dead_units(nets[run], data.inputs)
+            histories[run].append(EpochStats(epoch + 1, float(np.mean(row)),
+                                             accuracy(nets[run], data)))
+        finite = [math.isfinite(histories[run][-1].loss) for run in live.runs]
+        if not all(finite):
+            live.keep(np.array(finite))
+        if not live.runs:
             break
-    return history
+    live.unstack()
+    return histories
 
 
 @dataclass
@@ -333,18 +413,21 @@ def train_lr_sweep(build_net, data: Dataset, cfg: TrainConfig,
 
     ``build_net(seed)`` must return a fresh network deterministically from
     the given seed; run k is built from a seed derived from (cfg.seed, k),
-    so the whole sweep is reproducible.  Ties resolve to the earlier rate
-    in the list.  A run whose final loss is NaN or infinite has diverged
-    and is never kept; if every run diverges, ValueError names the rates.
+    so the whole sweep is reproducible.  The runs train as one stack, and
+    each run's network and history are bit for bit those of
+    ``train(net_k, data, replace(cfg, learning_rate=lr_k))``.  Ties
+    resolve to the earlier rate in the list.  A run whose final loss is
+    NaN or infinite has diverged and is never kept; if every run
+    diverges, ValueError names the rates.
     """
     if not learning_rates:
         raise ValueError("learning_rates must be non-empty")
+    nets = [build_net(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+            for k in range(len(learning_rates))]
     best = None
     finals = {}
-    for k, lr in enumerate(learning_rates):
-        run_seed = np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]
-        net = build_net(int(run_seed))
-        history = train(net, data, replace(cfg, learning_rate=lr))
+    for lr, net, history in zip(learning_rates, nets,
+                                train_runs(nets, data, cfg, learning_rates)):
         final = history[-1].loss if history else math.inf
         finals[lr] = final
         if history and not math.isfinite(final):

@@ -391,3 +391,40 @@ class TestOutputLeg:
             assert axis is None or p.shape[axis] in t.shape
         params[0][:] = 0.0  # in-place updates reach the tensor
         assert not to_dense(t).any()
+
+
+class TestLeadingAxes:
+    """Containers check the trailing axes of their arrays; leading axes,
+    shared by every array, make a stack of tensors of one shape."""
+
+    @pytest.mark.parametrize("make", [
+        lambda s: tt_random((2, 3, 2), (2, 3), seed=s),
+        lambda s: cp_random((2, 3, 2), 3, seed=s),
+        lambda s: ht_random((2, 3, 2, 3), [1, 2, 3, 4, 5, 6], seed=s),
+    ])
+    def test_stack_reads_like_each_tensor(self, make):
+        tensors = [make(s) for s in range(3)]
+        stacked = type(tensors[0])([np.stack(a) for a in zip(*(t.parameters() for t in tensors))])
+        one = tensors[0]
+        assert one.lead == () and stacked.lead == (3,)
+        assert (stacked.ndim, stacked.shape, stacked.num_classes) == \
+            (one.ndim, one.shape, one.num_classes)
+        assert stacked.feature_axes() == one.feature_axes()
+        for k, t in enumerate(tensors):
+            for a, b in zip(stacked.class_tensor(0).parameters(), t.class_tensor(0).parameters()):
+                np.testing.assert_array_equal(a[k], b)
+
+    def test_one_factor_stack_carries_its_leg(self):
+        single = CPTensor([np.ones((4, 3, 2))])
+        assert single.lead == () and (single.rank, single.num_classes) == (3, 2)
+        stacked = CPTensor([np.ones((5, 4, 3, 2))])
+        assert stacked.lead == (5,) and stacked.shape == (4,)
+
+    @pytest.mark.parametrize("arrays, cls", [
+        ([np.ones((2, 1, 2, 3)), np.ones((3, 3, 2, 1))], TTTensor),
+        ([np.ones((2, 2, 3)), np.ones((3, 2, 3))], CPTensor),
+        ([np.ones((2, 2, 1)), np.ones((2, 2, 1)), np.ones((3, 1, 1, 1))], HTTensor),
+    ])
+    def test_mismatched_leading_axes_rejected(self, arrays, cls):
+        with pytest.raises(ValueError, match="leading axes"):
+            cls(arrays)

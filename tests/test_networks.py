@@ -9,6 +9,7 @@ from ttnets.decompositions import (
     TTTensor,
     cp_to_dense,
     ht_to_dense,
+    states,
     tt_svd,
     tt_to_dense,
 )
@@ -27,6 +28,7 @@ from ttnets.networks import (
     make_score_network,
     network_gradients,
     network_gradients_batch,
+    stack_networks,
     tt_backward,
     tt_scores_from_features,
 )
@@ -446,3 +448,67 @@ class TestParameterCount:
         core_params, total = count_parameters(net)
         assert core_params == 1 * 4 * 1 + 1 * 4 * 2 == 12
         assert total == 12 + 4 + 4
+
+
+class TestStackedContractions:
+    """A stack of K=3 independently drawn networks, contracted at once,
+    gives bit for bit each network's own results."""
+
+    @staticmethod
+    def run_state(kind, index, state, k):
+        # the separable sum keeps its dots and their products mode first
+        return state[:, k] if kind == "cp" and index < 2 else state[k]
+
+    @pytest.mark.parametrize("kind, d, n, rank", [
+        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16),
+        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8),
+    ])
+    def test_states_and_backward_match_each_network(self, kind, d, n, rank):
+        nets = [make_score_network(kind, d, n, 4, rank, 10, seed=s) for s in (11, 12, 13)]
+        rng = np.random.default_rng(14)
+        batch = rng.normal(size=(32, d, n))
+        upstream = rng.normal(size=(3, 32, 10))
+        phi = np.stack([apply_feature_map(net.feature_map, batch) for net in nets])
+        weights = stack_networks(nets).weights
+        assert weights.lead == (3,)
+        backward = {"tt": tt_backward, "cp": cp_backward, "ht": ht_backward}[kind]
+        got_states = states(weights, phi)
+        got_grads, got_dphi = backward(weights, phi, upstream, got_states,
+                                       [np.empty_like(p) for p in weights.parameters()])
+        for k, net in enumerate(nets):
+            want_states = states(net.weights, phi[k])
+            assert len(got_states) == len(want_states)
+            for index, (got, want) in enumerate(zip(got_states, want_states)):
+                np.testing.assert_array_equal(self.run_state(kind, index, got, k), want)
+            want_grads, want_dphi = backward(
+                net.weights, phi[k], upstream[k], want_states,
+                [np.empty_like(p) for p in net.weights.parameters()])
+            for got, want in zip([*got_grads, got_dphi], [*want_grads, want_dphi]):
+                np.testing.assert_array_equal(got[k], want)
+
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_stacked_network_matches_each_network(self, kind):
+        nets = []
+        for seed in (1, 2, 3):
+            net = make_score_network(kind, 4, 3, 3, 2, 2, seed=seed, activation="sigmoid")
+            nets.append(ScoreNetwork(net.feature_map, net.weights, input_order=(2, 0, 3, 1)))
+        stack = stack_networks(nets)
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(5, 4, 3))
+        upstream = rng.normal(size=(3, 5, 2))
+        scores, fp = stack.forward(batch)
+        grads = stack.backward(fp, upstream)
+        assert stack.vector.shape == (3, nets[0].vector.size)
+        for k, net in enumerate(nets):
+            np.testing.assert_array_equal(stack.vector[k], net.vector)
+            want, want_fp = net.forward(batch)
+            np.testing.assert_array_equal(scores[k], want)
+            want_grads = net.backward(want_fp, upstream[k])
+            np.testing.assert_array_equal(grads.vector[k], want_grads.vector)
+
+    def test_mismatched_networks_rejected(self):
+        with pytest.raises(ValueError, match="share"):
+            stack_networks([make_score_network("tt", 2, 1, 4, 3, 2, seed=0),
+                            make_score_network("tt", 2, 1, 4, 2, 2, seed=0)])
+        with pytest.raises(ValueError, match="at least one"):
+            stack_networks([])

@@ -199,3 +199,28 @@ def test_round_robin_schedule_cached_and_read_only():
         with pytest.raises(ValueError):
             ps[0] = 1
         assert not qs.flags.writeable
+
+
+class TestExtremeScales:
+    """Each matrix is scaled by a power of two before the sweeps, so
+    squared norms neither under- nor overflow, and the scaling is exact."""
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-150, 1e-160, 1e-170, 1e160])
+    def test_rank_matches_lapack(self, scale):
+        a = np.random.default_rng(0).standard_normal((5, 5)) * scale
+        assert numerical_rank(a) == np.linalg.matrix_rank(a) == 5
+        ref = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(singular_values(a), ref, rtol=1e-12)
+        u, s, vt = jacobi_svd(a)
+        assert np.abs((u * s) @ vt - a).max() <= 1e-12 * np.abs(a).max()
+
+    @pytest.mark.parametrize("power", [-600, -9, 0, 7, 600])
+    def test_power_of_two_scaling_is_exact(self, power):
+        a = np.random.default_rng(1).standard_normal((3, 9, 6))
+        scaled = np.ldexp(a, power)
+        np.testing.assert_array_equal(singular_values(scaled), np.ldexp(singular_values(a), power))
+        u, s, vt = jacobi_svd(a[0])
+        u2, s2, vt2 = jacobi_svd(scaled[0])
+        np.testing.assert_array_equal(s2, np.ldexp(s, power))
+        np.testing.assert_array_equal(u2, u)
+        np.testing.assert_array_equal(vt2, vt)

@@ -1,11 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ttnets.networks import make_score_network, network_gradients
+from ttnets.mnist import synthetic_digits
+from ttnets.networks import (
+    PatchConfig,
+    initialize_for_training,
+    make_score_network,
+    network_gradients,
+    stack_networks,
+)
 from ttnets.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DEFAULT_LR_SWEEP,
     AdamState,
     Dataset,
     TrainConfig,
@@ -18,8 +28,10 @@ from ttnets.training import (
     make_moons,
     predict,
     revive_dead_units,
+    sequence_dataset,
     train,
     train_lr_sweep,
+    train_runs,
     write_grid_csv,
     write_history_csv,
 )
@@ -459,3 +471,88 @@ class TestDataset:
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)
         acc = accuracy(net, data)
         assert 0.0 <= acc <= 1.0
+
+
+class TestStackedRuns:
+    """The runs of a stack do not couple: each run of a sweep is bit for
+    bit the run trained alone."""
+
+    @staticmethod
+    def case(name):
+        if name != "digits":
+            def toy(seed):
+                return make_score_network(name, 2, 1, 4, 8, 2, seed=seed)
+
+            return make_moons(100, 0.1, seed=3), toy
+        images, labels = synthetic_digits(64, seed=3)
+        data = sequence_dataset(images, labels, PatchConfig(28, 28, 8, 8, 5), 10)
+
+        def digit(seed):
+            net = make_score_network("tt", 25, 64, 4, 4, 10, seed=seed)
+            return initialize_for_training(net, data.inputs, seed=seed)
+
+        return data, digit
+
+    @staticmethod
+    def solo(build, data, cfg, k, lr):
+        net = build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+        with np.errstate(all="ignore"):
+            history = train(net, data, replace(cfg, learning_rate=lr))
+        return net, history
+
+    @staticmethod
+    def rows(history):
+        return [(e.epoch, e.loss, e.accuracy) for e in history]
+
+    @pytest.mark.parametrize("name", ["tt", "cp", "ht", "digits"])
+    def test_sweep_runs_match_solo_runs(self, name):
+        data, build = self.case(name)
+        cfg = TrainConfig(epochs=3, seed=7)
+        out = train_lr_sweep(build, data, cfg)
+        assert list(out.final_losses) == list(DEFAULT_LR_SWEEP)
+        for k, lr in enumerate(DEFAULT_LR_SWEEP):
+            net, history = self.solo(build, data, cfg, k, lr)
+            assert out.final_losses[lr] == history[-1].loss
+            if lr == out.best_lr:
+                np.testing.assert_array_equal(out.net.vector, net.vector)
+                assert self.rows(out.history) == self.rows(history)
+
+    @pytest.mark.parametrize("name", ["tt", "cp", "ht", "digits"])
+    def test_diverging_run_leaves_its_neighbour_alone(self, name):
+        data, build = self.case(name)
+        cfg = TrainConfig(epochs=4, seed=7)
+        rates = (1e150, 1e-3)
+        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+                for k in range(2)]
+        with np.errstate(all="ignore"):
+            histories = train_runs(nets, data, cfg, rates)
+        wild, wild_history = self.solo(build, data, cfg, 0, rates[0])
+        tame, tame_history = self.solo(build, data, cfg, 1, rates[1])
+        if name != "digits":
+            # at the digit shape the first step kills every ReLU unit, so
+            # the run ends at chance instead of diverging
+            assert len(wild_history) < cfg.epochs
+            assert not np.isfinite(wild_history[-1].loss)
+        np.testing.assert_array_equal(self.rows(histories[0]), self.rows(wild_history),
+                                      strict=True)
+        np.testing.assert_array_equal(nets[0].vector, wild.vector)
+        np.testing.assert_array_equal(nets[1].vector, tame.vector)
+        assert self.rows(histories[1]) == self.rows(tame_history)
+
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    def test_stacked_revival_matches_each_run(self, kind):
+        data = make_moons(40, 0.1, seed=0)
+        nets = [make_score_network(kind, 2, 1, 4, 3, 2, seed=s) for s in (1, 2, 3)]
+        TestDeadUnitRevival.kill_unit(nets[0], data, 2)
+        TestDeadUnitRevival.kill_unit(nets[2], data, 0)
+        TestDeadUnitRevival.kill_unit(nets[2], data, 3)
+        stack = stack_networks(nets)
+        state = AdamState(np.ones_like(stack.vector), np.ones_like(stack.vector))
+        revived = revive_dead_units(stack, data.inputs, state)
+        for k, net in enumerate(nets):
+            alone = AdamState(np.ones_like(net.vector), np.ones_like(net.vector))
+            assert revived[k] == revive_dead_units(net, data.inputs, alone)
+            np.testing.assert_array_equal(stack.vector[k], net.vector)
+            np.testing.assert_array_equal(state.m[k], alone.m)
+            np.testing.assert_array_equal(state.v[k], alone.v)
+        assert 2 in revived[0] and {0, 3} <= set(revived[2])
