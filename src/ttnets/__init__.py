@@ -34,7 +34,7 @@ from .rank_analysis import (
     verify_theorem1,
 )
 from .svd import jacobi_svd, numerical_rank, singular_values
-from .tensor import AxisSplit, dematricize, inner_product, matricize, odd_even_split
+from .tensor import inner_product, matricize, odd_even_split
 from .training import (
     Dataset,
     TrainConfig,

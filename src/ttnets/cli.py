@@ -38,7 +38,7 @@ from .rank_analysis import (
     write_report_csv,
 )
 from .svd import DEFAULT_REL_TOL
-from .tensor import AxisSplit, odd_even_split
+from .tensor import odd_even_split
 from .training import (
     DEFAULT_LR_SWEEP,
     TrainConfig,
@@ -64,8 +64,8 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).replace(",", " ").split()]
 
 
-# Option tables: (flag, default, type caster, help).  Defaults double as
-# the schema for config-file validation.
+# Option tables: (flag, default, type caster, help).  Defaults and casters
+# double as the schema for config-file validation.
 _COMMON = [
     ("seed", 0, int, "master random seed"),
     ("out_dir", ".", str, "directory for output artifacts"),
@@ -160,20 +160,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON types a config value may take, by the caster of its option
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), None: (list,)}
+
+
+def _fits(val, default, caster) -> bool:
+    """Whether a config-file value has its option's type; null only
+    stands for an option whose default is None."""
+    if val is None:
+        return default is None
+    if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[caster]):
+        return False
+    return caster is not None or all(isinstance(v, str) for v in val)
+
+
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Layer defaults, config-file values and explicit flags."""
-    table = _OPTIONS[args.command]
-    values = {flag: default for flag, default, _c, _h in table}
+    table = {flag: (default, caster) for flag, default, caster, _h in _OPTIONS[args.command]}
+    values = {flag: default for flag, (default, _c) in table.items()}
     if args.config is not None:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a flat JSON object")
-        known = set(values)
         for key, val in loaded.items():
             norm = key.replace("-", "_")
-            if norm not in known:
+            if norm not in values:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
+            default, caster = table[norm]
+            if not _fits(val, default, caster):
+                expected = caster.__name__ if caster else "a list of strings"
+                raise ValueError(f"{args.config}: config key {key!r} must be {expected}, "
+                                 f"got {json.dumps(val)}")
             values[norm] = val
     for key, val in vars(args).items():
         if key not in ("command", "config"):
@@ -222,9 +240,9 @@ def cmd_rank(args) -> int:
     x = tensor_io.load_dense(args.tensor_file)
     d = x.ndim
     if args.split:
-        splits = [AxisSplit.from_row_axes(d, _int_list(s)) for s in args.split]
+        splits = [_int_list(s) for s in args.split]
     else:
-        splits = [AxisSplit.from_row_axes(d, range(1, k + 1)) for k in range(1, d)]
+        splits = [range(1, k + 1) for k in range(1, d)]
         if d % 2 == 0:
             splits.append(odd_even_split(d))
     bound = cp_rank_lower_bound(x, splits, rel_tol=args.rel_tol)
@@ -324,6 +342,8 @@ def cmd_sweep(args) -> int:
     ranks = _int_list(args.ranks)
     if not ranks:
         raise ValueError("sweep needs at least one rank in --ranks")
+    if min(ranks) < 1:
+        raise ValueError(f"--ranks must all be at least 1, got {min(ranks)}")
     data = _load_dataset(args)
     rows = []  # written only once every rank has trained
     for rank in ranks:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .svd import DEFAULT_REL_TOL, jacobi_svd, numerical_rank
-from .tensor import AxisSplit, as_dense, matricize
+from .tensor import as_dense, matricize
 
 __all__ = [
     "CPTensor",
@@ -583,12 +583,10 @@ def ranks_from_dense(x, which: str = "tt", rel_tol: float = DEFAULT_REL_TOL) -> 
     x = as_dense(x)
     d = x.ndim
     if which == "tt":
-        splits = [tuple(range(1, k + 1)) for k in range(1, d)]
+        splits = [range(1, k + 1) for k in range(1, d)]
     elif which == "ht":
         splits = ht_node_leaf_sets(d)
     else:
         raise ValueError(f"unknown rank family {which!r}; expected 'tt' or 'ht'")
-    return np.array(
-        [numerical_rank(matricize(x, AxisSplit.from_row_axes(d, s)), rel_tol) for s in splits],
-        dtype=np.int64,
-    )
+    return np.array([numerical_rank(matricize(x, s), rel_tol) for s in splits],
+                    dtype=np.int64)

@@ -177,6 +177,9 @@ def _sample_ranks(report: RankReport, num_samples: int, first: int, draw,
     num_samples = int(num_samples)
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
+    if report.n < 1 or report.r < 1:
+        raise ValueError(f"mode size n and rank r must be at least 1, "
+                         f"got n={report.n} r={report.r}")
     # equal chunks, as few as the budget allows
     chunks = -(-num_samples // max(1, _STACK_BYTES // (8 * report.n ** report.d)))
     chunk = -(-num_samples // chunks)

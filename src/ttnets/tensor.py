@@ -8,9 +8,10 @@ Conventions used across the package:
 * Axes are labelled 1-based in user-facing arguments (``s = {1, 3}``
   selects the first and third mode), matching the usual mathematical
   notation for matricizations.
-* The matricization of ``x`` w.r.t. a split ``(s, t)`` places the modes
-  listed in ``s`` on the rows and the complement ``t`` on the columns.
-  Within each group the last listed axis runs fastest, so the row index
+* A split (a matricization) is named by its row axes ``s`` alone: the
+  matricization of ``x`` places the modes in ``s`` on the rows and the
+  complement ``t`` on the columns.  Within each group the axes are taken
+  in ascending order and the last one runs fastest, so the row index
   of ``(i_{s_1}, ..., i_{s_p})`` is ``sum_k i_{s_k} * prod_{l>k} n_{s_l}``
   (zero-based), and analogously for columns.
 """
@@ -18,14 +19,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AxisSplit",
     "as_dense",
-    "dematricize",
     "inner_product",
     "matricize",
     "odd_even_split",
@@ -42,104 +40,37 @@ def as_dense(x, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class AxisSplit:
-    """Partition of the axes ``{1..d}`` into row group ``s`` and column group ``t``.
-
-    Both groups are sorted, non-empty and disjoint; together they cover
-    every axis exactly once.
-    """
-
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.s or not self.t:
-            raise ValueError("both axis groups of a split must be non-empty")
-        seen = set()
-        d = len(self.s) + len(self.t)
-        for axis in (*self.s, *self.t):
-            if not 1 <= axis <= d:
-                raise ValueError(f"axis {axis} outside the valid range 1..{d}")
-            if axis in seen:
-                raise ValueError(f"axis {axis} listed twice in split")
-            seen.add(axis)
-        if tuple(sorted(self.s)) != self.s or tuple(sorted(self.t)) != self.t:
-            raise ValueError("axis groups must be sorted ascending")
-
-    @classmethod
-    def from_row_axes(cls, ndim: int, s) -> "AxisSplit":
-        """Build a split from the row axes only; ``t`` is the complement."""
-        s = tuple(sorted(int(a) for a in s))
-        for axis in s:
-            if not 1 <= axis <= ndim:
-                raise ValueError(f"axis {axis} outside the valid range 1..{ndim}")
-        t = tuple(a for a in range(1, ndim + 1) if a not in set(s))
-        return cls(s, t)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.s) + len(self.t)
-
-
-def odd_even_split(d: int) -> AxisSplit:
-    """The split with rows ``{1, 3, ..., d-1}`` and columns ``{2, 4, ..., d}``."""
+def odd_even_split(d: int) -> tuple[int, ...]:
+    """The row axes ``(1, 3, ..., d-1)`` of the paired-mode matricization."""
     if d < 2 or d % 2:
         raise ValueError(f"odd/even split needs an even number of axes >= 2, got {d}")
-    return AxisSplit(tuple(range(1, d, 2)), tuple(range(2, d + 1, 2)))
+    return tuple(range(1, d, 2))
 
 
-def _resolve_split(x: np.ndarray, split) -> AxisSplit:
-    if isinstance(split, AxisSplit):
-        if split.ndim != x.ndim:
-            raise ValueError(
-                f"split covers {split.ndim} axes but tensor has {x.ndim}"
-            )
-        return split
-    return AxisSplit.from_row_axes(x.ndim, split)
+def matricize(x, rows) -> np.ndarray:
+    """Reshape a tensor into its matricization with the given row axes.
 
-
-def matricize(x, split) -> np.ndarray:
-    """Reshape a tensor into the matrix defined by an axis split.
-
-    ``split`` is an :class:`AxisSplit` or a sequence of 1-based row axes.
-    The result has ``prod_{k in s} n_k`` rows and ``prod_{k in t} n_k``
-    columns, indexed as described in the module docstring.
+    ``rows`` lists 1-based axes in any order, each at most once; the
+    remaining axes are the columns, and each group keeps at least one
+    axis.  The result has ``prod_{k in s} n_k`` rows and ``prod_{k in t}
+    n_k`` columns, indexed as described in the module docstring.
     """
     x = as_dense(x)
-    sp = _resolve_split(x, split)
-    perm = [a - 1 for a in sp.s] + [a - 1 for a in sp.t]
-    rows = math.prod(x.shape[a - 1] for a in sp.s)
-    cols = math.prod(x.shape[a - 1] for a in sp.t)
-    return np.ascontiguousarray(np.transpose(x, perm).reshape(rows, cols))
-
-
-def dematricize(m, shape, split) -> np.ndarray:
-    """Inverse of :func:`matricize`: fold a matrix back into tensor shape.
-
-    Exact inverse as a pure relayout: ``matricize(dematricize(m)) == m``
-    bit for bit.
-    """
-    m = as_dense(m, "matrix")
-    if m.ndim != 2:
-        raise ValueError("dematricize expects a 2-D array")
-    shape = tuple(int(n) for n in shape)
-    if any(n < 1 for n in shape):
-        raise ValueError(f"invalid tensor shape {shape}")
-    sp = split if isinstance(split, AxisSplit) else AxisSplit.from_row_axes(len(shape), split)
-    if sp.ndim != len(shape):
-        raise ValueError(f"split covers {sp.ndim} axes but shape has {len(shape)}")
-    rows = math.prod(shape[a - 1] for a in sp.s)
-    cols = math.prod(shape[a - 1] for a in sp.t)
-    if m.shape != (rows, cols):
-        raise ValueError(
-            f"matrix shape {m.shape} inconsistent with tensor shape {shape} "
-            f"and split (expected {(rows, cols)})"
-        )
-    perm = [a - 1 for a in sp.s] + [a - 1 for a in sp.t]
-    inverse = np.argsort(perm)
-    grouped = m.reshape([shape[a] for a in perm])
-    return np.ascontiguousarray(np.transpose(grouped, inverse))
+    d = x.ndim
+    s = sorted(int(a) for a in rows)
+    for k, axis in enumerate(s):
+        if not 1 <= axis <= d:
+            raise ValueError(f"axis {axis} outside the valid range 1..{d}")
+        if k and axis == s[k - 1]:
+            raise ValueError(f"axis {axis} listed twice in split")
+    if not 0 < len(s) < d:
+        raise ValueError(f"a split needs at least one row axis and one column axis, "
+                         f"got rows {tuple(s)} of axes 1..{d}")
+    t = [a for a in range(1, d + 1) if a not in s]
+    perm = [a - 1 for a in s + t]
+    nrows = math.prod(x.shape[a - 1] for a in s)
+    ncols = math.prod(x.shape[a - 1] for a in t)
+    return np.ascontiguousarray(np.transpose(x, perm).reshape(nrows, ncols))
 
 
 def inner_product(x, y) -> float:

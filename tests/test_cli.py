@@ -63,6 +63,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "PASS" not in out and "error" in err
 
+    @pytest.mark.parametrize("kind,flags,value", [
+        ("theorem1", ["--n", "0"], "n=0"),
+        ("hypothesis1", ["--n-range", "0", "--r-range", "2"], "n=0"),
+        ("hypothesis1", ["--r-range", "0"], "r=0"),
+        ("hypothesis1", ["--r-range", "-1"], "r=-1"),
+        ("ht-bounds", ["--d", "4", "--n", "0"], "n=0"),
+    ])
+    def test_mode_size_or_rank_below_one_is_usage_error(self, tmp_path, capsys, kind,
+                                                        flags, value):
+        code, out, err = run(capsys, "verify", kind, *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and value in err
+
     def test_csv_bit_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out_dir in (a, b):
@@ -88,6 +101,20 @@ class TestRankCommand:
         code, out, _ = run(capsys, "rank", str(path))
         assert code == 0
         assert out.strip() == "cp-rank lower bound: 27"
+
+    @pytest.mark.parametrize("split,message", [
+        ("9", "axis 9 outside the valid range 1..8"),
+        ("0,2", "axis 0 outside the valid range 1..8"),
+        ("2,4,2", "axis 2 listed twice"),
+        ("1,2,3,4,5,6,7,8", "at least one row axis and one column axis"),
+        ("", "at least one row axis and one column axis"),
+    ])
+    def test_bad_split_is_usage_error(self, tmp_path, capsys, split, message):
+        path = tmp_path / "x.txt"
+        tensor_io.save_dense(path, np.ones((2,) * 8))
+        code, out, err = run(capsys, "rank", str(path), "--split", "1,3", "--split", split)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and message in err
 
     def test_runtime_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def diverge(args):
@@ -309,6 +336,13 @@ class TestSweepCommand:
             assert "--ranks" in err
             assert not (tmp_path / "sweep.csv").exists()
 
+    def test_rank_below_one_rejected_before_training(self, tmp_path, capsys):
+        code, out, err = run(capsys, "sweep", "--dataset", "moons", "--ranks", "8,0",
+                             "--out-dir", str(tmp_path))
+        assert code == 2
+        assert out == "" and "--ranks" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestPatchesCommand:
     def test_patch_matrix_csv(self, tmp_path, capsys):
@@ -353,6 +387,42 @@ class TestConfigFile:
         code, out, _ = run(capsys, "verify", "theorem1", "--config", str(cfg))
         assert code == 0
         assert (tmp_path / "theorem1_report.csv").exists()
+
+    @pytest.mark.parametrize("command,config", [
+        ("train", {"epochs": "3"}),
+        ("train", {"epochs": 2.5}),
+        ("train", {"epochs": True}),
+        ("train", {"seed": "7"}),
+        ("train", {"noise": "0.1"}),
+        ("train", {"network": 1}),
+        ("train", {"epochs": None}),
+        ("rank", {"split": "1,3"}),
+        ("rank", {"split": [[1, 3]]}),
+    ], ids=["int-as-string", "int-as-float", "int-as-bool", "seed-as-string",
+            "float-as-string", "str-as-int", "null-without-none-default",
+            "split-as-string", "split-as-nested-list"])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        positional = [str(tmp_path / "x.txt")] if command == "rank" else []
+        code, out, err = run(capsys, command, *positional, "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert out == "" and f"config key {next(iter(config))!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_values_of_the_option_types_accepted(self, tmp_path, capsys):
+        path = tmp_path / "delta.txt"
+        tensor_io.save_dense(path, tt_to_dense(tt_delta_example(4, 2, 2)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": ["1,3"], "rel_tol": 1e-10, "seed": 3}))
+        code, out, _ = run(capsys, "rank", str(path), "--config", str(cfg))
+        assert code == 0 and out.strip() == "cp-rank lower bound: 4"
+        cfg.write_text(json.dumps({"dataset": "moons", "points": 40, "epochs": 1,
+                                   "lr": 0.001, "noise": 0, "limit": None,
+                                   "out_dir": str(tmp_path)}))
+        code, out, _ = run(capsys, "train", "--config", str(cfg))
+        assert code == 0 and out.startswith("final epoch 1:")
 
 
 class TestUsageErrors:

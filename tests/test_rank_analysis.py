@@ -20,7 +20,7 @@ from ttnets.rank_analysis import (
     verify_theorem1,
     write_report_csv,
 )
-from ttnets.tensor import AxisSplit, odd_even_split
+from ttnets.tensor import odd_even_split
 
 
 class TestLowerBound:
@@ -30,7 +30,7 @@ class TestLowerBound:
 
     def test_rank_one_tensor(self):
         x = np.multiply.outer(np.multiply.outer([1.0, 2.0], [1.0, 1.0]), [2.0, 3.0])
-        splits = [AxisSplit.from_row_axes(3, s) for s in ([1], [2], [1, 2], [1, 3])]
+        splits = [[1], [2], [1, 2], [1, 3]]
         assert cp_rank_lower_bound(x, splits) == 1
 
     def test_random_chains_hit_threshold(self):
@@ -47,7 +47,7 @@ class TestLowerBound:
         for seed in range(5):
             r = 3
             x = cp_to_dense(cp_random((2, 3, 2, 2), r, seed=seed))
-            splits = [AxisSplit.from_row_axes(4, s) for s in ([1], [2], [1, 2], [1, 3])]
+            splits = [[1], [2], [1, 2], [1, 3]]
             assert cp_rank_lower_bound(x, splits) <= r
 
 
@@ -207,7 +207,7 @@ class TestStackedSampling:
             return (rng.normal(size=(9, k)) @ rng.normal(size=(k, 9))).reshape(3, 3, 3, 3)
 
         # rank k on the first split, at most 3 on the second
-        splits = [AxisSplit.from_row_axes(4, [1, 2]), AxisSplit.from_row_axes(4, [1])]
+        splits = [[1, 2], [1]]
         monkeypatch.setattr(rank_analysis, "_STACK_BYTES", budget)
         report = RankReport(d=4, n=3, r=1, q=1, threshold=9, seed=7, rel_tol=1e-12,
                             floor=False)
@@ -216,6 +216,19 @@ class TestStackedSampling:
                     for i in range(11)]
         assert report.observed_ranks == expected
         assert len(set(expected)) > 2
+
+    @pytest.mark.parametrize("run,value", [
+        (lambda: verify_theorem1(4, 0, 2, 3, seed=0), "n=0"),
+        (lambda: verify_theorem1(4, 2, -1, 3, seed=0), "r=-1"),
+        (lambda: verify_hypothesis1(4, [0], [2], 3, seed=0), "n=0"),
+        (lambda: verify_hypothesis1(4, [2], [2, 0], 3, seed=0), "r=0"),
+        (lambda: verify_ht_tt_bounds(4, 0, 2, 3, seed=0), "n=0"),
+        (lambda: verify_ht_tt_bounds(4, 2, 0, 3, seed=0, direction="ht2tt"), "r=0"),
+    ], ids=["theorem1-n", "theorem1-r", "hypothesis1-n", "hypothesis1-r", "tt2ht-n",
+            "ht2tt-r"])
+    def test_mode_size_and_rank_below_one_rejected(self, run, value):
+        with pytest.raises(ValueError, match=value):
+            run()
 
     def test_one_stacked_call_per_split_through_the_svd_module(self, monkeypatch):
         # the benchmark's tracer rebinds svd.singular_values, so the stacked

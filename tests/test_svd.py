@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ttnets import svd
 from ttnets.decompositions import tt_delta_example, tt_random, tt_to_dense
 from ttnets.svd import _round_robin_schedule, jacobi_svd, numerical_rank, singular_values
-from ttnets.tensor import AxisSplit, matricize, odd_even_split
+from ttnets.tensor import matricize, odd_even_split
 
 
 def reconstruction_error(a):
@@ -53,7 +53,7 @@ def test_repeated_columns_converge(rows):
     # identical columns; rotating them leaves roundoff-level columns that
     # must count as converged instead of being rotated forever
     dense = tt_to_dense(tt_delta_example(6, 3, 3))
-    mat = matricize(dense, AxisSplit.from_row_axes(6, rows))
+    mat = matricize(dense, rows)
     assert numerical_rank(mat) == np.linalg.matrix_rank(mat) == 1
     u, s, vt = jacobi_svd(mat)
     assert np.linalg.norm(u @ np.diag(s) @ vt - mat) <= 1e-12 * np.linalg.norm(mat)
@@ -122,8 +122,7 @@ def _stack_members():
     # down to 1e-15 (below the other matrices' roundoff floors, above its
     # own), and a small random one of rank 3
     rng = np.random.default_rng(81)
-    delta = matricize(tt_to_dense(tt_delta_example(6, 3, 3)),
-                      AxisSplit.from_row_axes(6, (1, 2, 3, 4)))
+    delta = matricize(tt_to_dense(tt_delta_example(6, 3, 3)), (1, 2, 3, 4))
     q, _ = np.linalg.qr(rng.normal(size=(81, 9)))
     return [
         rng.normal(size=(81, 9)),

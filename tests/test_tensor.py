@@ -3,38 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnets.tensor import (
-    AxisSplit,
-    dematricize,
-    inner_product,
-    matricize,
-    odd_even_split,
-)
-
-
-class TestAxisSplit:
-    def test_complement(self):
-        sp = AxisSplit.from_row_axes(4, [1, 3])
-        assert sp.s == (1, 3) and sp.t == (2, 4)
-
-    def test_odd_even(self):
-        sp = odd_even_split(6)
-        assert sp.s == (1, 3, 5) and sp.t == (2, 4, 6)
-
-    def test_rejects_out_of_range_axis(self):
-        with pytest.raises(ValueError, match="axis 5"):
-            AxisSplit.from_row_axes(3, [1, 5])
-
-    def test_rejects_duplicate_axis(self):
-        with pytest.raises(ValueError, match="axis 2"):
-            AxisSplit((2, 2), (1, 3))
-
-    def test_rejects_empty_group(self):
-        with pytest.raises(ValueError):
-            AxisSplit.from_row_axes(3, [1, 2, 3])
+from ttnets.tensor import inner_product, matricize, odd_even_split
 
 
 class TestMatricize:
+    def test_complement(self):
+        x = np.arange(16.0).reshape(2, 2, 2, 2)
+        np.testing.assert_array_equal(matricize(x, [1, 3]),
+                                      np.transpose(x, (0, 2, 1, 3)).reshape(4, 4))
+
+    def test_odd_even(self):
+        assert odd_even_split(6) == (1, 3, 5)
+
+    def test_unsorted_rows_give_the_sorted_result(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(matricize(x, (3, 1)), matricize(x, (1, 3)))
+
+    def test_rejects_out_of_range_axis(self):
+        with pytest.raises(ValueError, match="axis 5 outside the valid range 1..3"):
+            matricize(np.zeros((2, 2, 2)), [1, 5])
+        with pytest.raises(ValueError, match="axis 0 outside"):
+            matricize(np.zeros((2, 2, 2)), [0])
+
+    def test_rejects_duplicate_axis(self):
+        with pytest.raises(ValueError, match="axis 2 listed twice"):
+            matricize(np.zeros((2, 2, 2)), [2, 2])
+
+    def test_rejects_empty_group(self):
+        for rows in ([], [1, 2, 3], [3, 2, 1]):
+            with pytest.raises(ValueError, match="at least one row axis and one column axis"):
+                matricize(np.zeros((2, 2, 2)), rows)
+
     def test_prefix_split_rows(self):
         x = np.arange(8.0).reshape(2, 2, 2)
         m = matricize(x, [1])
@@ -54,45 +53,38 @@ class TestMatricize:
                 x[i1, i1, i3, i3] = 1.0
         np.testing.assert_array_equal(matricize(x, [1, 3]), np.eye(4))
 
-    def test_split_must_cover_tensor(self):
-        with pytest.raises(ValueError):
-            matricize(np.zeros((2, 2)), AxisSplit.from_row_axes(3, [1]))
-
-
-class TestDematricize:
-    def test_inverse_of_hand_example(self):
-        m = np.array([[0.0, 1, 2, 3], [4, 5, 6, 7]])
-        x = dematricize(m, (2, 2, 2), [1])
-        np.testing.assert_array_equal(x.ravel(), np.arange(8.0))
-
-    def test_degenerate_row_axis(self):
-        m = np.arange(5.0).reshape(1, 5)
-        x = dematricize(m, (1, 5), [1])
-        np.testing.assert_array_equal(x.ravel(), m.ravel())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            dematricize(np.zeros((2, 3)), (2, 2), [1])
-
 
 @st.composite
 def shape_and_split(draw):
     d = draw(st.integers(2, 5))
     shape = tuple(draw(st.integers(1, 4)) for _ in range(d))
     size = draw(st.integers(1, d - 1))
-    s = tuple(sorted(draw(st.permutations(range(1, d + 1)))[:size]))
+    s = tuple(draw(st.permutations(range(1, d + 1)))[:size])
     return shape, s
+
+
+def _group_index(index, shape, axes):
+    """Row-major index of ``index`` restricted to ``axes`` (last fastest)."""
+    flat = 0
+    for a in axes:
+        flat = flat * shape[a - 1] + index[a - 1]
+    return flat
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape_and_split(), st.integers(0, 2**31 - 1))
-def test_matricize_dematricize_roundtrip(shape_split, seed):
-    shape, s = shape_split
+def test_matricize_places_entries_by_the_index_formula(shape_split, seed):
+    # entry (i_1..i_d) lands at row sum_k i_{s_k} prod_{l>k} n_{s_l} over the
+    # sorted row axes s, and at the same formula's column over the complement
+    shape, rows = shape_split
+    s = sorted(rows)
+    t = [a for a in range(1, len(shape) + 1) if a not in s]
     x = np.random.default_rng(seed).normal(size=shape)
-    sp = AxisSplit.from_row_axes(len(shape), s)
-    m = matricize(x, sp)
-    np.testing.assert_array_equal(dematricize(m, shape, sp), x)
-    np.testing.assert_array_equal(matricize(dematricize(m, shape, sp), sp), m)
+    m = matricize(x, rows)
+    assert m.shape == (int(np.prod([shape[a - 1] for a in s])),
+                       int(np.prod([shape[a - 1] for a in t])))
+    for index in np.ndindex(*shape):
+        assert m[_group_index(index, shape, s), _group_index(index, shape, t)] == x[index]
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,9 +100,9 @@ def test_rank_invariant_under_axis_relabeling(shape_split, seed, perm_seed):
     perm = np.random.default_rng(perm_seed).permutation(d)
     y = np.transpose(x, perm)
     # old axis a (0-based) is new axis position of a in perm
-    new_s = tuple(sorted(int(np.where(perm == a - 1)[0][0]) + 1 for a in s))
+    new_s = tuple(int(np.where(perm == a - 1)[0][0]) + 1 for a in s)
     r1 = numerical_rank(matricize(x, s))
-    r2 = numerical_rank(matricize(y, AxisSplit.from_row_axes(d, new_s)))
+    r2 = numerical_rank(matricize(y, new_s))
     assert r1 == r2
 
 
