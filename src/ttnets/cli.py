@@ -56,12 +56,17 @@ _GRID_COLORS = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
                 "#aa3377", "#bbbbbb", "#000000", "#99ddff", "#dd7788"]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+def _number_list(text: str, flag: str, cast=int) -> list:
+    """The numbers in a comma or space separated option value; a token
+    that ``cast`` rejects is a usage error naming ``flag``."""
+    numbers = []
+    for token in str(text).replace(",", " ").split():
+        try:
+            numbers.append(cast(token))
+        except ValueError:
+            raise ValueError(f"{flag} expects {cast.__name__} values separated by commas, "
+                             f"got {token!r}") from None
+    return numbers
 
 
 # Option tables: (flag, default, type caster, help).  Defaults and casters
@@ -215,8 +220,8 @@ def cmd_verify(args) -> int:
         reports = [verify_theorem1(args.d, args.n, args.r, args.samples, args.seed,
                                    rel_tol=args.rel_tol)]
     elif kind == "hypothesis1":
-        reports = verify_hypothesis1(args.d, _int_list(args.n_range),
-                                     _int_list(args.r_range), args.samples,
+        reports = verify_hypothesis1(args.d, _number_list(args.n_range, "--n-range"),
+                                     _number_list(args.r_range, "--r-range"), args.samples,
                                      args.seed, rel_tol=args.rel_tol)
     elif kind == "ht-bounds":
         report = verify_ht_tt_bounds(args.d, args.n, args.r, args.samples,
@@ -240,7 +245,7 @@ def cmd_rank(args) -> int:
     x = tensor_io.load_dense(args.tensor_file)
     d = x.ndim
     if args.split:
-        splits = [_int_list(s) for s in args.split]
+        splits = [_number_list(s, "--split") for s in args.split]
     else:
         splits = [range(1, k + 1) for k in range(1, d)]
         if d % 2 == 0:
@@ -312,7 +317,7 @@ def cmd_boundary(args) -> int:
     if not args.checkpoint:
         raise ValueError("boundary needs --checkpoint")
     net = tensor_io.load_checkpoint(args.checkpoint)
-    bounds = _float_list(args.bounds)
+    bounds = _number_list(args.bounds, "--bounds", float)
     if len(bounds) != 4:
         raise ValueError("--bounds needs xmin,xmax,ymin,ymax")
     labels, xs, ys = decision_grid(net, bounds, args.resolution)
@@ -339,7 +344,7 @@ def _write_grid_svg(path, labels) -> None:
 
 
 def cmd_sweep(args) -> int:
-    ranks = _int_list(args.ranks)
+    ranks = _number_list(args.ranks, "--ranks")
     if not ranks:
         raise ValueError("sweep needs at least one rank in --ranks")
     if min(ranks) < 1:

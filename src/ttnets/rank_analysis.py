@@ -129,6 +129,11 @@ class RankReport:
     floor: bool
     observed_ranks: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.n < 1 or self.r < 1:
+            raise ValueError(f"mode size n and rank r must be at least 1, "
+                             f"got n={self.n} r={self.r}")
+
     def passes(self, rank: int) -> bool:
         return rank >= self.threshold if self.floor else rank <= self.threshold
 
@@ -177,9 +182,6 @@ def _sample_ranks(report: RankReport, num_samples: int, first: int, draw,
     num_samples = int(num_samples)
     if num_samples < 1:
         raise ValueError(f"need at least one sample, got {num_samples}")
-    if report.n < 1 or report.r < 1:
-        raise ValueError(f"mode size n and rank r must be at least 1, "
-                         f"got n={report.n} r={report.r}")
     # equal chunks, as few as the budget allows
     chunks = -(-num_samples // max(1, _STACK_BYTES // (8 * report.n ** report.d)))
     chunk = -(-num_samples // chunks)
@@ -232,10 +234,12 @@ def verify_hypothesis1(d: int, n_range, r_range, samples_per_cell: int, seed: in
         raise ValueError(f"the equal-core check needs an even d >= 4, got {d}")
     if len(n_range) == 0 or len(r_range) == 0:
         raise ValueError("the n and r ranges must each hold at least one value")
-    cells = [(int(n), int(r)) for n in n_range for r in r_range]
-    return [_sample_ranks(_separation_report(d, n, r, seed, rel_tol), samples_per_cell,
-                          cell * 1_000_003, _equal_core_chain, [odd_even_split(d)])
-            for cell, (n, r) in enumerate(cells)]
+    # every cell is built, and so checked, before any is sampled
+    reports = [_separation_report(d, int(n), int(r), seed, rel_tol)
+               for n in n_range for r in r_range]
+    return [_sample_ranks(report, samples_per_cell, cell * 1_000_003, _equal_core_chain,
+                          [odd_even_split(d)])
+            for cell, report in enumerate(reports)]
 
 
 def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,

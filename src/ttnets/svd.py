@@ -21,13 +21,23 @@ walks a round-robin schedule of disjoint column pairs; every pair
 become orthogonal; a pair whose smaller column has squared norm at or
 below ``(eps * ||W||_F)**2`` counts as converged, and such columns are
 zeroed once the sweeps end.  Because the pairs within one round are
-disjoint the rotations commute and are applied vectorized.  On
-convergence the singular values are the column norms of W.
+disjoint the rotations commute and are applied vectorized.  The columns
+are held as contiguous rows and moved, as in Brent & Luk's parallel
+ordering (SIAM J. Sci. Stat. Comput. 1985), so that each round's p
+columns fill the first half of the rows and its q columns, pair for
+pair, the second half (an odd n's sit-out column comes last): a round
+is one gather, then arithmetic on two contiguous halves.  Every pair of
+the round is turned, an inactive one by the angle 0 (c = 1, s = 0),
+which leaves its columns as they are (up to the sign of a zero entry).
+On convergence the singular values are the column norms of W, and the
+columns go back to their original order.
 
 Stacks: the kernel works on a stack of S matrices of one shape, shape
 (S, m, n), and :func:`singular_values` and :func:`numerical_rank` take
-either one matrix or such a stack.  Each matrix keeps its own roundoff
-floor, and a pair is rotated only where that matrix's own test finds it
+either one matrix or such a stack.  The rows of all matrices move
+together, so one gather per round serves the whole stack.  Each matrix
+keeps its own roundoff floor and its own active pairs, and a pair is
+turned by a nonzero angle only where that matrix's own test finds it
 not yet orthogonal; no rotation of one matrix depends on another, so
 every matrix of a stack gets bit for bit the result it gets alone.  The
 sweeps end once one rotates nothing in any matrix.
@@ -105,57 +115,91 @@ def _round_robin_schedule(n: int) -> tuple:
     return tuple(rounds)
 
 
+@functools.cache
+def _round_gathers(n: int) -> tuple:
+    """Row moves for the rounds of :func:`_round_robin_schedule` (n >= 2).
+
+    The kernel holds the columns of W as rows in the current round's
+    order: the round's p columns, then its q columns in the same pair
+    order, then the sit-out column (odd n).  Returns the last round's
+    order, in which every sweep starts and ends, and per round the gather
+    index that takes the rows from the previous round's order to this
+    round's.  Cached per n; the index arrays are read-only.
+    """
+    orders = []
+    for ps, qs in _round_robin_schedule(n):
+        paired = np.concatenate([ps, qs])
+        orders.append(np.concatenate([paired, np.delete(np.arange(n), paired)]))
+    gathers = []
+    position = np.empty(n, dtype=np.intp)
+    for before, order in zip([orders[-1], *orders], orders):
+        position[before] = np.arange(n)
+        gathers.append(position[order])
+    for index in (orders[-1], *gathers):
+        index.setflags(write=False)
+    return orders[-1], tuple(gathers)
+
+
 def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> int:
     """Run Jacobi sweeps in place on every matrix of the stack w (S, m, n)
     until all its column pairs are orthogonal; the same rotations are
     applied to the columns of v (S, n, n) when given.  Returns the number
     of sweeps run, the last of which rotated nothing."""
-    n = w.shape[2]
+    m, n = w.shape[1:]
     if n < 2:
         return 0
-    schedule = _round_robin_schedule(n)
+    start, gathers = _round_gathers(n)
+    half = n // 2
     # Rotations preserve ||W||_F.  A column whose squared norm is at or
     # below this floor is roundoff; rotating it against its neighbours
     # never settles (a residue parallel to a large column shrinks by eps
     # per sweep until it stalls in subnormals), so a pair holding one
     # counts as converged and the column is zeroed at the end.
     floor = np.array([(_EPS * np.linalg.norm(x)) ** 2 for x in w])[:, None]
+    # Row j holds column j of W followed by column j of V, so one gather
+    # moves and one rotation turns both.
+    rows = w.transpose(0, 2, 1)
+    if v is not None:
+        rows = np.concatenate([rows, v.transpose(0, 2, 1)], axis=2)
+    rows = rows.take(start, axis=1)
+    turned = np.empty_like(rows[:, :half])
+    product = np.empty_like(turned)
     for sweep in range(1, _MAX_SWEEPS + 1):
         rotated = False
-        for ps, qs in schedule:
-            pc = w[:, :, ps]
-            qc = w[:, :, qs]
-            alpha = np.einsum("sij,sij->sj", pc, pc)
-            beta = np.einsum("sij,sij->sj", qc, qc)
-            gamma = np.einsum("sij,sij->sj", pc, qc)
+        for gather in gathers:
+            rows = rows.take(gather, axis=1)
+            p_rows = rows[:, :half]
+            q_rows = rows[:, half:2 * half]
+            cols = rows[:, :2 * half, :m]
+            norms = np.einsum("sji,sji->sj", cols, cols)
+            alpha = norms[:, :half]
+            beta = norms[:, half:]
+            gamma = np.einsum("sji,sji->sj", p_rows[:, :, :m], q_rows[:, :, :m])
             active = (np.abs(gamma) > _PAIR_TOL * np.sqrt(alpha * beta)) & \
                 (np.minimum(alpha, beta) > floor)
             if not active.any():
                 continue
             rotated = True
-            mats, pairs = np.nonzero(active)
-            p = ps[pairs]
-            q = qs[pairs]
-            gamma = gamma[mats, pairs]
             # tan(theta) is the smaller root of t^2 + 2*zeta*t - 1 = 0,
-            # the classical choice that guarantees sweep convergence.
-            zeta = (beta[mats, pairs] - alpha[mats, pairs]) / (2.0 * gamma)
+            # the classical choice that guarantees sweep convergence;
+            # t = 0 (c = 1, s = 0) leaves an inactive pair as it is, and
+            # its gamma, which may be 0, is read as 1 to keep zeta finite.
+            zeta = (beta - alpha) / (2.0 * np.where(active, gamma, 1.0))
             sign = np.where(zeta >= 0.0, 1.0, -1.0)
-            t = sign / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-            s = c * t[:, None]
-            pc = w[mats, :, p]
-            qc = w[mats, :, q]
-            w[mats, :, p] = c * pc - s * qc
-            w[mats, :, q] = s * pc + c * qc
-            if v is not None:
-                pv = v[mats, :, p]
-                qv = v[mats, :, q]
-                v[mats, :, p] = c * pv - s * qv
-                v[mats, :, q] = s * pv + c * qv
+            t = np.where(active, sign / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), 0.0)
+            c = (1.0 / np.sqrt(1.0 + t * t))[:, :, None]
+            s = c * t[:, :, None]
+            np.multiply(c, p_rows, out=turned)
+            turned -= np.multiply(s, q_rows, out=product)
+            q_rows *= c
+            q_rows += np.multiply(s, p_rows, out=product)
+            p_rows[...] = turned
         if not rotated:
-            mats, cols = np.nonzero(np.einsum("sij,sij->sj", w, w) <= floor)
-            w[mats, :, cols] = 0.0
+            cols = rows[:, :, :m]
+            cols[np.einsum("sji,sji->sj", cols, cols) <= floor] = 0.0
+            w.transpose(0, 2, 1)[:, start] = cols
+            if v is not None:
+                v.transpose(0, 2, 1)[:, start] = rows[:, :, m:]
             return sweep
     raise RuntimeError(
         f"Jacobi SVD did not converge within {_MAX_SWEEPS} sweeps "

@@ -81,8 +81,7 @@ class _LineReader:
     def __init__(self, path):
         self.path = path
         with open(path) as fh:
-            self.lines = [ln.strip() for ln in fh]
-        self.lines = [ln for ln in self.lines if ln]
+            self.lines = [ln for ln in map(str.strip, fh) if ln]
         self.pos = 0
 
     def file_line(self, index: int) -> int:
@@ -123,13 +122,20 @@ class _LineReader:
     def values(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
         start = self.pos
-        out = np.empty(size)
-        for i in range(size):
-            token = self.next_line("a value")
-            try:
-                out[i] = float(token)
-            except ValueError:
-                raise ValueError(f"{self.path}: expected a number, got {token!r}") from None
+        tokens = self.lines[start:start + size]
+        try:
+            out = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        except ValueError:
+            for token in tokens:  # the first bad token, for the message
+                try:
+                    float(token)
+                except ValueError:
+                    raise ValueError(f"{self.path}: expected a number, got {token!r}") \
+                        from None
+            raise
+        self.pos += len(tokens)
+        if len(tokens) < size:
+            self.next_line("a value")  # raises: the file ends inside the block
         if not np.isfinite(out).all():
             bad = start + int(np.flatnonzero(~np.isfinite(out))[0])
             raise ValueError(f"{self.path}: line {self.file_line(bad)}: value "

@@ -268,6 +268,12 @@ class TestBoundaryCommand:
         assert "finite" in err
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_non_number_bound_names_the_flag(self, tmp_path, capsys, checkpoint):
+        code, _, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
+                           "--bounds", "0,1,a,1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.strip() == "error: --bounds expects float values separated by commas, got 'a'"
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_checkpoint_exits_two(self, tmp_path, capsys, checkpoint, token):
         lines = checkpoint.read_text().splitlines()
@@ -441,6 +447,20 @@ class TestUsageErrors:
         assert code == 2
         assert f"unrecognized arguments: {flag}" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "{dir}/x.txt", "--split", "a"],
+        ["sweep", "--dataset", "moons", "--ranks", "4,a"],
+        ["verify", "hypothesis1", "--n-range", "2,a"],
+        ["verify", "hypothesis1", "--r-range", "a"],
+    ], ids=["split", "ranks", "n-range", "r-range"])
+    def test_non_integer_in_a_list_names_the_flag(self, tmp_path, capsys, argv):
+        tensor_io.save_dense(tmp_path / "x.txt", np.ones((2, 2)))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: {argv[-2]} expects int values separated by commas, got 'a'"
 
     def test_deterministic_train_output(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

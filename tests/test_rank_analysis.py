@@ -230,6 +230,14 @@ class TestStackedSampling:
         with pytest.raises(ValueError, match=value):
             run()
 
+    def test_every_cell_checked_before_any_is_sampled(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(rank_analysis, "_sample_ranks",
+                            lambda report, *args: sampled.append((report.n, report.r)))
+        with pytest.raises(ValueError, match="r=0"):
+            verify_hypothesis1(4, [2, 3], [2, 0], 3, seed=0)
+        assert sampled == []
+
     def test_one_stacked_call_per_split_through_the_svd_module(self, monkeypatch):
         # the benchmark's tracer rebinds svd.singular_values, so the stacked
         # call must look it up there

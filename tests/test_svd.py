@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from ttnets import svd
 from ttnets.decompositions import tt_delta_example, tt_random, tt_to_dense
-from ttnets.svd import _round_robin_schedule, jacobi_svd, numerical_rank, singular_values
+from ttnets.svd import (
+    _orthogonalize_columns,
+    _round_gathers,
+    _round_robin_schedule,
+    jacobi_svd,
+    numerical_rank,
+    singular_values,
+)
 from ttnets.tensor import matricize, odd_even_split
 
 
@@ -198,6 +205,60 @@ def test_round_robin_schedule_cached_and_read_only():
         with pytest.raises(ValueError):
             ps[0] = 1
         assert not qs.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 27, 81])
+def test_round_gathers_follow_the_schedule(n):
+    # replaying the gathers from the start order puts each round's p
+    # columns in the first half and its q columns in the second, pair by
+    # pair, the sit-out column last, and ends the sweep where it started
+    start, gathers = _round_gathers(n)
+    assert _round_gathers(n)[1] is gathers
+    schedule = _round_robin_schedule(n)
+    assert len(gathers) == len(schedule)
+    half = n // 2
+    order = start
+    seen = []
+    for gather, (ps, qs) in zip(gathers, schedule):
+        assert not gather.flags.writeable
+        order = order[gather]
+        np.testing.assert_array_equal(order[:half], ps)
+        np.testing.assert_array_equal(order[half:2 * half], qs)
+        assert sorted(order.tolist()) == list(range(n))
+        seen += zip(order[:half].tolist(), order[half:2 * half].tolist())
+    np.testing.assert_array_equal(order, start)
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (9, 8), (7, 9), (8, 9), (20, 20), (21, 21)])
+def test_singular_vectors_in_the_original_column_order(shape):
+    a = np.random.default_rng(sum(shape) + 7).normal(size=shape)
+    u, s, vt = jacobi_svd(a)
+    ref_u, ref_s, ref_vt = np.linalg.svd(a, full_matrices=False)
+    k = min(shape)
+    assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
+    np.testing.assert_allclose(s, ref_s, rtol=0, atol=1e-12 * ref_s[0])
+    assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-12 * np.linalg.norm(a)
+    # the singular values are well separated, so each vector matches
+    # LAPACK's up to its sign
+    signs = np.sign(np.sum(u * ref_u, axis=0))
+    np.testing.assert_allclose(u * signs, ref_u, atol=1e-10)
+    np.testing.assert_allclose(vt * signs[:, None], ref_vt, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_orthogonal_columns_come_back_bit_identical(n):
+    # Sylvester-Hadamard columns are exactly orthogonal, so no pair is
+    # rotated and one sweep leaves W and V as they were
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    w = np.stack([h[:, :n] * np.logspace(0, -3, n), h[:, ::-1][:, :n] * 2.0 ** -np.arange(n)])
+    v = np.stack([np.eye(n)] * 2)
+    before = w.copy()
+    assert _orthogonalize_columns(w, v) == 1
+    assert w.tobytes() == before.tobytes()
+    assert v.tobytes() == np.stack([np.eye(n)] * 2).tobytes()
 
 
 class TestExtremeScales:

@@ -52,6 +52,45 @@ def _replace_line(path, number, token):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _dense_file(path):
+    tensor_io.save_dense(path, np.arange(12.0).reshape(3, 4))
+    return 3  # the line of the second of the twelve values
+
+
+def _checkpoint_file(path):
+    tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 2, seed=0))
+    return path.read_text().splitlines().index("core: 2 2 2") + 3
+
+
+_DENSE_AND_CHECKPOINT = pytest.mark.parametrize(
+    "write, load", [(_dense_file, tensor_io.load_dense),
+                    (_checkpoint_file, tensor_io.load_checkpoint)], ids=["dense", "checkpoint"])
+
+
+class TestMalformedValues:
+    """A block's values are converted at once; the messages name the first
+    bad token, or the end of the file inside a block."""
+
+    @_DENSE_AND_CHECKPOINT
+    def test_non_number_mid_block_named(self, tmp_path, write, load):
+        path = tmp_path / "f.txt"
+        line = write(path)
+        _replace_line(path, line, "0.5x")
+        _replace_line(path, line + 2, "banana")
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: expected a number, got '0.5x'"
+
+    @_DENSE_AND_CHECKPOINT
+    def test_block_cut_short_is_end_of_file(self, tmp_path, write, load):
+        path = tmp_path / "f.txt"
+        line = write(path)
+        path.write_text("\n".join(path.read_text().splitlines()[:line]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: unexpected end of file, expected a value"
+
+
 class TestNonFiniteValues:
     """Every loader names the file and line of a value that is not finite."""
 
