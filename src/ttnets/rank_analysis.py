@@ -37,9 +37,12 @@ measure-zero event.  Per-sample generator streams are derived from
 
 The loop draws the samples in equal chunks of at most ``_STACK_BYTES``
 of dense tensors and passes each split's matricizations of a chunk to
-the SVD as one (S, rows, cols) stack.  Every matrix of a stack gets bit
-for bit the singular values it gets alone (see :mod:`ttnets.svd`), so
-batching changes no sample's result, whatever the chunk size.
+:func:`~ttnets.svd.numerical_rank` as one (S, rows, cols) stack.  It
+proves most ranks from bounds on one pivoted QR per matrix and sends the
+rest, as one stack per split and chunk, to the Jacobi SVD.  Every matrix
+of a stack gets bit for bit the rank it gets alone (see
+:mod:`ttnets.svd`), so batching changes no sample's result, whatever the
+chunk size.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from ttnets.rank_analysis import (
     verify_theorem1,
     write_report_csv,
 )
-from ttnets.tensor import odd_even_split
+from ttnets.tensor import matricize, odd_even_split
 
 
 class TestLowerBound:
@@ -239,19 +239,33 @@ class TestStackedSampling:
         assert sampled == []
 
     def test_one_stacked_call_per_split_through_the_svd_module(self, monkeypatch):
-        # the benchmark's tracer rebinds svd.singular_values, so the stacked
-        # call must look it up there
-        shapes = []
+        # the benchmark's tracer rebinds svd.singular_values, so the
+        # Jacobi stage must be reached through the module attribute: once
+        # per split and chunk, with exactly the matrices whose ranks the
+        # first QR's bounds leave open
+        seen = []
         original = svd.singular_values
 
         def recording(a):
-            shapes.append(np.shape(a))
+            seen.append(np.array(a))
             return original(a)
 
         monkeypatch.setattr(svd, "singular_values", recording)
         report = verify_ht_tt_bounds(4, 3, 2, 10, seed=2, direction="ht2tt")
-        assert shapes == [(10, 3, 27), (10, 9, 9), (10, 27, 3)]
+        assert seen == []
+        assert report.observed_ranks == [2] * 10
         assert all(isinstance(rank, int) for rank in report.observed_ranks)
+        # sample 1 of the (4, 4) cell, the grid's last, has
+        # sigma_min / sigma_max = 9.0e-13, within a factor 2 of the
+        # tolerance 1e-12, so the bounds cannot prove its rank
+        reports = verify_hypothesis1(6, [2, 3, 4], [2, 3, 4], 4, seed=2020003)
+        undecided = rank_analysis._equal_core_chain(6, 4, 4,
+                                                    sample_rng(2020003, 8 * 1_000_003 + 1))
+        assert len(seen) == 1
+        assert seen[0].tobytes() == matricize(undecided, odd_even_split(6))[None].tobytes()
+        expected = [8] * 12 + [18] * 4 + [27] * 8 + [32] * 4 + [48] * 4 + [64, 63, 64, 64]
+        assert sum((r.observed_ranks for r in reports), []) == expected
+        assert sum(r.num_satisfying for r in reports) == 35
 
 
 class TestRankReport:

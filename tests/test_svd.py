@@ -106,6 +106,27 @@ class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((5, 3))) == 0
 
+    @pytest.mark.parametrize("shape,expected", [
+        ((0, 3), 0), ((3, 0), 0), ((2, 0, 4), [0, 0]), ((0, 3, 3), []),
+    ])
+    def test_empty_inputs(self, shape, expected):
+        rank = numerical_rank(np.zeros(shape))
+        if isinstance(expected, int):
+            assert type(rank) is int and rank == expected
+        else:
+            assert rank.shape == (len(expected),)
+            np.testing.assert_array_equal(rank, expected)
+
+    def test_one_by_one(self):
+        assert numerical_rank(np.array([[3.0]])) == 1
+        assert numerical_rank(np.array([[-1e-300]])) == 1
+        assert numerical_rank(np.array([[0.0]])) == 0
+        np.testing.assert_array_equal(numerical_rank(np.array([[[2.0]], [[0.0]]])), [1, 0])
+
+    def test_stack_of_zero_matrices(self):
+        np.testing.assert_array_equal(numerical_rank(np.zeros((3, 4, 5))), [0, 0, 0])
+        np.testing.assert_array_equal(numerical_rank(np.zeros((2, 6, 2))), [0, 0])
+
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, 1.0, -1e-3, 2.0):
             with pytest.raises(ValueError):
@@ -121,6 +142,96 @@ class TestNumericalRank:
         a = np.random.default_rng(seed).normal(size=(6, 5))
         looser = min(tol * factor, 0.999)
         assert numerical_rank(a, looser) <= numerical_rank(a, tol)
+
+
+def _rank_test_matrix(rng, kind, m, n, tol):
+    k = min(m, n)
+    if kind == "random":
+        return rng.normal(size=(m, n))
+    if kind == "low-rank":
+        r = int(rng.integers(0, k + 1))
+        return rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+    if kind == "graded":
+        s = np.logspace(0, -16, k)
+    else:  # near-threshold: the values after the first few at tol * [0.5, 2.5]
+        s = np.ones(k)
+        top = int(rng.integers(1, k + 1))
+        s[top:] = tol * rng.uniform(0.5, 2.5, size=k - top)
+    u, _ = np.linalg.qr(rng.normal(size=(m, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    return (u * s) @ v.T
+
+
+class TestRankAgreesWithSingularValues:
+    """numerical_rank reads most ranks from bounds on one pivoted QR's R
+    and counts singular values only where the bounds are inconclusive;
+    either way it must give the count of singular_values."""
+
+    KINDS = ["random", "low-rank", "graded", "near-threshold"]
+
+    @staticmethod
+    def counted(a, tol):
+        s = singular_values(a)
+        return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(KINDS), st.integers(1, 30),
+           st.integers(1, 30), st.floats(-14.0, np.log10(0.5)))
+    def test_one_matrix(self, seed, kind, m, n, log_tol):
+        tol = 10.0 ** log_tol
+        a = _rank_test_matrix(np.random.default_rng(seed), kind, m, n, tol)
+        assert numerical_rank(a, tol) == self.counted(a, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+           st.integers(1, 30), st.integers(1, 30), st.floats(-14.0, np.log10(0.5)))
+    def test_stack(self, seed, kinds, m, n, log_tol):
+        tol = 10.0 ** log_tol
+        rng = np.random.default_rng(seed)
+        a = np.stack([_rank_test_matrix(rng, kind, m, n, tol) for kind in kinds])
+        np.testing.assert_array_equal(numerical_rank(a, tol), self.counted(a, tol))
+
+    def test_kahan_matrix_where_the_diagonal_of_r_misleads(self):
+        # pivoted QR leaves Kahan's matrix as it is, so every |r_jj| is at
+        # least 0.29 while sigma_min is 3.8e-4: only the bound through
+        # R^-1 sees the small value, and at 1e-3 the rank is 29, not 30
+        n, c = 30, 0.285
+        kahan = np.diag(np.sqrt(1 - c * c) ** np.arange(n)) @ (
+            np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        kahan *= (1 - 1e-6) ** np.arange(n)  # no ties in the pivoting
+        assert singular_values(kahan)[-1] < 4e-4 and np.diag(kahan).min() > 0.29
+        for tol in (1e-5, 1e-3):
+            assert numerical_rank(kahan, tol) == self.counted(kahan, tol)
+        assert numerical_rank(kahan, 1e-3) == 29
+
+    def test_only_undecided_matrices_reach_the_singular_values(self, monkeypatch):
+        # a singular value within a factor 2 of tol * sigma_1 keeps the
+        # bounds from proving the rank; the other matrices' bounds do
+        rng = np.random.default_rng(14)
+        u, _ = np.linalg.qr(rng.normal(size=(12, 8)))
+        v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        near = (u * [1.0, 0.5, 0.25, 1.5e-9, 0, 0, 0, 0]) @ v.T
+        mats = np.stack([
+            rng.normal(size=(12, 8)),
+            rng.normal(size=(12, 3)) @ rng.normal(size=(3, 8)),
+            near,
+            np.zeros((12, 8)),
+            np.eye(12, 8) * np.arange(8, 0, -1),
+        ])
+        seen = []
+        original = svd.singular_values
+
+        def recording(a):
+            seen.append(np.array(a))
+            return original(a)
+
+        monkeypatch.setattr(svd, "singular_values", recording)
+        np.testing.assert_array_equal(numerical_rank(mats, 1e-9), [8, 3, 4, 0, 8])
+        assert len(seen) == 1 and seen[0].tobytes() == near[None].tobytes()
+        seen.clear()
+        assert numerical_rank(near, 1e-9) == 4 and len(seen) == 1
+        assert [numerical_rank(m, 1e-9) for m in mats[[0, 1, 3, 4]]] == [8, 3, 0, 8]
+        assert len(seen) == 1
 
 
 def _stack_members():
