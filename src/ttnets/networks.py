@@ -546,6 +546,8 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     """
     rng = np.random.default_rng(seed)
     sample = np.asarray(sample_inputs, dtype=np.float64)
+    if not len(sample):
+        raise ValueError("calibrated init needs a non-empty sample of inputs")
     phi = apply_feature_map(net.feature_map, sample)
     if net.kind == "tt":
         gain = 1.0 / max(float(phi.sum(axis=2).mean()), 1e-12)

@@ -12,8 +12,11 @@ same batches, so each step is one forward, one loss, one backward and
 one Adam update of a (K, P) matrix whose row k is run k's parameter
 vector, at run k's own rate.  Every stacked operation acts on each run's
 rows exactly as it would on that run alone, and each run keeps its own
-moments, revival and stop, so each run's result is bit-identical to
-training it alone.  A single :func:`train` is the stack of one.
+moments, so each run's result is bit-identical to training it alone.  A
+run whose batch loss is not finite stops: it stays in the stack, frozen
+by a zero gradient and zero moments, until the epoch ends, and leaves it
+after the epoch's one revival and accuracy.  A single :func:`train` is
+the stack of one.
 """
 
 from __future__ import annotations
@@ -75,11 +78,13 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 3:
             raise ValueError(f"inputs must be (N, d, n), got shape {self.inputs.shape}")
+        if not len(self.inputs):
+            raise ValueError("the dataset is empty: need at least one sample")
         if self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("one label per sample required")
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
-        if self.labels.size and not (0 <= self.labels.min() and self.labels.max() < self.num_classes):
+        if not (0 <= self.labels.min() and self.labels.max() < self.num_classes):
             raise ValueError("labels out of range")
 
     def __len__(self) -> int:
@@ -267,17 +272,17 @@ def accuracy(net: ScoreNetwork, data: Dataset):
     return float(hits) if hits.ndim == 0 else hits
 
 
-def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray, state: AdamState | None = None):
+def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray, state: AdamState):
     """Revive every ReLU feature unit that fires on no input (in place).
 
     A unit is dead when its pre-activation is <= 0 at every patch of every
     input: its gradient is then zero, so training alone never brings it
     back.  Reviving unit i moves its kink to the median of ``x @ A[i]``
     over all patches of ``inputs``, zeros every weight slice that reads
-    feature i and, when ``state`` is given (Adam moments laid out like
-    ``net.vector``), resets the moments of those slices and of ``A[i]``
-    and ``b[i]``.  Because the slices are zero, the
-    network computes exactly the same scores as before, on any input.
+    feature i and resets the Adam moments in ``state`` (laid out like
+    ``net.vector``) of those slices and of ``A[i]`` and ``b[i]``.  Because
+    the slices are zero, the network computes exactly the same scores as
+    before, on any input.
     Returns the revived unit indices, or one list of them per run of a
     stack, each run revived on its own; other activations never die.
     """
@@ -299,9 +304,8 @@ def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray, state: AdamState | 
 
         axes = net.weights.feature_axes()
         zero_dead(net.weights.parameters(), axes)
-        if state is not None:
-            zero_dead(net.views(state.m), axes + [-2, -1])
-            zero_dead(net.views(state.v), axes + [-2, -1])
+        zero_dead(net.views(state.m), axes + [-2, -1])
+        zero_dead(net.views(state.v), axes + [-2, -1])
     revived = [np.flatnonzero(row).tolist() for row in dead.reshape(-1, dead.shape[-1])]
     return revived[0] if dead.ndim == 1 else revived
 
@@ -314,36 +318,12 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
     that fires on no training input is revived by
     :func:`revive_dead_units`, which leaves the scores unchanged.  Zero
     epochs returns an empty history and leaves parameters untouched.  A
-    run ends at the first batch whose loss is NaN or infinite, which takes
-    no step; the history then ends with that epoch's non-finite loss.
+    run stops at the first batch whose loss is NaN or infinite: it takes
+    no step from that batch on, the rest of the epoch is skipped, and the
+    history ends with that epoch's non-finite loss, the mean of the batch
+    losses up to and including the first non-finite one.
     """
     return train_runs([net], data, cfg, [cfg.learning_rate])[0]
-
-
-class _Stack:
-    """The runs still taking steps, as one stacked network: row i of
-    ``net`` trains ``nets[runs[i]]``, with the moments in row i of
-    ``state`` and the learning rate in row i of ``cfg.learning_rate``."""
-
-    def __init__(self, nets: list[ScoreNetwork], cfg: TrainConfig, rates):
-        self.nets, self.runs = nets, list(range(len(nets)))
-        self.net = stack_networks(nets)
-        self.state = AdamState.for_params(self.net.vector)
-        self.cfg = replace(cfg, learning_rate=np.array(rates, dtype=np.float64)[:, None])
-
-    def unstack(self) -> None:
-        """Write every row back into its run's network."""
-        for run, row in zip(self.runs, self.net.vector):
-            self.nets[run].vector[:] = row
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Unstack, then keep only the rows where the mask ``rows`` holds."""
-        self.unstack()
-        self.runs = [run for run, kept in zip(self.runs, rows) if kept]
-        if self.runs:
-            self.net = stack_networks([self.nets[run] for run in self.runs])
-        self.state = AdamState(self.state.m[rows], self.state.v[rows], self.state.step)
-        self.cfg = replace(self.cfg, learning_rate=self.cfg.learning_rate[rows])
 
 
 def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
@@ -353,48 +333,58 @@ def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
 
     Each run's history and final parameters are bit for bit those of
     ``train(nets[k], data, replace(cfg, learning_rate=rates[k]))``.  A run
-    whose batch loss is not finite takes no further step and leaves the
-    stack; it still gets that epoch's revival and accuracy, on its own
-    network.  Each network ends holding its run's parameters."""
+    whose batch loss is not finite stays in the stack, frozen, until the
+    epoch ends: its gradient row and moments are zeroed, so each Adam
+    update adds exactly +0.0 to its parameters.  The epoch's revival and
+    accuracy serve every run of the stack at once; then the runs whose
+    epoch loss is not finite leave it.  Each network ends holding its
+    run's parameters."""
+    if len(rates) != len(nets):
+        raise ValueError(f"need one learning rate per network, got {len(rates)} rates "
+                         f"for {len(nets)} networks")
     histories: list[list[EpochStats]] = [[] for _ in nets]
-    live = _Stack(nets, cfg, rates)
+    runs = list(range(len(nets)))  # row i of the stack trains nets[runs[i]]
+    net = stack_networks(nets)
+    state = AdamState.for_params(net.vector)
+    stack_cfg = replace(cfg, learning_rate=np.array(rates, dtype=np.float64)[:, None])
     rng = np.random.default_rng(cfg.seed)
     starts = range(0, len(data), cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(data))
-        losses = np.empty((len(live.runs), len(starts)))  # row i: run live.runs[i]
-        stopped = {}  # run -> its batch losses, up to its first non-finite one
+        losses = np.empty((len(runs), len(starts)))
+        ends = np.full(len(runs), len(starts))  # row i's loss: mean of losses[i, :ends[i]]
+        live, all_live = np.ones(len(runs), dtype=bool), True
         for j, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
-            scores, fp = live.net.forward(data.inputs[idx])
+            scores, fp = net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
             losses[:, j] = loss
-            finite = np.isfinite(loss)
-            if not finite.all():
-                stopped.update((live.runs[i], losses[i, : j + 1])
-                               for i in np.flatnonzero(~finite))
-                live.keep(finite)
-                losses = losses[finite]
-                if not live.runs:
+            if not (all_live and np.isfinite(loss).all()):
+                stops = live & ~np.isfinite(loss)
+                ends[stops] = j + 1
+                live &= ~stops
+                all_live = False
+                if not live.any():
                     break
-                scores, fp = live.net.forward(data.inputs[idx])
-                dscores = cross_entropy_batch(scores, data.labels[idx])[1]
-            adam_step(live.net.vector, live.net.backward(fp, dscores).vector, live.state,
-                      live.cfg)
-        if live.runs:
-            revive_dead_units(live.net, data.inputs, live.state)
-            for run, row, hits in zip(live.runs, losses, accuracy(live.net, data)):
-                histories[run].append(EpochStats(epoch + 1, float(np.mean(row)), float(hits)))
-        for run, row in stopped.items():
-            revive_dead_units(nets[run], data.inputs)
-            histories[run].append(EpochStats(epoch + 1, float(np.mean(row)),
-                                             accuracy(nets[run], data)))
-        finite = [math.isfinite(histories[run][-1].loss) for run in live.runs]
-        if not all(finite):
-            live.keep(np.array(finite))
-        if not live.runs:
-            break
-    live.unstack()
+            grads = net.backward(fp, dscores).vector
+            if not all_live:
+                for frozen in (grads, state.m, state.v):
+                    frozen[~live] = 0.0
+            adam_step(net.vector, grads, state, stack_cfg)
+        revive_dead_units(net, data.inputs, state)
+        for run, row, end, hits in zip(runs, losses, ends, accuracy(net, data)):
+            histories[run].append(EpochStats(epoch + 1, float(np.mean(row[:end])),
+                                             float(hits)))
+        for run, row in zip(runs, net.vector):
+            nets[run].vector[:] = row
+        keep = np.isfinite([histories[run][-1].loss for run in runs])
+        if not keep.all():
+            runs = [run for run, kept in zip(runs, keep) if kept]
+            if not runs:
+                break
+            net = stack_networks([nets[run] for run in runs])
+            state = AdamState(state.m[keep], state.v[keep], state.step)
+            stack_cfg = replace(stack_cfg, learning_rate=stack_cfg.learning_rate[keep])
     return histories
 
 

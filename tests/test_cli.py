@@ -199,6 +199,19 @@ class TestTrainCommand:
         assert "error" in err
         assert not (tmp_path / "checkpoint.txt").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--lr", "0.001"]])
+    def test_empty_idx_pair_exits_two(self, tmp_path, capsys, flags):
+        save_idx_images(tmp_path / "im.idx", np.zeros((0, 28, 28), dtype=np.uint8))
+        save_idx_labels(tmp_path / "lb.idx", np.zeros(0, dtype=np.uint8))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "train", "--dataset", "mnist",
+                           "--images", str(tmp_path / "im.idx"),
+                           "--labels", str(tmp_path / "lb.idx"), "--epochs", "1",
+                           *flags, "--out-dir", str(out))
+        assert code == 2
+        assert "empty" in err and "diverged" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_nonpositive_limit_exits_two(self, tmp_path, capsys, limit):
         images, labels = synthetic_digits(10, seed=1)

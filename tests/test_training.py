@@ -6,6 +6,7 @@ import pytest
 from ttnets.mnist import synthetic_digits
 from ttnets.networks import (
     PatchConfig,
+    ScoreNetwork,
     initialize_for_training,
     make_score_network,
     network_gradients,
@@ -340,10 +341,12 @@ class TestDeadUnitRevival:
             else:
                 self.kill_unit(net, data, 0)
             before = [p.copy() for p in net.weights.parameters()] + [net.feature_map.b.copy()]
-            assert revive_dead_units(net, data.inputs) == []
+            state = AdamState(np.ones_like(net.vector), np.ones_like(net.vector))
+            assert revive_dead_units(net, data.inputs, state) == []
             after = net.weights.parameters() + [net.feature_map.b]
             for old, new in zip(before, after):
                 np.testing.assert_array_equal(old, new)
+            assert np.all(state.m == 1.0) and np.all(state.v == 1.0)
 
 
 class TestSweep:
@@ -466,6 +469,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2, 1)), np.array([0]), 2)
 
+    def test_zero_samples_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            Dataset(np.zeros((0, 2, 1)), np.zeros(0, dtype=np.int64), 2)
+
+    def test_calibrated_init_refuses_empty_sample(self):
+        net = make_score_network("tt", 25, 64, 4, 4, 10, seed=0)
+        before = net.vector.copy()
+        with pytest.raises(ValueError, match="non-empty sample"):
+            initialize_for_training(net, np.zeros((0, 25, 64)), seed=0)
+        np.testing.assert_array_equal(net.vector, before)
+
     def test_accuracy_helper(self):
         data = make_moons(10, 0.0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)
@@ -538,6 +552,93 @@ class TestStackedRuns:
         np.testing.assert_array_equal(nets[0].vector, wild.vector)
         np.testing.assert_array_equal(nets[1].vector, tame.vector)
         assert self.rows(histories[1]) == self.rows(tame_history)
+
+    @pytest.mark.parametrize("kind, batch_size, stop", [
+        ("tt", 50, 2), ("cp", 50, 2),  # the last of an epoch's two batches
+        ("ht", 50, 1),  # the first of epoch 2's two batches
+        ("tt", 100, 1), ("cp", 100, 1), ("ht", 100, 1),  # one batch per epoch
+    ])
+    def test_stop_on_an_epochs_edge_batch(self, kind, batch_size, stop, monkeypatch):
+        data, build = self.case(kind)
+        cfg = TrainConfig(epochs=4, batch_size=batch_size, seed=7)
+        rates = (1e150, 1e-3)
+        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+                for k in range(2)]
+        with np.errstate(all="ignore"):
+            histories = train_runs(nets, data, cfg, rates)
+        batches = []
+        real = cross_entropy_batch
+        monkeypatch.setattr("ttnets.training.cross_entropy_batch",
+                            lambda *args: batches.append(1) or real(*args))
+        wild, wild_history = self.solo(build, data, cfg, 0, rates[0])
+        monkeypatch.undo()
+        tame, tame_history = self.solo(build, data, cfg, 1, rates[1])
+        per_epoch = len(data) // batch_size
+        assert not np.isfinite(wild_history[-1].loss)
+        assert len(batches) - (len(wild_history) - 1) * per_epoch == stop
+        np.testing.assert_array_equal(self.rows(histories[0]), self.rows(wild_history),
+                                      strict=True)
+        np.testing.assert_array_equal(nets[0].vector, wild.vector)
+        np.testing.assert_array_equal(nets[1].vector, tame.vector)
+        assert self.rows(histories[1]) == self.rows(tame_history)
+
+    def test_stopped_run_counts_no_later_batch(self, monkeypatch):
+        # run 0's loss is forced to inf on batch 2 and NaN on batch 3: its
+        # epoch loss is the mean of batches 1 and 2, inf, as when it trains
+        # alone and never reaches batch 3
+        data, build = self.case("tt")
+        cfg = TrainConfig(epochs=2, seed=7)
+        real = cross_entropy_batch
+        calls = []
+
+        def forced(scores, labels):
+            loss, dscores = real(scores, labels)
+            calls.append(1)
+            if len(calls) in (2, 3):
+                loss = loss.copy()
+                loss[0] = (np.inf, np.nan)[len(calls) - 2]
+            return loss, dscores
+
+        monkeypatch.setattr("ttnets.training.cross_entropy_batch", forced)
+        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+                for k in range(2)]
+        histories = train_runs(nets, data, cfg, (1e-3, 1e-3))
+        calls.clear()
+        wild, wild_history = self.solo(build, data, cfg, 0, 1e-3)
+        monkeypatch.undo()
+        tame, tame_history = self.solo(build, data, cfg, 1, 1e-3)
+        assert wild_history[-1].loss == np.inf
+        assert self.rows(histories[0]) == self.rows(wild_history)
+        np.testing.assert_array_equal(nets[0].vector, wild.vector)
+        np.testing.assert_array_equal(nets[1].vector, tame.vector)
+        assert self.rows(histories[1]) == self.rows(tame_history)
+
+    def test_stack_that_stops_skips_the_rest_of_the_epoch(self, monkeypatch):
+        data, build = self.case("tt")
+        nets = [build(seed) for seed in range(3)]
+        shapes = []
+        real = ScoreNetwork.forward
+
+        def forward(net, batch):
+            shapes.append(net.vector.shape[:-1])
+            return real(net, batch)
+
+        monkeypatch.setattr(ScoreNetwork, "forward", forward)
+        with np.errstate(all="ignore"):
+            histories = train_runs(nets, data, TrainConfig(epochs=3, seed=7),
+                                   (1e150, 1e160, 1e200))
+        assert [len(h) for h in histories] == [1, 1, 1]
+        assert not any(np.isfinite(h[-1].loss) for h in histories)
+        # every run stops on batch 2 of 4: two batch forwards, then one
+        # accuracy pass for the whole stack
+        assert shapes == [(3,), (3,), (3,)]
+
+    def test_one_rate_per_network(self):
+        data, build = self.case("tt")
+        nets = [build(seed) for seed in range(3)]
+        for rates in [(1e-3,), (1e-3, 2e-3)]:
+            with pytest.raises(ValueError, match=f"got {len(rates)} rates for 3 networks"):
+                train_runs(nets, data, TrainConfig(epochs=1), rates)
 
     @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
     def test_stacked_revival_matches_each_run(self, kind):
