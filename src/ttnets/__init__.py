@@ -13,7 +13,6 @@ from .decompositions import (
     tt_delta_example,
     tt_equal_cores_random,
     tt_random,
-    tt_svd,
     tt_to_dense,
 )
 from .networks import (
@@ -33,7 +32,7 @@ from .rank_analysis import (
     verify_hypothesis1,
     verify_theorem1,
 )
-from .svd import jacobi_svd, numerical_rank, singular_values
+from .svd import numerical_rank, singular_values
 from .tensor import inner_product, matricize, odd_even_split
 from .training import (
     Dataset,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import DEFAULT_REL_TOL, jacobi_svd, numerical_rank
+from .svd import DEFAULT_REL_TOL, numerical_rank
 from .tensor import as_dense, matricize
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "tt_random",
     "tt_scores_from_features",
     "tt_states",
-    "tt_svd",
     "tt_to_dense",
 ]
 
@@ -403,45 +402,6 @@ def tt_to_dense(tt: TTTensor) -> np.ndarray:
         out = out @ core.reshape(r_prev, n_k * r_k)
         out = out.reshape(-1, r_k)
     return np.ascontiguousarray(out.reshape(tt.shape))
-
-
-def tt_svd(x, max_ranks=None, rel_tol: float = 1e-12) -> TTTensor:
-    """Tensor-train construction by sweeping singular value decompositions.
-
-    Walks the modes left to right; at step k the remainder is reshaped to
-    ``(r_{k-1} * n_k, rest)``, factorized, and singular values at or below
-    ``rel_tol * sigma_max`` are dropped (additionally capped by
-    ``max_ranks[k]`` when given).  With no cap and rel_tol at machine
-    level the reconstruction is exact to ~1e-10 relative and the returned
-    ranks equal the numerical ranks of the prefix matricizations.
-    """
-    x = as_dense(x)
-    shape = x.shape
-    d = x.ndim
-    if max_ranks is not None:
-        max_ranks = [int(r) for r in max_ranks]
-        if len(max_ranks) != d - 1:
-            raise ValueError(f"max_ranks needs {d - 1} entries, got {len(max_ranks)}")
-        if any(r < 1 for r in max_ranks):
-            raise ValueError("max_ranks entries must be positive")
-    cores = []
-    remainder = x.reshape(1, -1)
-    r_prev = 1
-    for k in range(d - 1):
-        mat = remainder.reshape(r_prev * shape[k], -1)
-        u, s, vt = jacobi_svd(mat)
-        if s.size == 0 or s[0] == 0.0:
-            rank = 1  # zero remainder: keep a zero core to preserve the chain
-        else:
-            rank = int(np.count_nonzero(s > rel_tol * s[0]))
-            rank = max(rank, 1)
-        if max_ranks is not None:
-            rank = min(rank, max_ranks[k])
-        cores.append(u[:, :rank].reshape(r_prev, shape[k], rank))
-        remainder = s[:rank, None] * vt[:rank]
-        r_prev = rank
-    cores.append(remainder.reshape(r_prev, shape[-1], 1))
-    return TTTensor(tuple(cores))
 
 
 def tt_random(shape, ranks, seed) -> TTTensor:

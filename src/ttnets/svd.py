@@ -1,19 +1,18 @@
-"""Singular value decomposition via one-sided Jacobi rotations.
+"""Singular values and numerical ranks via one-sided Jacobi rotations.
 
 The rank certificates produced by this package ultimately rest on the
-singular values computed here, so the factorization is implemented in
-the repository instead of delegating to LAPACK.  One-sided Jacobi was
-chosen because it is short, backward stable, and computes small
-singular values with high relative accuracy on column-graded matrices.
+singular values computed here, so they are computed in the repository
+instead of by LAPACK.  One-sided Jacobi was chosen because it is short,
+backward stable, and computes small singular values with high relative
+accuracy on column-graded matrices.  Only the values are computed: no
+singular vectors are accumulated.
 
 Accuracy contract: for any finite matrix with min(m, n) <= 1024 the
-reconstruction ``U @ diag(s) @ Vt`` agrees with the input to within
-``1e-12 * ||M||_F``, and the singular values agree with LAPACK's to
-within ``1e-12 * sigma_1``.  The tests check this against LAPACK.
-Relative accuracy reaches down to ``eps * ||M||_F``: a column of the
-working matrix at or below that norm is indistinguishable from roundoff
-and is returned as an exact zero singular value whose column of U (row
-of Vt for a wide matrix) is zero.
+singular values agree with LAPACK's to within ``1e-12 * sigma_1``; the
+tests check this against LAPACK.  Relative accuracy reaches down to
+``eps * ||M||_F``: a column of the working matrix at or below that norm
+is indistinguishable from roundoff and gives an exact zero singular
+value.
 
 Jacobi: the working matrix W has no more columns than rows.  Each sweep
 walks a round-robin schedule of disjoint column pairs; every pair
@@ -48,17 +47,14 @@ fast and accurate Jacobi SVD algorithm", SIAM J. Matrix Anal. Appl.
 the rotations; A is transposed first if wide) is followed by a second
 one, ``R^T P2 = Q2 R2``, and Jacobi runs on ``W = R2^T``.  R and R2 have
 the singular values of A.  Pivoting makes the rows of each R decay, so
-the columns of W start nearly orthogonal and far fewer sweeps are needed:
-on the 81x81 matricizations of random d=8, n=r=3 chains 7-8 instead of
-14-22 (one QR alone: 8-10), on the 27x27 ones at d=6, 6-7 instead of
-10-13, each count including the last sweep, which rotates nothing.
+the columns of W start nearly orthogonal and far fewer sweeps are needed
+than by Jacobi on A itself: on the 81x81 matricizations of random d=8,
+n=r=3 chains 7-8 instead of 14-22 (one QR alone: 8-10), on the 27x27
+ones at d=6, 6-7 instead of 10-13, each count including the last sweep,
+which rotates nothing.
 Householder QR is columnwise backward stable, and pivoting leaves W
 graded by columns, so the accuracy contract above is unchanged, the
 relative accuracy on graded columns included.
-
-:func:`jacobi_svd` runs the same kernel on a copy of A itself (its
-transpose if A is wide) and accumulates the rotations into V; U is the
-normalized columns of W.
 
 Ranks: :func:`numerical_rank` counts the singular values above
 ``rel_tol * sigma_1``, but most ranks are proved before any Jacobi sweep,
@@ -88,12 +84,12 @@ n=r=3 chains the bounds decide nearly every rank, and a decision takes
 about a tenth of the time of the singular values.  Callers that need
 the singular values themselves call :func:`singular_values`.
 
-Scale: all three first scale each matrix by 2**-e, e the binary
-exponent of its largest |entry|, and the first two scale the singular
-values back by 2**e.  The
-squared column norms and the roundoff floor then stay far from under-
-and overflow whatever the scale of the input (unscaled, a matrix with
-entries near 1e-150 never converges and one near 1e160 gets rank 0).
+Scale: both functions first scale each matrix by 2**-e, e the binary
+exponent of its largest |entry|, and :func:`singular_values` scales the
+values back by 2**e.  The squared column norms and the roundoff floor
+then stay far from under- and overflow whatever the scale of the input
+(unscaled, a matrix with entries near 1e-150 never converges and one
+near 1e160 gets rank 0).
 Every step of the kernel commutes with a power-of-two scaling, so the
 results are bit for bit those of the unscaled computation wherever that
 one stays in range.
@@ -105,7 +101,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["DEFAULT_REL_TOL", "jacobi_svd", "numerical_rank", "singular_values"]
+__all__ = ["DEFAULT_REL_TOL", "numerical_rank", "singular_values"]
 
 # Separates genuine rank deficiency from roundoff at the matrix sizes
 # this package produces (<= 1024).
@@ -169,12 +165,11 @@ def _round_gathers(n: int) -> tuple:
     return orders[-1], tuple(gathers)
 
 
-def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> int:
+def _orthogonalize_columns(w: np.ndarray) -> int:
     """Run Jacobi sweeps in place on every matrix of the stack w (S, m, n)
-    until all its column pairs are orthogonal; the same rotations are
-    applied to the columns of v (S, n, n) when given.  Returns the number
-    of sweeps run, the last of which rotated nothing."""
-    m, n = w.shape[1:]
+    until all its column pairs are orthogonal.  Returns the number of
+    sweeps run, the last of which rotated nothing."""
+    n = w.shape[2]
     if n < 2:
         return 0
     start, gathers = _round_gathers(n)
@@ -185,12 +180,7 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> int:
     # per sweep until it stalls in subnormals), so a pair holding one
     # counts as converged and the column is zeroed at the end.
     floor = np.array([(_EPS * np.linalg.norm(x)) ** 2 for x in w])[:, None]
-    # Row j holds column j of W followed by column j of V, so one gather
-    # moves and one rotation turns both.
-    rows = w.transpose(0, 2, 1)
-    if v is not None:
-        rows = np.concatenate([rows, v.transpose(0, 2, 1)], axis=2)
-    rows = rows.take(start, axis=1)
+    rows = w.transpose(0, 2, 1).take(start, axis=1)
     turned = np.empty_like(rows[:, :half])
     product = np.empty_like(turned)
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -199,11 +189,11 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> int:
             rows = rows.take(gather, axis=1)
             p_rows = rows[:, :half]
             q_rows = rows[:, half:2 * half]
-            cols = rows[:, :2 * half, :m]
-            norms = np.einsum("sji,sji->sj", cols, cols)
+            paired = rows[:, :2 * half]
+            norms = np.einsum("sji,sji->sj", paired, paired)
             alpha = norms[:, :half]
             beta = norms[:, half:]
-            gamma = np.einsum("sji,sji->sj", p_rows[:, :, :m], q_rows[:, :, :m])
+            gamma = np.einsum("sji,sji->sj", p_rows, q_rows)
             active = (np.abs(gamma) > _PAIR_TOL * np.sqrt(alpha * beta)) & \
                 (np.minimum(alpha, beta) > floor)
             if not active.any():
@@ -224,11 +214,8 @@ def _orthogonalize_columns(w: np.ndarray, v: np.ndarray | None) -> int:
             q_rows += np.multiply(s, p_rows, out=product)
             p_rows[...] = turned
         if not rotated:
-            cols = rows[:, :, :m]
-            cols[np.einsum("sji,sji->sj", cols, cols) <= floor] = 0.0
-            w.transpose(0, 2, 1)[:, start] = cols
-            if v is not None:
-                v.transpose(0, 2, 1)[:, start] = rows[:, :, m:]
+            rows[np.einsum("sji,sji->sj", rows, rows) <= floor] = 0.0
+            w.transpose(0, 2, 1)[:, start] = rows
             return sweep
     raise RuntimeError(
         f"Jacobi SVD did not converge within {_MAX_SWEEPS} sweeps "
@@ -330,49 +317,22 @@ def _scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(stack, -e[:, None, None]), e
 
 
-def _check_matrix(a, stack: bool) -> np.ndarray:
+def _check_matrix(a) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 2 and not (stack and a.ndim == 3):
-        expected = "a 2-D array or a 3-D stack" if stack else "a 2-D array"
-        raise ValueError(f"expected {expected}, got ndim={a.ndim}")
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D array or a 3-D stack, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
-def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = U @ diag(s) @ Vt`` with s sorted descending.
-
-    U is m x k and Vt is k x n with k = min(m, n).  Columns of U that
-    belong to an exactly zero singular value are returned as zeros.
-    """
-    a = _check_matrix(a, stack=False)
-    m, n = a.shape
-    if m < n:
-        u, s, vt = jacobi_svd(a.T)
-        return vt.T, s, u.T
-    w, e = _scaled(a[None])
-    v = np.eye(n)
-    _orthogonalize_columns(w, v[None])
-    w = w[0]
-    sig = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros_like(w)
-    nonzero = sig > 0.0
-    u[:, nonzero] = w[:, nonzero] / sig[nonzero]
-    return u, np.ldexp(sig, e[0]), v.T
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, of a matrix (m, n) or of each matrix
     of a stack (S, m, n); a stack gives an (S, min(m, n)) array."""
-    a = _check_matrix(a, stack=True)
+    a = _check_matrix(a)
     stack, e = _scaled(a if a.ndim == 3 else a[None])
     w = _preconditioned(stack)
-    _orthogonalize_columns(w, None)
+    _orthogonalize_columns(w)
     sig = np.sqrt(np.einsum("sij,sij->sj", w, w))
     sig.sort(axis=1)
     sig = np.ldexp(sig[:, ::-1], e[:, None])
@@ -392,7 +352,7 @@ def numerical_rank(a, rel_tol: float = DEFAULT_REL_TOL) -> int | np.ndarray:
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    a = _check_matrix(a, stack=True)
+    a = _check_matrix(a)
     stack = a if a.ndim == 3 else a[None]
     ranks, proved = _proved_ranks(_first_r(_scaled(stack)[0]), rel_tol)
     if not proved.all():

@@ -437,7 +437,8 @@ def train_lr_sweep(build_net, data: Dataset, cfg: TrainConfig,
 
 
 def decision_grid(net: ScoreNetwork, bounds, resolution: int):
-    """Predicted labels on a lattice over ``bounds = (xmin, xmax, ymin, ymax)``.
+    """Predicted labels on a lattice over ``bounds = (xmin, xmax, ymin, ymax)``,
+    a finite box with xmin < xmax and ymin < ymax.
 
     Only for networks consuming a 2-D point as two one-dimensional
     patches.  Returns (labels[iy, ix], xs, ys).
@@ -448,6 +449,9 @@ def decision_grid(net: ScoreNetwork, bounds, resolution: int):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
+    if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax))) and xmin < xmax and ymin < ymax):
+        raise ValueError(f"bounds must be finite with xmin < xmax and ymin < ymax, "
+                         f"got xmin,xmax,ymin,ymax = {xmin:g},{xmax:g},{ymin:g},{ymax:g}")
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
     gx, gy = np.meshgrid(xs, ys)

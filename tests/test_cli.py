@@ -281,6 +281,21 @@ class TestBoundaryCommand:
         assert "finite" in err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds", ["inf,1,0,1", "1,0,0,1", "0,0,0,1", "0,1,1,-1"])
+    def test_box_that_is_not_finite_or_empty_exits_two(self, tmp_path, capsys, checkpoint,
+                                                       bounds):
+        # an infinite, reversed or zero-width box is refused before any
+        # grid is laid out: no numpy warning, no mirrored or repeated rows
+        code, out, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
+                             "--bounds", bounds, "--resolution", "3",
+                             "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: bounds must be finite with xmin < xmax and ymin < ymax, "
+            f"got xmin,xmax,ymin,ymax = {bounds}"]
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_non_number_bound_names_the_flag(self, tmp_path, capsys, checkpoint):
         code, _, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
                            "--bounds", "0,1,a,1", "--out-dir", str(tmp_path))

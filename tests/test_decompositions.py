@@ -21,7 +21,6 @@ from ttnets.decompositions import (
     tt_equal_cores_random,
     tt_random,
     tt_scores_from_features,
-    tt_svd,
     tt_to_dense,
 )
 from ttnets.svd import numerical_rank
@@ -69,45 +68,6 @@ class TestTTBasics:
         tt = tt_random((10,) * 8, (1,) * 7, seed=0)
         with pytest.raises(ValueError, match="cap"):
             tt_to_dense(tt)
-
-
-class TestTTSVD:
-    def test_rank_one_matrix(self):
-        tt = tt_svd(np.array([[3.0, 4.0], [6.0, 8.0]]))
-        assert tt.ranks == (1,)
-        np.testing.assert_allclose(tt_to_dense(tt), [[3, 4], [6, 8]], atol=1e-14)
-
-    def test_identity_matrix(self):
-        assert tt_svd(np.eye(2)).ranks == (2,)
-
-    def test_delta_chain_ranks(self):
-        dense = tt_to_dense(tt_delta_example(4, 2, 2))
-        assert tt_svd(dense).ranks == (2, 1, 2)
-
-    def test_reconstruction_accuracy(self):
-        x = np.random.default_rng(3).normal(size=(3, 4, 2, 3))
-        tt = tt_svd(x)
-        err = np.linalg.norm(tt_to_dense(tt) - x) / np.linalg.norm(x)
-        assert err <= 1e-10
-
-    def test_max_ranks_cap(self):
-        x = np.random.default_rng(4).normal(size=(3, 3, 3))
-        tt = tt_svd(x, max_ranks=[2, 2])
-        assert all(r <= 2 for r in tt.ranks)
-
-    def test_recompression_never_increases_ranks(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            d = int(rng.integers(3, 7))
-            shape = tuple(int(v) for v in rng.integers(2, 5, size=d))
-            ranks = tuple(int(v) for v in rng.integers(1, 5, size=d - 1))
-            tt = tt_random(shape, ranks, seed=seed)
-            again = tt_svd(tt_to_dense(tt))
-            assert all(a <= b for a, b in zip(again.ranks, ranks))
-
-    def test_zero_tensor(self):
-        tt = tt_svd(np.zeros((2, 2, 2)))
-        assert not tt_to_dense(tt).any()
 
 
 class TestTTRandom:

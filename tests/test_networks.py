@@ -10,7 +10,6 @@ from ttnets.decompositions import (
     cp_to_dense,
     ht_to_dense,
     states,
-    tt_svd,
     tt_to_dense,
 )
 from ttnets.networks import (
@@ -161,14 +160,18 @@ class TestForwardAgainstBruteForce:
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)
 
     def test_cp_and_tt_from_same_dense_tensor_agree(self):
+        # a CP tensor of rank R is a TT chain of rank R with diagonal
+        # interior cores
         rng = np.random.default_rng(10)
-        m, d, c = 3, 3, 1
-        factors = [rng.normal(size=(m, 2)) for _ in range(d - 1)]
-        factors.append(rng.normal(size=(m, 2, c)))
+        m, d, c, r = 3, 3, 1, 2
+        factors = [rng.normal(size=(m, r)) for _ in range(d - 1)]
+        factors.append(rng.normal(size=(m, r, c)))
         cp_net = ScoreNetwork(FeatureMap(rng.normal(size=(m, m)), rng.normal(size=m),
                                          "sigmoid"), CPTensor(factors))
-        dense = cp_to_dense(cp_net.weights.class_tensor(0))
-        tt = tt_svd(dense, rel_tol=1e-13)
+        tt = TTTensor((factors[0][None],
+                       *(np.einsum("ia,ab->aib", f, np.eye(r)) for f in factors[1:-1]),
+                       factors[-1].transpose(1, 0, 2)))
+        np.testing.assert_allclose(tt_to_dense(tt), cp_to_dense(cp_net.weights), rtol=1e-13)
         tt_net = ScoreNetwork(cp_net.feature_map, tt)
         for _ in range(5):
             x = rng.normal(size=(d, m))
