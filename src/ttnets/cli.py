@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     for key, val in vars(args).items():
         if key not in ("command", "config"):
             values[key] = val
+    if values["seed"] < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {values['seed']}")
     return argparse.Namespace(**values)
 
 
@@ -371,7 +374,13 @@ def cmd_sweep(args) -> int:
 def cmd_patches(args) -> int:
     if not args.image:
         raise ValueError("patches needs --image")
-    image = np.atleast_2d(np.loadtxt(args.image, delimiter=","))
+    with warnings.catch_warnings():  # an empty file is refused below
+        warnings.simplefilter("ignore", UserWarning)
+        image = np.atleast_2d(np.loadtxt(args.image, delimiter=","))
+    if not image.size:
+        raise ValueError(f"{args.image}: the image holds no pixel values")
+    if not np.isfinite(image).all():
+        raise ValueError(f"{args.image}: pixel values must be finite (found NaN or inf)")
     cfg = PatchConfig(image.shape[0], image.shape[1],
                       args.patch_height, args.patch_width, args.stride)
     matrix = extract_patches(image, cfg)

@@ -3,7 +3,7 @@
 All three formats store a d-dimensional tensor through small factors:
 
 * ``CPTensor`` -- a sum of r separable (rank-1) terms, one factor matrix
-  per mode.
+  per mode, the last carrying the output leg.
 * ``TTTensor`` -- a chain of 3-way cores ``G_k`` of shape
   ``(r_{k-1}, n_k, r_k)`` with ``r_0 = 1``; an entry is the product
   ``G_1[1, i_1, :] @ G_2[:, i_2, :] @ ... @ G_d[:, i_d, :]``.
@@ -12,9 +12,12 @@ All three formats store a d-dimensional tensor through small factors:
   last; internal node ``d + t`` contracts nodes ``2t`` and ``2t + 1``.
 
 Each format ends in an output leg of size C, the class axis of a score
-network: the last TT core is ``(r, n, C)``, the last CP factor may be
-``(n, r, C)`` and the HT root is ``(r_left, r_right, C)``.  A plain
-tensor has C = 1; ``class_tensor(y)`` cuts a wider leg down to class y.
+network: the last TT core is ``(r, n, C)``, the last CP factor is
+``(n, r, C)`` and the HT root is ``(r_left, r_right, C)``.  So every
+container's last parameter array is 3-way with the leg last, and the
+leading axes, ``num_classes`` and ``class_tensor(y)`` are read off it the
+same way for all three.  A plain tensor has C = 1; ``class_tensor(y)``
+cuts a wider leg down to class y, keeping a leg of 1.
 One batched contraction per format (``*_states``, picked by ``t.kind`` in
 ``states(t, phi)``) keeps the states of every step, the last being the
 scores; ``entry(t, idx)`` is the scores at one-hot features.  Dense
@@ -25,9 +28,10 @@ Each container is exactly its parameter list (cores, factors or nodes),
 and ``type(t)(arrays)`` rebuilds one over other arrays in that order; a
 score network uses this to lay its weights over views of one flat
 parameter vector, which training updates in place.  Any parameter
-arrays may carry the same leading axes (:attr:`lead`), each container
-checking only the trailing ones: a ``(K, ...)`` stack of K tensors of
-one shape is one container, and ``*_states`` contracts all K at once.
+arrays may carry the same leading axes (:attr:`lead`, read off the last
+array), each container checking only the trailing ones: a ``(K, ...)``
+stack of K tensors of one shape is one container, and ``*_states``
+contracts all K at once.
 Random sampling uses numpy's PCG64 generator seeded explicitly, so every
 construction is reproducible across platforms.
 """
@@ -84,13 +88,44 @@ def _check_lead(arrays, lead: tuple, what: str, first: int) -> None:
                              f"expected {lead} like the first")
 
 
+class _Format:
+    """What the three containers share: the parameter list, named by
+    ``_field``, whose last array is 3-way with the output leg last, so the
+    leading axes, the leg size and the class tensors read it alike."""
+
+    _field: str
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return getattr(self, self._field)[-1].shape[:-3]
+
+    @property
+    def num_classes(self) -> int:
+        return getattr(self, self._field)[-1].shape[-1]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The mode sizes, read at each array's feature axis."""
+        return tuple(a.shape[axis] for a, axis in zip(self.parameters(), self.feature_axes())
+                     if axis is not None)
+
+    def class_tensor(self, y: int) -> _Format:
+        """The d-way tensor of class y (a leg of size 1)."""
+        *rest, last = getattr(self, self._field)
+        return type(self)((*rest, last[..., y : y + 1]))
+
+    def parameters(self) -> list[np.ndarray]:
+        return list(getattr(self, self._field))
+
+
 @dataclass
-class TTTensor:
+class TTTensor(_Format):
     """Tensor-train format: a chain of 3-way cores, the last one (r, n, C)."""
 
     cores: list[np.ndarray]
 
     kind = "tt"
+    _field = "cores"
 
     def __post_init__(self):
         if len(self.cores) < 1:
@@ -111,31 +146,12 @@ class TTTensor:
                 )
 
     @property
-    def lead(self) -> tuple[int, ...]:
-        return self.cores[0].shape[:-3]
-
-    @property
     def ndim(self) -> int:
         return len(self.cores)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(c.shape[-2] for c in self.cores)
-
-    @property
     def ranks(self) -> tuple[int, ...]:
         return tuple(c.shape[-1] for c in self.cores[:-1])
-
-    @property
-    def num_classes(self) -> int:
-        return self.cores[-1].shape[-1]
-
-    def class_tensor(self, y: int) -> TTTensor:
-        """The d-way tensor of class y (a leg of size 1)."""
-        return TTTensor((*self.cores[:-1], self.cores[-1][..., y : y + 1]))
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.cores)
 
     def feature_axes(self) -> list[int | None]:
         """Axis of each array in :meth:`parameters` that indexes the
@@ -145,68 +161,44 @@ class TTTensor:
 
 
 @dataclass
-class CPTensor:
-    """Separable-sum format: one (n_k, r) factor matrix per mode; the last
-    factor may be (n, r, C) to carry the output leg."""
+class CPTensor(_Format):
+    """Separable-sum format: one (n_k, r) factor matrix per mode, the last
+    one (n, r, C) with the output leg."""
 
     factors: list[np.ndarray]
 
     kind = "cp"
+    _field = "factors"
 
     def __post_init__(self):
         if len(self.factors) < 1:
             raise ValueError("a CP tensor needs at least one factor")
         self.factors = _float_arrays(self.factors)
-        lead = len(self.lead)
         *modes, last = self.factors
-        if any(f.ndim != lead + 2 for f in modes) or last.ndim not in (lead + 2, lead + 3) \
-                or len({f.shape[lead + 1] for f in self.factors}) != 1:
-            raise ValueError("all CP factors must be matrices sharing one width r "
-                             "(the last may be (n, r, C))")
+        if last.ndim < 3:
+            raise ValueError(f"the last CP factor carries the output leg and must be "
+                             f"(n, r, C), got shape {last.shape}")
+        lead = len(self.lead)
+        if any(f.ndim != lead + 2 for f in modes) or \
+                len({f.shape[lead + 1] for f in self.factors}) != 1:
+            raise ValueError("CP factors before the last must be (n, r) matrices, "
+                             "all of the last factor's width r")
         _check_lead(self.factors, self.lead, "factor", 1)
-
-    @property
-    def lead(self) -> tuple[int, ...]:
-        """Leading axes, read off the first factor; a lone factor of three
-        or more axes is read as carrying the output leg."""
-        first = self.factors[0]
-        return first.shape[:-2] if len(self.factors) > 1 else first.shape[:-3]
 
     @property
     def ndim(self) -> int:
         return len(self.factors)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        lead = len(self.lead)
-        return tuple(f.shape[lead] for f in self.factors)
-
-    @property
     def rank(self) -> int:
-        return self.factors[0].shape[len(self.lead) + 1]
-
-    @property
-    def output_factor(self) -> np.ndarray:
-        """The last factor as (..., n, r, C), a view."""
-        last, lead = self.factors[-1], self.lead
-        return last.reshape(*lead, last.shape[len(lead)], self.rank, -1)
-
-    @property
-    def num_classes(self) -> int:
-        return self.output_factor.shape[-1]
-
-    def class_tensor(self, y: int) -> CPTensor:
-        return CPTensor((*self.factors[:-1], self.output_factor[..., y]))
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.factors)
+        return self.factors[-1].shape[-2]
 
     def feature_axes(self) -> list[int | None]:
-        return [-2] * (self.ndim - 1) + [len(self.lead) - self.factors[-1].ndim]
+        return [-2] * (self.ndim - 1) + [-3]
 
 
 @dataclass
-class HTTensor:
+class HTTensor(_Format):
     """Perfect-binary-tree format: 2d-1 nodes in contraction order.
 
     ``nodes[:d]`` are the (n_k, r_k) leaf matrices in mode order; the
@@ -218,6 +210,7 @@ class HTTensor:
     nodes: list[np.ndarray]
 
     kind = "ht"
+    _field = "nodes"
 
     def __post_init__(self):
         self.nodes = _float_arrays(self.nodes)
@@ -241,10 +234,6 @@ class HTTensor:
                                  f"{2 * t} and {2 * t + 1}, got {b.shape[-3:-1]}")
 
     @property
-    def lead(self) -> tuple[int, ...]:
-        return self.nodes[0].shape[:-2]
-
-    @property
     def ndim(self) -> int:
         return (len(self.nodes) + 1) // 2
 
@@ -253,23 +242,9 @@ class HTTensor:
         return self.nodes[: self.ndim]
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(m.shape[-2] for m in self.leaves)
-
-    @property
     def node_ranks(self) -> tuple[int, ...]:
         """Output sizes of all non-root nodes: leaves first, then bottom-up."""
         return tuple(b.shape[-1] for b in self.nodes[:-1])
-
-    @property
-    def num_classes(self) -> int:
-        return self.nodes[-1].shape[-1]
-
-    def class_tensor(self, y: int) -> HTTensor:
-        return HTTensor((*self.nodes[:-1], self.nodes[-1][..., y : y + 1]))
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.nodes)
 
     def feature_axes(self) -> list[int | None]:
         return [-2] * self.ndim + [None] * (self.ndim - 1)
@@ -317,7 +292,7 @@ def cp_states(cp: CPTensor, phi) -> list[np.ndarray]:
     products (d, ..., B, r; entry k multiplies the first k dots), the
     output-leg product (..., B, r, C) and, last, the (..., B, C) scores."""
     phi = _modes(phi)
-    last = np.einsum("...bm,...mrc->...brc", phi[-1], cp.output_factor)
+    last = np.einsum("...bm,...mrc->...brc", phi[-1], cp.factors[-1])
     dots = np.empty((cp.ndim - 1, *last.shape[:-1]))
     prods = np.empty((cp.ndim, *last.shape[:-1]))
     prods[0] = 1.0
@@ -476,7 +451,8 @@ def cp_random(shape, r: int, seed) -> CPTensor:
     if r < 1:
         raise ValueError("rank must be positive")
     rng = np.random.default_rng(seed)
-    return CPTensor(tuple(rng.standard_normal((n, r)) for n in shape))
+    *modes, last = (rng.standard_normal((n, r)) for n in shape)
+    return CPTensor((*modes, last[..., None]))
 
 
 def ht_node_leaf_sets(d: int) -> list[tuple[int, ...]]:

@@ -77,10 +77,16 @@ def load_mnist_idx(images_path, labels_path):
 
 
 def save_idx_images(path, images) -> None:
-    """Write images given as uint8 or as floats in [0, 1]."""
+    """Write (N, rows, cols) images given as uint8 or as floats in [0, 1]."""
     images = np.asarray(images)
+    if images.ndim != 3:
+        raise ValueError(f"images must be an (N, rows, cols) array, got shape {images.shape}")
     if images.dtype != np.uint8:
-        images = np.clip(np.round(images * 255.0), 0, 255).astype(np.uint8)
+        inside = (images >= 0.0) & (images <= 1.0)  # False for NaN
+        if not inside.all():
+            raise ValueError(f"pixels that are not uint8 must be finite and in [0, 1], "
+                             f"got {images[~inside][0]}")
+        images = np.round(images * 255.0).astype(np.uint8)
     count, rows, cols = images.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
@@ -88,10 +94,16 @@ def save_idx_images(path, images) -> None:
 
 
 def save_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels).astype(np.uint8)
+    """Write labels given as integers in 0..255."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array, got shape {labels.shape}")
+    valid = (labels >= 0) & (labels <= 255) & (labels == np.floor(labels))
+    if not valid.all():
+        raise ValueError(f"labels must be integers in 0..255, got {labels[~valid][0]}")
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-        fh.write(labels.tobytes())
+        fh.write(labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
                                                                   rank * num_classes)
     out_leg = (*weights.lead, -1, rank * num_classes)
     np.matmul(_t(phi[..., -1, :]), outer, out=grads[-1].reshape(out_leg))
-    dphi[..., -1, :] = outer @ _t(weights.output_factor.reshape(out_leg))
+    dphi[..., -1, :] = outer @ _t(weights.factors[-1].reshape(out_leg))
     return grads, dphi
 
 

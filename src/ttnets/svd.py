@@ -113,53 +113,27 @@ _EPS = np.finfo(np.float64).eps
 
 
 @functools.cache
-def _round_robin_schedule(n: int) -> tuple:
-    """Rounds of disjoint column pairs covering all n*(n-1)/2 pairs.
-
-    Circle method: one slot stays fixed, the rest rotate, giving n-1
-    rounds of n/2 pairs (n padded to even with a sit-out slot).  Cached
-    per n; the index arrays are read-only.
-    """
-    slots = list(range(n))
-    if n % 2:
-        slots.append(-1)
-    m = len(slots)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = slots[i], slots[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        pair = (np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp))
-        for index in pair:
-            index.setflags(write=False)
-        rounds.append(pair)
-        slots = [slots[0], slots[-1], *slots[1:-1]]
-    return tuple(rounds)
-
-
-@functools.cache
 def _round_gathers(n: int) -> tuple:
-    """Row moves for the rounds of :func:`_round_robin_schedule` (n >= 2).
+    """Jacobi round order for n >= 2 columns, all n*(n-1)/2 pairs a sweep.
 
+    Circle method: one slot stays fixed and the rest rotate, giving n-1
+    rounds of n/2 disjoint pairs (n padded to even with a sit-out slot).
     The kernel holds the columns of W as rows in the current round's
-    order: the round's p columns, then its q columns in the same pair
-    order, then the sit-out column (odd n).  Returns the last round's
+    order: the round's p columns, then its q columns (p < q) in the same
+    pair order, then the sit-out column (odd n).  Returns the last round's
     order, in which every sweep starts and ends, and per round the gather
     index that takes the rows from the previous round's order to this
     round's.  Cached per n; the index arrays are read-only.
     """
+    slots = [*range(n), *[-1] * (n % 2)]  # -1: the sit-out slot
     orders = []
-    for ps, qs in _round_robin_schedule(n):
-        paired = np.concatenate([ps, qs])
-        orders.append(np.concatenate([paired, np.delete(np.arange(n), paired)]))
-    gathers = []
-    position = np.empty(n, dtype=np.intp)
-    for before, order in zip([orders[-1], *orders], orders):
-        position[before] = np.arange(n)
-        gathers.append(position[order])
+    for _ in range(len(slots) - 1):
+        pairs = [sorted(pair) for pair in zip(slots[: len(slots) // 2], slots[::-1])]
+        ps, qs = ([pair[j] for pair in pairs if pair[0] >= 0] for j in (0, 1))
+        orders.append(np.array(ps + qs + [q for p, q in pairs if p < 0], dtype=np.intp))
+        slots = [slots[0], slots[-1], *slots[1:-1]]
+    # argsort inverts a permutation: the position of each column before
+    gathers = [np.argsort(before)[order] for before, order in zip([orders[-1], *orders], orders)]
     for index in (orders[-1], *gathers):
         index.setflags(write=False)
     return orders[-1], tuple(gathers)

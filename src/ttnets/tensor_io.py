@@ -17,8 +17,10 @@ list, in order, each tagged by its ndim:
 * tensor train -- d ``core: r_prev n r_next`` blocks with chained ranks,
   r_0 = 1 and r_d the output leg size (1 for a plain tensor, the class
   count in a checkpoint);
-* separable sum -- d ``factor: n r`` blocks; the last one may instead be
-  ``factor3: n r C``, as it is in checkpoints;
+* separable sum -- d-1 ``factor: n r`` blocks, then the last factor,
+  which carries the output leg, as ``factor3: n r C``; a factor file
+  spells a unit leg (C = 1, a plain tensor) ``factor: n r``, and a 2-way
+  last block reads back as a leg of 1;
 * tree (d a power of two) -- its 2d-1 nodes: d ``leaf: n r`` blocks in
   leaf order, then ``node: r_left r_right r_out`` blocks bottom-up and
   left to right, node d+t merging nodes 2t and 2t+1; the root comes
@@ -165,9 +167,9 @@ class _LineReader:
 # block codecs, one per format
 
 
-def _write_tensor(fh, t: TTTensor | CPTensor | HTTensor) -> None:
-    for arr in t.parameters():
-        _write_block(fh, _TAGS[t.kind][arr.ndim], arr)
+def _write_blocks(fh, kind: str, arrays) -> None:
+    for arr in arrays:
+        _write_block(fh, _TAGS[kind][arr.ndim], arr)
 
 
 def _read_tensor(reader: _LineReader, kind: str, d: int):
@@ -176,6 +178,8 @@ def _read_tensor(reader: _LineReader, kind: str, d: int):
         raise ValueError(f"{reader.path}: unsupported network kind {kind!r}")
     count = 2 * d - 1 if kind == "ht" else d
     blocks = [reader.block(*_TAGS[kind].values()) for _ in range(count)]
+    if kind == "cp" and blocks[-1].ndim == 2:
+        blocks[-1] = blocks[-1][..., None]  # ``factor: n r``: a unit leg
     with reader.naming_errors():
         return FORMATS[kind](blocks)
 
@@ -205,9 +209,12 @@ def _tensor_header(t) -> list[int]:
 
 
 def save_tensor(path, t: TTTensor | CPTensor | HTTensor) -> None:
+    arrays = t.parameters()
+    if t.kind == "cp" and t.num_classes == 1:
+        arrays[-1] = arrays[-1][..., 0]  # spelled ``factor: n r``
     with open(path, "w") as fh:
         fh.write(f"{t.kind}: " + " ".join(str(n) for n in _tensor_header(t)) + "\n")
-        _write_tensor(fh, t)
+        _write_blocks(fh, t.kind, arrays)
 
 
 def load_tensor(path) -> TTTensor | CPTensor | HTTensor:
@@ -240,7 +247,7 @@ def save_checkpoint(path, net: ScoreNetwork) -> None:
         fh.write(f"activation: {fm.activation}\n")
         _write_block(fh, "A", fm.A)
         _write_block(fh, "b", fm.b)
-        _write_tensor(fh, net.weights)
+        _write_blocks(fh, net.kind, net.weights.parameters())
 
 
 def load_checkpoint(path) -> ScoreNetwork:

@@ -116,50 +116,41 @@ class TrainConfig:
 # toy datasets (each 2-D point is fed as two one-dimensional patches)
 
 
-def _check_toy_args(num_points: int, noise_sd: float) -> None:
+def _two_class_toy(num_points: int, noise_sd: float, seed: int, span: float,
+                   endpoint: bool, class1) -> Dataset:
+    """ceil(N/2) class-0 points on the unit circle at angles evenly spaced
+    from 0 to ``span`` (included if ``endpoint``), then floor(N/2) class-1
+    points ``class1`` of such unit points, plus Gaussian noise of standard
+    deviation ``noise_sd``."""
     if num_points < 2:
         raise ValueError("need at least two points")
     if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
         raise ValueError(f"noise standard deviation must be finite and >= 0, got {noise_sd}")
+    counts = (num_points - num_points // 2, num_points // 2)
+    arc0, arc1 = (np.stack([np.cos(t), np.sin(t)], axis=1)
+                  for t in (np.linspace(0.0, span, n, endpoint=endpoint) for n in counts))
+    points = np.concatenate([arc0, class1(arc1)])
+    labels = np.repeat(np.arange(2, dtype=np.int64), counts)
+    if noise_sd > 0:
+        points = points + np.random.default_rng(seed).normal(scale=noise_sd, size=points.shape)
+    return Dataset(points[:, :, None], labels, 2)
 
 
 def make_moons(num_points: int, noise_sd: float, seed: int = 0) -> Dataset:
     """Two interleaving arcs: class 0 on (cos t, sin t), class 1 on
     (1 - cos t, 1/2 - sin t), t evenly spaced on [0, pi] inclusive."""
-    _check_toy_args(num_points, noise_sd)
-    n0 = num_points - num_points // 2
-    n1 = num_points // 2
-    t0 = np.linspace(0.0, np.pi, n0)
-    t1 = np.linspace(0.0, np.pi, n1)
-    points = np.concatenate([
-        np.stack([np.cos(t0), np.sin(t0)], axis=1),
-        np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1),
-    ])
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    if noise_sd > 0:
-        points = points + np.random.default_rng(seed).normal(scale=noise_sd, size=points.shape)
-    return Dataset(points[:, :, None], labels, 2)
+    return _two_class_toy(num_points, noise_sd, seed, np.pi, True,
+                          lambda arc: [1.0, 0.5] - arc)
 
 
 def make_circles(num_points: int, noise_sd: float, factor: float = 0.5,
                  seed: int = 0) -> Dataset:
     """Concentric rings: class 0 at radius 1, class 1 at radius ``factor``,
     angles evenly spaced on [0, 2*pi)."""
-    _check_toy_args(num_points, noise_sd)
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
-    n0 = num_points - num_points // 2
-    n1 = num_points // 2
-    a0 = np.linspace(0.0, 2.0 * np.pi, n0, endpoint=False)
-    a1 = np.linspace(0.0, 2.0 * np.pi, n1, endpoint=False)
-    points = np.concatenate([
-        np.stack([np.cos(a0), np.sin(a0)], axis=1),
-        factor * np.stack([np.cos(a1), np.sin(a1)], axis=1),
-    ])
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    if noise_sd > 0:
-        points = points + np.random.default_rng(seed).normal(scale=noise_sd, size=points.shape)
-    return Dataset(points[:, :, None], labels, 2)
+    return _two_class_toy(num_points, noise_sd, seed, 2.0 * np.pi, False,
+                          lambda arc: factor * arc)
 
 
 def sequence_dataset(images: np.ndarray, labels: np.ndarray, cfg: PatchConfig,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,22 @@ class TestPatchesCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("text", ["1,2\nnan,4\n", "1,inf\n3,4\n", ""],
+                             ids=["nan", "inf", "empty"])
+    def test_unusable_image_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "img.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "patches", "--image", str(path),
+                                 "--patch-height", "1", "--patch-width", "1", "--stride", "1",
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}:")
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -462,6 +479,21 @@ class TestConfigFile:
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem1", "--seed", "-1"],
+        ["train", "--dataset", "moons", "--points", "20", "--epochs", "1", "--seed", "-1"],
+        ["sweep", "--dataset", "moons", "--points", "20", "--epochs", "1", "--seed", "-1"],
+        ["train", "--config", "{dir}/cfg.json"],
+    ], ids=["verify", "train", "sweep", "config"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -3}))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        value = "-3" if "--config" in argv else "-1"
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: --seed must be a non-negative integer, got {value}"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 2

@@ -143,15 +143,15 @@ class TestEqualCores:
 
 class TestCP:
     def test_rank_one_outer_product(self):
-        cp = CPTensor((np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])))
+        cp = CPTensor((np.array([[1.0], [2.0]]), np.array([[[3.0]], [[4.0]]])))
         np.testing.assert_array_equal(cp_to_dense(cp), [[3, 4], [6, 8]])
 
     def test_zero_factor_zero_tensor(self):
-        cp = CPTensor((np.zeros((2, 3)), np.ones((2, 3))))
+        cp = CPTensor((np.zeros((2, 3)), np.ones((2, 3, 1))))
         assert not cp_to_dense(cp).any()
 
     def test_identity_from_orthonormal_factors(self):
-        cp = CPTensor((np.eye(2), np.eye(2)))
+        cp = CPTensor((np.eye(2), np.eye(2)[:, :, None]))
         np.testing.assert_array_equal(cp_to_dense(cp), np.eye(2))
 
     def test_entry_matches_dense(self):
@@ -189,7 +189,14 @@ class TestCP:
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValueError):
-            CPTensor((np.zeros((2, 2)), np.zeros((2, 3))))
+            CPTensor((np.zeros((2, 2)), np.zeros((2, 3, 1))))
+
+    def test_legless_last_factor_rejected(self):
+        # the last factor always carries the output leg, of 1 for a plain sum
+        with pytest.raises(ValueError, match=r"\(n, r, C\)"):
+            CPTensor((np.zeros((2, 3)), np.zeros((2, 3))))
+        with pytest.raises(ValueError, match=r"\(n, r, C\)"):
+            CPTensor([np.zeros((2, 3))])
 
 
 class TestHT:
@@ -332,6 +339,15 @@ class TestOutputLeg:
             assert entry(wide.class_tensor(y), idx) == pytest.approx(dense[idx], rel=1e-12)
 
     @pytest.mark.parametrize("kind", FORMATS)
+    def test_class_tensor_keeps_a_leg_of_one(self, kind):
+        t = with_leg(FORMATS[kind][0](), 3, seed=7)
+        for y in range(3):
+            one = t.class_tensor(y)
+            assert one.num_classes == 1 and one.parameters()[-1].shape[-1] == 1
+            np.testing.assert_array_equal(one.parameters()[-1][..., 0],
+                                          t.parameters()[-1][..., y])
+
+    @pytest.mark.parametrize("kind", FORMATS)
     def test_entries_and_dense_need_a_leg_of_size_one(self, kind):
         build, _scores, entry, to_dense = FORMATS[kind]
         t = build()
@@ -380,9 +396,14 @@ class TestLeadingAxes:
         stacked = CPTensor([np.ones((5, 4, 3, 2))])
         assert stacked.lead == (5,) and stacked.shape == (4,)
 
+    def test_one_factor_stack_of_plain_sums(self):
+        stacked = CPTensor([np.ones((5, 4, 3, 1))])
+        assert stacked.lead == (5,) and (stacked.shape, stacked.rank) == ((4,), 3)
+        assert stacked.num_classes == 1
+
     @pytest.mark.parametrize("arrays, cls", [
         ([np.ones((2, 1, 2, 3)), np.ones((3, 3, 2, 1))], TTTensor),
-        ([np.ones((2, 2, 3)), np.ones((3, 2, 3))], CPTensor),
+        ([np.ones((2, 2, 3)), np.ones((3, 2, 3, 1))], CPTensor),
         ([np.ones((2, 2, 1)), np.ones((2, 2, 1)), np.ones((3, 1, 1, 1))], HTTensor),
     ])
     def test_mismatched_leading_axes_rejected(self, arrays, cls):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,45 @@ class TestIdxFiles:
         save_idx_images(path, np.full((1, 2, 2), 0.5))
         back = load_idx_images(path)
         np.testing.assert_allclose(back, 128 / 255, atol=1e-12)
+
+
+    @pytest.mark.parametrize("labels", [[0, 9, 256], [0, -1], [0, 3.7], [float("nan")],
+                                        np.zeros((2, 2), dtype=np.uint8)],
+                             ids=["256", "negative", "fraction", "nan", "2-D"])
+    def test_labels_that_do_not_fit_a_byte_rejected(self, tmp_path, labels):
+        path = tmp_path / "lab.idx"
+        with pytest.raises(ValueError, match="labels must be"):
+            save_idx_labels(path, labels)
+        assert not path.exists()
+
+    def test_integral_labels_of_any_dtype_saved(self, tmp_path):
+        path = tmp_path / "lab.idx"
+        save_idx_labels(path, [0.0, 9.0, 255])
+        np.testing.assert_array_equal(load_idx_labels(path), [0, 9, 255])
+
+    @pytest.mark.parametrize("images, match", [
+        (np.full((1, 2, 2), np.nan), "finite and in \\[0, 1\\]"),
+        (np.full((1, 2, 2), np.inf), "finite and in \\[0, 1\\]"),
+        (np.full((1, 2, 2), 1.5), "finite and in \\[0, 1\\]"),
+        (np.full((1, 2, 2), -0.5), "finite and in \\[0, 1\\]"),
+        (np.full((1, 2, 2), 3, dtype=np.int64), "finite and in \\[0, 1\\]"),
+        (np.zeros((2, 2)), "\\(N, rows, cols\\)"),
+        (np.zeros((1, 2, 2, 1), dtype=np.uint8), "\\(N, rows, cols\\)"),
+    ], ids=["nan", "inf", "above-one", "negative", "int-above-one", "2-D", "4-D"])
+    def test_images_that_do_not_fit_a_byte_rejected(self, tmp_path, images, match):
+        path = tmp_path / "img.idx"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                save_idx_images(path, images)
+        assert not path.exists()
+
+    def test_empty_arrays_saved(self, tmp_path):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        save_idx_images(ip, np.zeros((0, 28, 28)))
+        save_idx_labels(lp, [])
+        assert load_idx_images(ip).shape == (0, 28, 28)
+        assert load_idx_labels(lp).shape == (0,)
 
 
 class TestSyntheticDigits:

@@ -297,7 +297,7 @@ def einsum_cp_backward(cp, phi, upstream):
     d = cp.ndim
     dots = [phi[:, k] @ cp.factors[k] for k in range(d - 1)]
     full = reduce(np.multiply, dots, np.ones((phi.shape[0], cp.rank)))
-    head = np.einsum("bi,iry,by->br", phi[:, -1], cp.output_factor, upstream)
+    head = np.einsum("bi,iry,by->br", phi[:, -1], cp.factors[-1], upstream)
     grads, dphi = [], np.empty_like(phi)
     for k in range(d - 1):
         others = reduce(np.multiply, dots[:k] + dots[k + 1:], np.ones_like(full))
@@ -305,7 +305,7 @@ def einsum_cp_backward(cp, phi, upstream):
         dphi[:, k] = np.einsum("br,ir,br->bi", others, cp.factors[k], head)
     grads.append(np.einsum("br,bi,by->iry", full, phi[:, -1], upstream)
                  .reshape(cp.factors[-1].shape))
-    dphi[:, -1] = np.einsum("br,iry,by->bi", full, cp.output_factor, upstream)
+    dphi[:, -1] = np.einsum("br,iry,by->bi", full, cp.factors[-1], upstream)
     return grads, dphi
 
 

@@ -8,7 +8,6 @@ from ttnets.decompositions import tt_delta_example, tt_random, tt_to_dense
 from ttnets.svd import (
     _orthogonalize_columns,
     _round_gathers,
-    _round_robin_schedule,
     numerical_rank,
     singular_values,
 )
@@ -288,36 +287,27 @@ def test_preconditioning_cuts_the_sweep_count(monkeypatch):
     assert len(sweeps) == 1 and sweeps[0] <= 10 < plain
 
 
-def test_round_robin_schedule_cached_and_read_only():
-    rounds = _round_robin_schedule(7)
-    assert _round_robin_schedule(7) is rounds
-    pairs = {(p, q) for ps, qs in rounds for p, q in zip(ps.tolist(), qs.tolist())}
-    assert pairs == {(p, q) for p in range(7) for q in range(p + 1, 7)}
-    for ps, qs in rounds:
-        with pytest.raises(ValueError):
-            ps[0] = 1
-        assert not qs.flags.writeable
-
-
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 27, 81])
 def test_round_gathers_follow_the_schedule(n):
-    # replaying the gathers from the start order puts each round's p
-    # columns in the first half and its q columns in the second, pair by
-    # pair, the sit-out column last, and ends the sweep where it started
+    # replaying the gathers from the start order gives n-1 rounds (n for
+    # odd n), each pairing its first-half columns p with its second-half
+    # columns q, p < q, so that every pair comes once per sweep and the
+    # sweep ends where it started; the arrays are cached and read-only
     start, gathers = _round_gathers(n)
     assert _round_gathers(n)[1] is gathers
-    schedule = _round_robin_schedule(n)
-    assert len(gathers) == len(schedule)
+    assert len(gathers) == n - 1 + n % 2
     half = n // 2
     order = start
     seen = []
-    for gather, (ps, qs) in zip(gathers, schedule):
-        assert not gather.flags.writeable
+    for gather in (start, *gathers):
+        with pytest.raises(ValueError):
+            gather[0] = 1
+    for gather in gathers:
         order = order[gather]
-        np.testing.assert_array_equal(order[:half], ps)
-        np.testing.assert_array_equal(order[half:2 * half], qs)
         assert sorted(order.tolist()) == list(range(n))
-        seen += zip(order[:half].tolist(), order[half:2 * half].tolist())
+        pairs = list(zip(order[:half].tolist(), order[half:2 * half].tolist()))
+        assert all(p < q for p, q in pairs)
+        seen += pairs
     np.testing.assert_array_equal(order, start)
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
