@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -134,7 +135,10 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it (flag defaults are suppressed and layered by ``_resolve``)."""
     parser = argparse.ArgumentParser(prog="ttnets", allow_abbrev=False,
                                      description="tensor-network experiments")
     sub = parser.add_subparsers(dest="command", required=True)

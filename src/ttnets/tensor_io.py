@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 
 import numpy as np
 
@@ -122,7 +123,7 @@ class _LineReader:
         return self.pos < len(self.lines) and self.lines[self.pos].startswith(tag)
 
     def values(self, shape) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)  # a Python int: np.prod wraps in int64
         start = self.pos
         tokens = self.lines[start:start + size]
         try:

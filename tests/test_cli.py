@@ -476,6 +476,39 @@ class TestConfigFile:
         assert code == 0 and out.startswith("final epoch 1:")
 
 
+class TestCachedParser:
+    """The parser is built once per process; no call may leave a value in
+    it for the next.  The tensor x[i, j, k, l] = delta(i, k) delta(j, l)
+    has rank 1 across the split 1,3 and rank 4 across 1,2, so its
+    default-split bound is 4."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        eye = np.eye(2)
+        path = tmp_path / "x.txt"
+        tensor_io.save_dense(path, np.einsum("ik,jl->ijkl", eye, eye))
+        return str(path)
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_split_does_not_carry_over(self, capsys, path):
+        assert run(capsys, "rank", path, "--split", "1,3") == (0, "cp-rank lower bound: 1\n", "")
+        assert run(capsys, "rank", path) == (0, "cp-rank lower bound: 4\n", "")
+
+    def test_config_does_not_carry_over(self, tmp_path, capsys, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": ["1,3"]}))
+        assert run(capsys, "rank", path, "--config", str(cfg)) == \
+            (0, "cp-rank lower bound: 1\n", "")
+        assert run(capsys, "rank", path) == (0, "cp-rank lower bound: 4\n", "")
+
+    def test_good_call_after_a_usage_error(self, capsys, path):
+        code, out, err = run(capsys, "rank", path, "--split", "1,3", "--bogus")
+        assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
+        assert run(capsys, "rank", path) == (0, "cp-rank lower bound: 4\n", "")
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 2

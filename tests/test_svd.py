@@ -268,6 +268,45 @@ class TestStacks:
             numerical_rank(np.zeros(3))
 
 
+def _qr_members():
+    # the stack members, a zero matrix, a matrix with a zero column, and
+    # an upper-triangular one with a dominant diagonal, whose pivot column
+    # is zero below the diagonal at every step
+    rng = np.random.default_rng(9)
+    gap = rng.normal(size=(81, 9))
+    gap[:, 4] = 0.0
+    return _stack_members() + [
+        np.zeros((81, 9)),
+        gap,
+        np.triu(rng.normal(size=(81, 9))) + np.eye(81, 9) * np.arange(90, 0, -10),
+    ]
+
+
+class TestFirstR:
+    """The R factor of the first pivoted QR, on which the rank bounds rest."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_stack_matches_one_at_a_time_bit_for_bit(self, wide):
+        mats = [m.T if wide else m for m in _qr_members()]
+        stacked = svd._first_r(np.stack(mats))
+        assert stacked.shape == (len(mats), 9, 9)
+        for r, mat in zip(stacked, mats):
+            assert r.tobytes() == svd._first_r(mat[None])[0].tobytes()
+
+    def test_upper_triangular_with_non_increasing_diagonal(self):
+        r = svd._first_r(np.stack(_qr_members()))
+        np.testing.assert_array_equal(np.tril(r, -1), 0.0)
+        diagonal = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        assert np.all(diagonal[:, 1:] <= diagonal[:, :-1])
+
+    def test_singular_values_are_those_of_the_matrix(self):
+        mats = np.stack(_qr_members())
+        ref = np.linalg.svd(mats, compute_uv=False)
+        got = np.linalg.svd(svd._first_r(mats), compute_uv=False)
+        for s, s_ref in zip(got, ref):
+            np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+
+
 def test_preconditioning_cuts_the_sweep_count(monkeypatch):
     # deterministic: on the 81x81 matricization of a random d=8, n=r=3
     # chain, singular_values' QR-preconditioned Jacobi converges in at most

@@ -90,6 +90,24 @@ class TestMalformedValues:
             load(path)
         assert str(err.value) == f"{path}: unexpected end of file, expected a value"
 
+    @pytest.mark.parametrize("dims", ["4294967296 4294967296", "3037000500 3037000500"])
+    @_DENSE_AND_CHECKPOINT
+    def test_block_too_large_for_int64_is_end_of_file(self, tmp_path, write, load, dims):
+        # the value count of either header overflows int64 (2**64 would
+        # wrap to 0, 3037000500**2 to a negative count); the file's first
+        # block, followed only by its own values, must read as cut short
+        path = tmp_path / "f.txt"
+        write(path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(("shape:", "A:")))
+        tag, *shape = lines[at].split()
+        lines = lines[:at + 1 + int(np.prod([int(n) for n in shape]))]
+        lines[at] = f"{tag} {dims}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: unexpected end of file, expected a value"
+
 
 class TestNonFiniteValues:
     """Every loader names the file and line of a value that is not finite."""
