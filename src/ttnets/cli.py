@@ -97,7 +97,7 @@ _TRAINING = [
 
 _OPTIONS = {
     "verify": _COMMON + [
-        ("d", 6, int, "number of modes (even; power of two for ht-bounds)"),
+        ("d", 6, int, "number of modes (even; any d >= 2 for ht-bounds)"),
         ("n", 3, int, "mode size"),
         ("r", 3, int, "rank"),
         ("samples", 100, int, "Monte-Carlo samples (per cell for hypothesis1)"),

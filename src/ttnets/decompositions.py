@@ -7,9 +7,9 @@ All three formats store a d-dimensional tensor through small factors:
 * ``TTTensor`` -- a chain of 3-way cores ``G_k`` of shape
   ``(r_{k-1}, n_k, r_k)`` with ``r_0 = 1``; an entry is the product
   ``G_1[1, i_1, :] @ G_2[:, i_2, :] @ ... @ G_d[:, i_d, :]``.
-* ``HTTensor`` -- a perfect binary tree as one list of its 2d-1 nodes:
-  the d leaf matrices, then the 3-way transfer tensors bottom-up, root
-  last; internal node ``d + t`` contracts nodes ``2t`` and ``2t + 1``.
+* ``HTTensor`` -- a full binary tree as one list of its 2d-1 nodes: the d
+  leaf matrices, leaf k reading mode ``ht_leaf_modes(d)[k]``, then the
+  transfer tensors bottom-up, root last; node d+t contracts 2t and 2t+1.
 
 Each format ends in an output leg of size C, the class axis of a score
 network: the last TT core is ``(r, n, C)``, the last CP factor is
@@ -38,6 +38,7 @@ construction is reproducible across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,7 @@ __all__ = [
     "cp_states",
     "cp_to_dense",
     "entry",
+    "ht_leaf_modes",
     "ht_node_leaf_sets",
     "ht_random",
     "ht_scores_from_features",
@@ -199,12 +201,12 @@ class CPTensor(_Format):
 
 @dataclass
 class HTTensor(_Format):
-    """Perfect-binary-tree format: 2d-1 nodes in contraction order.
+    """Full-binary-tree format: 2d-1 nodes in contraction order.
 
-    ``nodes[:d]`` are the (n_k, r_k) leaf matrices in mode order; the
-    rest are the (r_left, r_right, r_out) transfer tensors bottom-up and
-    left to right, so internal node ``d + t`` merges nodes ``2t`` and
-    ``2t + 1`` and the root comes last, its r_out the leg size C.
+    ``nodes[:d]`` are the (n, r_k) leaf matrices, leaf k reading mode
+    ``ht_leaf_modes(d)[k]``; the rest are the (r_left, r_right, r_out)
+    transfer tensors bottom-up and left to right, so internal node d+t
+    merges nodes 2t and 2t+1 and the root comes last, its r_out the leg size C.
     """
 
     nodes: list[np.ndarray]
@@ -215,9 +217,8 @@ class HTTensor(_Format):
     def __post_init__(self):
         self.nodes = _float_arrays(self.nodes)
         d = self.ndim
-        if len(self.nodes) != 2 * d - 1 or d < 2 or d & (d - 1):
-            raise ValueError(f"a tree needs 2d-1 nodes with d a power of two >= 2, "
-                             f"got {len(self.nodes)} nodes")
+        if len(self.nodes) != 2 * d - 1 or d < 2:
+            raise ValueError(f"a tree needs 2d-1 nodes with d >= 2, got {len(self.nodes)} nodes")
         lead = self.lead
         for k, leaf in enumerate(self.nodes[:d]):
             if leaf.ndim != len(lead) + 2:
@@ -240,6 +241,10 @@ class HTTensor(_Format):
     @property
     def leaves(self) -> list[np.ndarray]:
         return self.nodes[: self.ndim]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(n for _, n in sorted(zip(ht_leaf_modes(self.ndim), super().shape)))
 
     @property
     def node_ranks(self) -> tuple[int, ...]:
@@ -307,7 +312,7 @@ def ht_states(ht: HTTensor, phi) -> list[np.ndarray]:
     order (leaves, then bottom-up), so the (..., B, C) root is last.
     Internal node d+t merges the outputs of nodes 2t and 2t+1."""
     phi = _modes(phi)
-    outputs = [phi[k] @ leaf for k, leaf in enumerate(ht.leaves)]
+    outputs = [phi[p] @ leaf for p, leaf in zip(ht_leaf_modes(ht.ndim), ht.leaves)]
     for t, b in enumerate(ht.nodes[ht.ndim:]):
         outputs.append(np.einsum("...ba,...bc,...aco->...bo",
                                  outputs[2 * t], outputs[2 * t + 1], b))
@@ -455,16 +460,24 @@ def cp_random(shape, r: int, seed) -> CPTensor:
     return CPTensor((*modes, last[..., None]))
 
 
+@functools.cache
+def ht_leaf_modes(d: int) -> tuple[int, ...]:
+    """The mode (from 0) of each leaf of a d-leaf tree: leaf k reads
+    (k + 2**ceil(log2 d)) mod d, so the root's leaves, left to right, are
+    modes 0..d-1 and every node covers a run of consecutive modes."""
+    return tuple((k + (1 << (d - 1).bit_length())) % d for k in range(d))
+
+
 def ht_node_leaf_sets(d: int) -> list[tuple[int, ...]]:
-    """1-based leaf sets of all non-root tree nodes, in :attr:`HTTensor.nodes`
-    order: internal node d+t covers the leaves of nodes 2t and 2t+1.
+    """1-based mode sets of all non-root tree nodes, in :attr:`HTTensor.nodes`
+    order: leaf k covers mode ``ht_leaf_modes(d)[k]`` + 1, node d+t those of 2t and 2t+1.
 
     Matches the ordering of :attr:`HTTensor.node_ranks` and of the
     ``node_ranks`` argument accepted by :func:`ht_random`.
     """
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"tree size must be a power of two >= 2, got {d}")
-    sets = [(k,) for k in range(1, d + 1)]
+    if d < 2:
+        raise ValueError(f"a tree needs d >= 2 leaves, got {d}")
+    sets = [(p + 1,) for p in ht_leaf_modes(d)]
     for t in range(d - 2):
         sets.append(sets[2 * t] + sets[2 * t + 1])
     return sets
@@ -478,21 +491,17 @@ def ht_random(shape, node_ranks, seed) -> HTTensor:
     """
     shape = tuple(int(n) for n in shape)
     d = len(shape)
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"number of leaves must be a power of two >= 2, got {d}")
     if np.isscalar(node_ranks):
         node_ranks = [node_ranks] * (2 * d - 2)
     ranks = [int(r) for r in node_ranks]
-    if len(ranks) != 2 * d - 2:
-        raise ValueError(
-            f"node_ranks must have {2 * d - 2} entries "
-            f"(leaves then bottom-up internal nodes, root excluded), got {len(ranks)}"
-        )
+    if d < 2 or len(ranks) != 2 * d - 2:
+        raise ValueError(f"a tree needs d >= 2 leaves and 2d-2 node_ranks (leaves then bottom-up "
+                         f"internal nodes, root excluded), got d = {d} and {len(ranks)} ranks")
     if any(r < 1 for r in ranks):
         raise ValueError("node ranks must be positive")
     ranks.append(1)  # the root's output leg
-    shapes = [*zip(shape, ranks), *((ranks[2 * t], ranks[2 * t + 1], ranks[d + t])
-                                   for t in range(d - 1))]
+    shapes = [*((shape[p], r) for p, r in zip(ht_leaf_modes(d), ranks)),
+              *((ranks[2 * t], ranks[2 * t + 1], ranks[d + t]) for t in range(d - 1))]
     rng = np.random.default_rng(seed)
     return HTTensor([rng.standard_normal(s) for s in shapes])
 
@@ -514,7 +523,7 @@ def ranks_from_dense(x, which: str = "tt", rel_tol: float = DEFAULT_REL_TOL) -> 
 
     ``which='tt'``: ranks of the prefix splits ``{1..k}`` for k = 1..d-1.
     ``which='ht'``: ranks of every non-root tree node's leaf-set split,
-    in :func:`ht_node_leaf_sets` order (d must be a power of two).
+    in :func:`ht_node_leaf_sets` order.
     """
     x = as_dense(x)
     d = x.ndim

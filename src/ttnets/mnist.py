@@ -15,6 +15,7 @@ regenerated deterministically offline; it is a stand-in, not MNIST.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -40,10 +41,10 @@ class IdxFormatError(ValueError):
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # checked before reading: a header may claim more than any buffer holds
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise IdxFormatError(f"{path}: truncated file while reading {what}")
-    return data
+    return fh.read(count)
 
 
 def load_idx_images(path) -> np.ndarray:

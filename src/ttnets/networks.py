@@ -48,6 +48,7 @@ from .decompositions import (
     HTTensor,
     TTTensor,
     cp_scores_from_features,
+    ht_leaf_modes,
     ht_scores_from_features,
     states,
     tt_delta_example,
@@ -449,9 +450,9 @@ def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states
         deltas[2 * t] = (mixed @ right[..., :, None])[..., 0]
         deltas[2 * t + 1] = (left[..., None, :] @ mixed)[..., 0, :]
     dphi = np.empty_like(phi)
-    for k, leaf in enumerate(weights.leaves):
-        np.matmul(_t(phi[..., k, :]), deltas[k], out=grads[k])
-        dphi[..., k, :] = deltas[k] @ _t(leaf)
+    for k, (p, leaf) in enumerate(zip(ht_leaf_modes(d), weights.leaves)):
+        np.matmul(_t(phi[..., p, :]), deltas[k], out=grads[k])
+        dphi[..., p, :] = deltas[k] @ _t(leaf)
     return grads, dphi
 
 
@@ -499,8 +500,8 @@ def _random_weights(kind: str, d: int, m: int, rank: int, num_classes: int,
     elif kind == "cp":
         shapes = [*[(m, rank)] * (d - 1), (m, rank, num_classes)]
     elif kind == "ht":
-        if d < 2 or d & (d - 1):
-            raise ValueError("tree networks need d a power of two")
+        if d < 2:
+            raise ValueError("tree networks need d >= 2")
         shapes = [*[(m, rank)] * d, *[(rank, rank, rank)] * (d - 2), (rank, rank, num_classes)]
     else:
         raise ValueError(f"unknown network kind {kind!r}")

@@ -12,16 +12,11 @@ Three claims are checked by sampling:
   a train of rank r has tree ranks <= r**2, and a tree of rank r has
   train ranks <= r**ceil(log2(d)/2).
 
-The tree-to-chain bound counts cut edges.  The prefix {1..k} of a
-balanced tree over d = 2**L leaves is the disjoint union of popcount(k)
-complete subtrees, and its complement of popcount(d - k); each subtree
-meets the rest of the tree through one edge of rank r, so the prefix
-matricization has rank <= r**min(popcount(k), popcount(d - k)).  The
-largest exponent over k is ceil(L/2) (popcount(k) + popcount(d - k) is
-one plus the carries of the sum, at most L + 1), and random trees reach
-it.  The paper's r**(log2(d)/2) is the same number when L is even
-(d = 4, 16, ...); when L is odd (d = 2, 8, 32, ...) it is not an integer
-and random trees exceed it, e.g. rank r**2 > r**1.5 at d = 8.
+The tree-to-chain bound counts cut edges.  The prefix {1..k} is tiled by
+a_k maximal subtrees and its complement by b_k; each meets the rest of
+the tree through one edge of rank r, so the prefix matricization has rank
+<= r**min(a_k, b_k).  Random trees reach the largest of these, at most
+r**ceil(log2(d)/2): at d = 8 that is r**2, above the paper's r**1.5.
 
 The verifiers differ only in the sampler, the splits (paired-mode; tree
 nodes or prefixes) and whether the threshold is a floor (separations) or
@@ -245,26 +240,33 @@ def verify_hypothesis1(d: int, n_range, r_range, samples_per_cell: int, seed: in
             for cell, report in enumerate(reports)]
 
 
+def _prefix_cuts(d: int) -> list[int]:
+    """min(a_k, b_k) for k = 1..d-1 (see the module docstring)."""
+    sets = ht_node_leaf_sets(d) + [range(1, d + 1)]  # the root last
+    # +1 inside the prefix, -1 inside its complement, 0 across; v's parent is d + v // 2
+    sides = [[(max(s) <= k) - (min(s) > k) for s in sets] for k in range(1, d)]
+    tops = [[side[v] for v in range(2 * d - 2) if side[d + v // 2] == 0] for side in sides]
+    return [min(t.count(1), t.count(-1)) for t in tops]
+
+
 def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
                         direction: str = "tt2ht",
                         rel_tol: float = CERT_REL_TOL) -> RankReport:
     """Check the chain<->tree rank transfer bounds on random samples.
 
     ``tt2ht``: samples rank-r trains, measures max tree-node rank,
-    bound r**2.  ``ht2tt``: samples trees with all node ranks r,
-    measures max prefix rank, bound r**ceil(log2(d)/2), the largest
-    r**min(popcount(k), popcount(d - k)) over prefix splits k (see the
-    module docstring).
+    bound r**2 (every node set is a run of modes, cut off by two chain
+    edges).  ``ht2tt``: samples trees with all node ranks r, measures max
+    prefix rank, bound the largest r**min(a_k, b_k) over prefix splits k
+    (see the module docstring and :func:`_prefix_cuts`).
     """
     d, n, r = int(d), int(n), int(r)
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"tree comparisons need d a power of two, got {d}")
     if direction not in ("tt2ht", "ht2tt"):
         raise ValueError(f"direction must be 'tt2ht' or 'ht2tt', got {direction!r}")
     if direction == "tt2ht":
         bound, draw, splits = r * r, _chain, ht_node_leaf_sets(d)
     else:
-        bound = max(r ** min(bin(k).count("1"), bin(d - k).count("1")) for k in range(1, d))
+        bound = r ** max(_prefix_cuts(d))
         draw, splits = _tree, [range(1, k + 1) for k in range(1, d)]
     report = RankReport(d=d, n=n, r=r, q=r, threshold=bound, seed=int(seed),
                         rel_tol=rel_tol, floor=False)

@@ -21,10 +21,10 @@ list, in order, each tagged by its ndim:
   which carries the output leg, as ``factor3: n r C``; a factor file
   spells a unit leg (C = 1, a plain tensor) ``factor: n r``, and a 2-way
   last block reads back as a leg of 1;
-* tree (d a power of two) -- its 2d-1 nodes: d ``leaf: n r`` blocks in
-  leaf order, then ``node: r_left r_right r_out`` blocks bottom-up and
-  left to right, node d+t merging nodes 2t and 2t+1; the root comes
-  last, its r_out the output leg size.
+* tree -- its 2d-1 nodes: d ``leaf: n r`` blocks in leaf order (leaf k
+  reading mode ``ht_leaf_modes(d)[k]``), then ``node: r_left r_right
+  r_out`` blocks bottom-up and left to right, node d+t merging nodes 2t
+  and 2t+1; the root comes last, its r_out the output leg size.
 
 A factor file (``save_tensor``, ``load_tensor``) puts one header line
 naming its format before the blocks; ``load_tensor`` reads the format

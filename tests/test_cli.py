@@ -371,6 +371,22 @@ class TestSweepCommand:
             assert "--ranks" in err
             assert not (tmp_path / "sweep.csv").exists()
 
+    def test_tree_on_digits_stops_at_the_calibrated_init(self, tmp_path, capsys):
+        # 28x28 digits in 8x8 patches at stride 5 are d = 25 patches: a
+        # tree is built, but deep trees have no calibrated init yet
+        images, labels = synthetic_digits(20, seed=1)
+        save_idx_images(tmp_path / "im.idx", images)
+        save_idx_labels(tmp_path / "lb.idx", labels)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", "--dataset", "mnist", "--network", "ht",
+                           "--images", str(tmp_path / "im.idx"),
+                           "--labels", str(tmp_path / "lb.idx"), "--ranks", "2",
+                           "--epochs", "1", "--out-dir", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "calibrated init" in err
+        assert not out.exists()
+
     def test_rank_below_one_rejected_before_training(self, tmp_path, capsys):
         code, out, err = run(capsys, "sweep", "--dataset", "moons", "--ranks", "8,0",
                              "--out-dir", str(tmp_path))

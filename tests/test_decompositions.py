@@ -12,6 +12,7 @@ from ttnets.decompositions import (
     cp_scores_from_features,
     cp_to_dense,
     entry,
+    ht_leaf_modes,
     ht_node_leaf_sets,
     ht_random,
     ht_scores_from_features,
@@ -207,10 +208,15 @@ class TestHT:
         np.testing.assert_array_equal(ht_to_dense(ht), np.eye(2))
 
     def test_entry_matches_dense(self):
-        ht = ht_random((2, 3, 2, 3), 2, seed=7)
-        dense = ht_to_dense(ht)
-        for idx in itertools.product(range(2), range(3), range(2), range(3)):
-            assert abs(entry(ht, idx) - dense[idx]) <= 1e-12 * max(1.0, abs(dense[idx]))
+        # d = 3..7 and 12 leaves; mixed mode sizes, so that a leaf reading
+        # the wrong mode changes the shape
+        for shape in [(2, 3, 2, 3), (2, 3, 4), (2, 3, 4, 2, 3), (2, 3, 4, 2, 3, 2),
+                      (2, 3, 2, 2, 3, 2, 2), (2,) * 12]:
+            ht = ht_random(shape, 2, seed=7)
+            dense = ht_to_dense(ht)
+            assert ht.shape == dense.shape == shape
+            for idx in itertools.product(*map(range, shape)):
+                assert abs(entry(ht, idx) - dense[idx]) <= 1e-12 * max(1.0, abs(dense[idx]))
 
     def test_all_leaf_ranks_one_separable(self):
         ht = ht_random((2, 2, 2, 2), 1, seed=3)
@@ -238,16 +244,36 @@ class TestHT:
     def test_node_leaf_sets(self):
         assert ht_node_leaf_sets(4) == [(1,), (2,), (3,), (4,), (1, 2), (3, 4)]
         assert ht_node_leaf_sets(8)[-2:] == [(1, 2, 3, 4), (5, 6, 7, 8)]
+        assert ht_node_leaf_sets(3) == [(2,), (3,), (1,), (2, 3)]
+        for d in (3, 5, 6, 25):
+            sets = ht_node_leaf_sets(d)
+            assert len(sets) == 2 * d - 2
+            assert all(s == tuple(range(s[0], s[0] + len(s))) for s in sets)
+            assert sets[-2] + sets[-1] == tuple(range(1, d + 1))  # the root's children
 
-    def test_leaf_count_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            ht_random((2, 2, 2), 2, seed=0)
+    def test_leaf_modes_rotate_only_off_powers_of_two(self):
+        assert all(ht_leaf_modes(2**L) == tuple(range(2**L)) for L in range(1, 7))
+        assert ht_leaf_modes(3) == (1, 2, 0)
+        assert ht_leaf_modes(25)[18] == 0  # (18 + 32) mod 25
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 4, 5, 6, 11])
+    def test_one_leaf_is_not_a_tree(self):
+        with pytest.raises(ValueError, match="d >= 2"):
+            ht_random((2,), 2, seed=0)
+        with pytest.raises(ValueError, match="d >= 2"):
+            ht_node_leaf_sets(1)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 6])
     def test_node_count_must_be_2d_minus_1_with_d_a_power_of_two(self, count):
-        # 1, 5 and 11 nodes are 2d-1 for d = 1, 3 and 6
-        with pytest.raises(ValueError, match=f"2d-1 nodes.*got {count} nodes"):
+        # a count that is not 2d-1, or 1 node (d = 1); every d >= 2 is a tree
+        with pytest.raises(ValueError, match=f"2d-1 nodes with d >= 2, got {count} nodes"):
             HTTensor([np.ones((2, 1))] * count)
+
+    @pytest.mark.parametrize("count", [5, 11])
+    def test_odd_node_counts_are_trees(self, count):
+        # 5 and 11 nodes are 2d-1 for d = 3 and 6
+        d = (count + 1) // 2
+        ht = ht_random((2,) * d, 1, seed=0)
+        assert len(HTTensor(ht.nodes).nodes) == count
 
     def test_three_way_leaf_rejected(self):
         nodes = ht_random((2, 2, 2, 2), 1, seed=0).nodes

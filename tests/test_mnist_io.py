@@ -70,6 +70,19 @@ class TestIdxFiles:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx_images(path)
 
+    @pytest.mark.parametrize("load, header", [
+        (load_idx_images, struct.pack(">IIII", IDX_IMAGE_MAGIC, 2**32 - 1, 2**32 - 1, 2**32 - 1)),
+        (load_idx_images, struct.pack(">IIII", IDX_IMAGE_MAGIC, 3, 100000, 100000)),
+        (load_idx_labels, struct.pack(">II", IDX_LABEL_MAGIC, 2**32 - 1)),
+    ], ids=["images-max", "images-30-gb", "labels-max"])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, load, header):
+        # refused before the claimed size is read, not as an overflow or
+        # an allocation failure
+        path = tmp_path / "tiny.idx"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(IdxFormatError, match="tiny.idx: truncated file"):
+            load(path)
+
     def test_count_mismatch(self, tmp_path, idx_pair):
         ip, _, _, _ = idx_pair
         lp = tmp_path / "short_labels.idx"

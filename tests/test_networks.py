@@ -8,6 +8,7 @@ from ttnets.decompositions import (
     HTTensor,
     TTTensor,
     cp_to_dense,
+    ht_node_leaf_sets,
     ht_to_dense,
     states,
     tt_to_dense,
@@ -130,6 +131,14 @@ class TestForwardAgainstBruteForce:
             np.testing.assert_allclose(net.scores(x), brute_scores(net, x),
                                        rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [3, 5, 6, 7, 12])
+    def test_tree_at_any_leaf_count_matches_inner_product(self, d):
+        rng = np.random.default_rng(d)
+        net = make_score_network("ht", d, 3, 2, 2, 3, seed=rng, activation="sigmoid")
+        x = rng.normal(size=(d, 3))
+        np.testing.assert_allclose(net.scores(x), brute_scores(net, x),
+                                   rtol=1e-10, atol=1e-12)
+
     def test_zero_feature_vector_kills_score(self):
         net = make_score_network("tt", 3, 2, 3, 2, 2, seed=0, activation="identity")
         net.feature_map.A[:] = 0.0
@@ -236,11 +245,13 @@ class TestGradients:
                 worst = max(worst, abs(fd - aflat[i]) / max(abs(fd), abs(aflat[i]), 1e-8))
         return worst
 
-    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
-    def test_matches_central_differences(self, kind):
+    @pytest.mark.parametrize("kind, d", [("tt", 4), ("cp", 4), ("ht", 4), *(
+        ("ht", d) for d in (3, 5, 6, 7, 12, 25))],
+        ids=["tt", "cp", "ht", *(f"ht-d{d}" for d in (3, 5, 6, 7, 12, 25))])
+    def test_matches_central_differences(self, kind, d):
         rng = np.random.default_rng(21)
-        net = make_score_network(kind, 4, 3, 3, 2, 2, seed=7, activation="sigmoid")
-        x = rng.normal(size=(4, 3))
+        net = make_score_network(kind, d, 3, 3, 2, 2, seed=7, activation="sigmoid")
+        x = rng.normal(size=(d, 3))
         upstream = rng.normal(size=2)
         assert self.finite_difference_worst_error(net, x, upstream) <= 1e-5
 
@@ -312,7 +323,8 @@ def einsum_cp_backward(cp, phi, upstream):
 def einsum_ht_backward(ht, phi, upstream):
     """Tree gradients: node outputs bottom-up, sensitivities top-down."""
     d, nodes = ht.ndim, ht.parameters()
-    outputs = [phi[:, k] @ leaf for k, leaf in enumerate(ht.leaves)]
+    modes = [s[0] - 1 for s in ht_node_leaf_sets(d)[:d]]  # the mode each leaf reads
+    outputs = [phi[:, p] @ leaf for p, leaf in zip(modes, ht.leaves)]
     for t in range(d - 1):
         left, right = outputs[2 * t], outputs[2 * t + 1]
         outputs.append(np.einsum("ba,bc,aco->bo", left, right, nodes[d + t]))
@@ -323,20 +335,21 @@ def einsum_ht_backward(ht, phi, upstream):
         grads[d + t] = np.einsum("ba,bc,bo->aco", left, right, delta)
         deltas[2 * t] = np.einsum("bc,aco,bo->ba", right, nodes[d + t], delta)
         deltas[2 * t + 1] = np.einsum("ba,aco,bo->bc", left, nodes[d + t], delta)
-    for k in range(d):
-        grads[k] = np.einsum("bi,ba->ia", phi[:, k], deltas[k])
-    dphi = np.stack([deltas[k] @ ht.leaves[k].T for k in range(d)], axis=1)
+    dphi = np.empty_like(phi)
+    for k, p in enumerate(modes):
+        grads[k] = np.einsum("bi,ba->ia", phi[:, p], deltas[k])
+        dphi[:, p] = deltas[k] @ ht.leaves[k].T
     return grads, dphi
 
 
 class TestBackwardAgainstEinsum:
     """The batched backwards against the plain einsum closed forms, at the
-    digit shape (25 patches of 64 pixels; 16 for the tree) and at the
-    toy shape (two one-pixel patches)."""
+    digit shape (25 patches of 64 pixels; also 16 for the tree) and at the
+    toy shape (two one-pixel patches; also three for the tree)."""
 
     @pytest.mark.parametrize("kind, d, n, rank", [
-        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16),
-        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8),
+        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16), ("ht", 25, 64, 16),
+        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8), ("ht", 3, 1, 8),
     ])
     def test_matches_einsum_reference(self, kind, d, n, rank):
         net = make_score_network(kind, d, n, 4, rank, 10, seed=11)
@@ -463,8 +476,8 @@ class TestStackedContractions:
         return state[:, k] if kind == "cp" and index < 2 else state[k]
 
     @pytest.mark.parametrize("kind, d, n, rank", [
-        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16),
-        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8),
+        ("tt", 25, 64, 16), ("cp", 25, 64, 16), ("ht", 16, 64, 16), ("ht", 25, 64, 16),
+        ("tt", 2, 1, 8), ("cp", 2, 1, 8), ("ht", 2, 1, 8), ("ht", 3, 1, 8),
     ])
     def test_states_and_backward_match_each_network(self, kind, d, n, rank):
         nets = [make_score_network(kind, d, n, 4, rank, 10, seed=s) for s in (11, 12, 13)]

@@ -130,9 +130,32 @@ class TestBounds:
             report = verify_ht_tt_bounds(4, 2, 1, 5, seed=0, direction=direction)
             assert report.observed_max <= 1 and report.violations == 0
 
-    def test_d_must_be_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            verify_ht_tt_bounds(6, 2, 2, 1, seed=0)
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_any_leaf_count_both_directions(self, d):
+        for direction in ("tt2ht", "ht2tt"):
+            report = verify_ht_tt_bounds(d, 2, 2, 3, seed=1, direction=direction)
+            assert report.bound == 4
+            assert report.violations == 0 and report.observed_max == 4
+
+    def test_one_leaf_is_not_a_tree(self):
+        with pytest.raises(ValueError, match="d >= 2"):
+            verify_ht_tt_bounds(1, 2, 2, 1, seed=0)
+
+    def test_cut_count_is_popcount_at_powers_of_two(self):
+        # the prefix {1..k} of a balanced tree is popcount(k) subtrees
+        for d in (2, 4, 8, 16, 32, 64):
+            assert rank_analysis._prefix_cuts(d) == [
+                min(bin(k).count("1"), bin(d - k).count("1")) for k in range(1, d)]
+
+    def test_cut_count_stays_within_the_documented_bound(self):
+        below = []
+        for d in range(2, 65):
+            limit = ((d - 1).bit_length() + 1) // 2  # ceil(log2(d) / 2)
+            exponent = max(rank_analysis._prefix_cuts(d))
+            assert exponent <= limit
+            if exponent < limit:
+                below.append(d)
+        assert below == [5, 17, 18, 19]
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):

@@ -167,12 +167,16 @@ class TestFactorFiles:
             np.testing.assert_array_equal(a, b)
 
     def test_ht_roundtrip(self, tmp_path):
-        ht = ht_random((2, 3, 2, 3), [2, 2, 2, 2, 3, 2], seed=2)
-        path = tmp_path / "ht.txt"
-        tensor_io.save_tensor(path, ht)
-        back = tensor_io.load_tensor(path)
-        for a, b in zip(ht.nodes, back.nodes):
-            np.testing.assert_array_equal(a, b)
+        for ht in (ht_random((2, 3, 2, 3), [2, 2, 2, 2, 3, 2], seed=2),
+                   ht_random((2, 3, 4, 5, 6) * 5, 2, seed=2)):
+            path, again = tmp_path / "ht.txt", tmp_path / "again.txt"
+            tensor_io.save_tensor(path, ht)
+            back = tensor_io.load_tensor(path)
+            assert back.shape == ht.shape
+            for a, b in zip(ht.nodes, back.nodes):
+                np.testing.assert_array_equal(a, b)
+            tensor_io.save_tensor(again, back)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_rank_mismatch_names_the_file(self, tmp_path):
         path = tmp_path / "bad_tt.txt"
@@ -223,14 +227,17 @@ class TestFactorFiles:
 
 
 class TestCheckpoints:
-    @pytest.mark.parametrize("kind", ["tt", "cp"])
-    def test_roundtrip_preserves_scores(self, tmp_path, kind):
-        net = make_score_network(kind, 3, 2, 4, 3, 2, seed=3, activation="sigmoid")
-        path = tmp_path / "net.txt"
+    @pytest.mark.parametrize("kind, d", [("tt", 3), ("cp", 3), ("ht", 25)],
+                             ids=["tt", "cp", "ht-d25"])
+    def test_roundtrip_preserves_scores(self, tmp_path, kind, d):
+        net = make_score_network(kind, d, 2, 4, 3, 2, seed=3, activation="sigmoid")
+        path, again = tmp_path / "net.txt", tmp_path / "again.txt"
         tensor_io.save_checkpoint(path, net)
         back = tensor_io.load_checkpoint(path)
-        x = np.random.default_rng(4).normal(size=(6, 3, 2))
+        x = np.random.default_rng(4).normal(size=(6, d, 2))
         np.testing.assert_array_equal(back.scores_batch(x), net.scores_batch(x))
+        tensor_io.save_checkpoint(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_versioned_header(self, tmp_path):
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)

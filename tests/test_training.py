@@ -313,10 +313,13 @@ class TestDeadUnitRevival:
         train(net, data, TrainConfig(epochs=1, learning_rate=1e-3, seed=0))
         assert self.fires(net, data, 2)
 
-    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
-    def test_revival_preserves_scores_bit_for_bit(self, kind):
+    @pytest.mark.parametrize("kind, d", [("tt", 2), ("cp", 2), ("ht", 2), ("ht", 5)],
+                             ids=["tt", "cp", "ht", "ht-d5"])
+    def test_revival_preserves_scores_bit_for_bit(self, kind, d):
         data = make_moons(40, 0.1, seed=0)
-        net = make_score_network(kind, 2, 1, 4, 3, 2, seed=1)
+        if d != 2:  # the same 80 coordinates as 16 sequences of d = 5
+            data = Dataset(data.inputs.reshape(16, d, 1), data.labels[:16], 2)
+        net = make_score_network(kind, d, 1, 4, 3, 2, seed=1)
         self.kill_unit(net, data, 2)
         state = AdamState(np.ones_like(net.vector), np.ones_like(net.vector), step=5)
         before = net.scores_batch(data.inputs)
