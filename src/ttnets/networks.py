@@ -379,21 +379,24 @@ def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states
     the upstream-contracted right state R_{k+1}.  One right-to-left sweep
     evaluates these as matrix products: core k's mixed state R_{k+1} G_k
     gives grad phi_k against L_{k-1} and the next right state R_k against
-    phi_k.
+    phi_k.  Core 0's left state is all ones, so its terms are the plain
+    products with R_1.
     """
     *lead, batch = phi.shape[:-2]
-    lefts = [np.ones((*lead, batch, 1)), *states[:-1]]
     dphi = np.empty_like(phi)
     right = upstream
-    for k in range(weights.ndim - 1, -1, -1):
+    for k in range(weights.ndim - 1, 0, -1):
         a, i, c = weights.cores[k].shape[-3:]
         core = weights.cores[k].reshape(*weights.lead, a * i, c)
         mixed = (right @ _t(core)).reshape(*lead, batch, a, i)
-        dphi[..., k, :] = (lefts[k][..., None, :] @ mixed)[..., 0, :]
-        outer = lefts[k][..., :, None] * phi[..., k, None, :]
+        dphi[..., k, :] = (states[k - 1][..., None, :] @ mixed)[..., 0, :]
+        outer = states[k - 1][..., :, None] * phi[..., k, None, :]
         np.matmul(_t(outer.reshape(*lead, batch, a * i)), right,
                   out=grads[k].reshape(*weights.lead, a * i, c))
         right = (mixed @ phi[..., k, :, None])[..., 0]
+    core = weights.cores[0][..., 0, :, :]  # (n, r_1): r_0 = 1
+    dphi[..., 0, :] = right @ _t(core)
+    np.matmul(_t(phi[..., 0, :]), right, out=grads[0][..., 0, :, :])
     return grads, dphi
 
 

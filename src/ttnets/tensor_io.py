@@ -3,7 +3,12 @@
 All files are line-oriented ASCII.  Values are written one per line with
 17 significant digits, which round-trips float64 exactly.  Arrays are
 flattened row-major (last index fastest).  Every array is a block: a
-``tag: dim1 dim2 ...`` header line followed by its values.
+``tag: dim1 dim2 ...`` header line followed by its values.  The writers
+format a chunk of ``WRITE_CHUNK`` values with one ``%`` template and one
+write, in the bytes of one ``f"{v:.17g}"`` per value.  Before opening the
+file they refuse what the readers refuse: a value that is not finite
+(the error names its block's tag), and for a dense tensor a 0-d array or
+an axis of length 0.
 
 Dense tensor::
 
@@ -74,10 +79,41 @@ _TAGS = {"tt": {3: "core"}, "cp": {2: "factor", 3: "factor3"}, "ht": {2: "leaf",
 _BLOCK_DIMS = {"A": 2, "b": 1, **{t: n for tags in _TAGS.values() for n, t in tags.items()}}
 
 
-def _write_block(fh, tag: str, arr: np.ndarray) -> None:
-    fh.write(f"{tag}: " + " ".join(str(n) for n in arr.shape) + "\n")
-    for v in np.asarray(arr, dtype=np.float64).ravel():
-        fh.write(f"{v:.17g}\n")
+# Rows formatted per ``%`` and per write.  A chunk's floats, tuple and
+# string are transient; 1024 rows keep them to a few hundred KB, so a block
+# of any size leaves the peak memory where it was, and larger chunks
+# measured no faster.
+WRITE_CHUNK = 1 << 10
+
+
+def write_rows(fh, row: str, values) -> None:
+    """Write each row of ``values`` (one per entry when 1-D) through the
+    ``%``-template ``row``, one format and one ``write`` per chunk of rows.
+
+    ``"%.17g" % v`` and ``f"{v:.17g}"`` call the same formatter, so the
+    bytes equal those of one format per value.
+    """
+    values = np.asarray(values)
+    for start in range(0, len(values), WRITE_CHUNK):
+        chunk = values[start:start + WRITE_CHUNK]
+        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def _write_file(path, head: str, blocks) -> None:
+    """Write ``head``, then each ``(tag, array)`` block: a header line and
+    the values.  A non-finite value is refused before the file is opened,
+    as the readers would refuse it."""
+    blocks = [(tag, np.asarray(arr, dtype=np.float64)) for tag, arr in blocks]
+    for tag, arr in blocks:
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"{path}: '{tag}' block holds {arr[~finite][0]}, "
+                             f"not a finite number")
+    with open(path, "w") as fh:
+        fh.write(head)
+        for tag, arr in blocks:
+            fh.write(f"{tag}: " + " ".join(str(n) for n in arr.shape) + "\n")
+            write_rows(fh, "%.17g\n", arr.ravel())
 
 
 class _LineReader:
@@ -168,9 +204,9 @@ class _LineReader:
 # block codecs, one per format
 
 
-def _write_blocks(fh, kind: str, arrays) -> None:
-    for arr in arrays:
-        _write_block(fh, _TAGS[kind][arr.ndim], arr)
+def _blocks(kind: str, arrays) -> list:
+    """The ``(tag, array)`` blocks of a format's arrays."""
+    return [(_TAGS[kind][arr.ndim], arr) for arr in arrays]
 
 
 def _read_tensor(reader: _LineReader, kind: str, d: int):
@@ -190,8 +226,11 @@ def _read_tensor(reader: _LineReader, kind: str, d: int):
 
 
 def save_dense(path, x) -> None:
-    with open(path, "w") as fh:
-        _write_block(fh, "shape", np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or 0 in x.shape:
+        raise ValueError(f"{path}: a dense tensor needs at least one axis and no empty "
+                         f"axis, got shape {x.shape}")
+    _write_file(path, "", [("shape", x)])
 
 
 def load_dense(path) -> np.ndarray:
@@ -213,9 +252,8 @@ def save_tensor(path, t: TTTensor | CPTensor | HTTensor) -> None:
     arrays = t.parameters()
     if t.kind == "cp" and t.num_classes == 1:
         arrays[-1] = arrays[-1][..., 0]  # spelled ``factor: n r``
-    with open(path, "w") as fh:
-        fh.write(f"{t.kind}: " + " ".join(str(n) for n in _tensor_header(t)) + "\n")
-        _write_blocks(fh, t.kind, arrays)
+    _write_file(path, f"{t.kind}: " + " ".join(str(n) for n in _tensor_header(t)) + "\n",
+                _blocks(t.kind, arrays))
 
 
 def load_tensor(path) -> TTTensor | CPTensor | HTTensor:
@@ -240,15 +278,13 @@ def load_tensor(path) -> TTTensor | CPTensor | HTTensor:
 def save_checkpoint(path, net: ScoreNetwork) -> None:
     """Persist a network: feature map, input order and weight blocks."""
     fm = net.feature_map
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_HEADER}\nkind: {net.kind}\nclasses: {net.num_classes}\n"
-                 f"input: {net.num_patches} {fm.input_size}\n")
-        if net.input_order is not None:
-            fh.write("order: " + " ".join(str(i) for i in net.input_order) + "\n")
-        fh.write(f"activation: {fm.activation}\n")
-        _write_block(fh, "A", fm.A)
-        _write_block(fh, "b", fm.b)
-        _write_blocks(fh, net.kind, net.weights.parameters())
+    head = (f"{CHECKPOINT_HEADER}\nkind: {net.kind}\nclasses: {net.num_classes}\n"
+            f"input: {net.num_patches} {fm.input_size}\n")
+    if net.input_order is not None:
+        head += "order: " + " ".join(str(i) for i in net.input_order) + "\n"
+    head += f"activation: {fm.activation}\n"
+    _write_file(path, head, [("A", fm.A), ("b", fm.b),
+                             *_blocks(net.kind, net.weights.parameters())])
 
 
 def load_checkpoint(path) -> ScoreNetwork:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -8,6 +9,7 @@ from ttnets import cli, tensor_io
 from ttnets.cli import main
 from ttnets.decompositions import tt_delta_example, tt_to_dense
 from ttnets.mnist import save_idx_images, save_idx_labels, synthetic_digits
+from ttnets.networks import make_score_network
 
 
 def run(capsys, *argv):
@@ -264,6 +266,19 @@ class TestBoundaryCommand:
         lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + 81
+
+    def test_recorded_digest(self, tmp_path, capsys):
+        # sha256 recorded with the csv.writer rows (CRLF line ends); the
+        # untrained network's grid holds both labels
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 4, 2, 2, seed=0))
+        code, _, _ = run(capsys, "boundary", "--checkpoint", str(path), "--resolution", "7",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "b7c26adaadda3bef70dec9f16c3f108bfb2f0c09f2391d169bd9d409c3ca9692"
+        assert data.startswith(b"x,y,label\r\n-1.5,-1.25,1\r\n")
 
     def test_svg_has_one_rect_per_cell(self, tmp_path, capsys, checkpoint):
         code, _, _ = run(capsys, "boundary", "--checkpoint", str(checkpoint),

@@ -45,6 +45,80 @@ class TestDenseFiles:
         with pytest.raises(ValueError, match="trailing"):
             tensor_io.load_dense(path)
 
+    # sha256 recorded with the writer that formatted one value per write:
+    # signed zero, the smallest subnormal and a huge value keep their bytes.
+    def test_recorded_digest(self, tmp_path):
+        x = np.concatenate([[-0.0, 5e-324, 1e308, 3.0, 0.1],
+                            np.random.default_rng(22).normal(size=7)]).reshape(3, 4)
+        path = tmp_path / "x.txt"
+        tensor_io.save_dense(path, x)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "4491d7bc2eed7cef7e6b393f3911acf2e9219de271b0436fcda5fc91e7d19625"
+        back = tensor_io.load_dense(path)
+        np.testing.assert_array_equal(back, x)
+        assert np.signbit(back[0, 0])
+
+
+class TestChunkedWrites:
+    """Values are formatted a chunk at a time, in the bytes of one format
+    per value."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_boundary(self, tmp_path, extra):
+        x = np.random.default_rng(extra + 1).normal(size=tensor_io.WRITE_CHUNK + extra)
+        x[::97] *= 1e-300
+        x[1::89] = -0.0
+        path = tmp_path / "x.txt"
+        tensor_io.save_dense(path, x)
+        ref = f"shape: {x.size}\n" + "".join(f"{v:.17g}\n" for v in x)
+        assert path.read_bytes() == ref.encode()
+
+
+class TestWritersRefuse:
+    """A writer refuses what its reader would refuse, before the file is
+    opened."""
+
+    def test_dense_non_finite(self, tmp_path):
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match="x.txt: 'shape' block holds nan, not a finite"):
+            tensor_io.save_dense(path, [[1.0, np.nan], [np.inf, 2.0]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("x", [np.float64(5.0), np.zeros((0, 3)), np.zeros((2, 0))],
+                             ids=["0-d", "empty-first", "empty-last"])
+    def test_dense_without_values(self, tmp_path, x):
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match=re.escape(f"x.txt: a dense tensor needs at least "
+                                                       f"one axis and no empty axis, got "
+                                                       f"shape {x.shape}")):
+            tensor_io.save_dense(path, x)
+        assert not path.exists()
+
+    def test_factor_file_non_finite(self, tmp_path):
+        t = cp_random((2, 3), 2, seed=0)
+        t.factors[0][1, 0] = -np.inf
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="t.txt: 'factor' block holds -inf"):
+            tensor_io.save_tensor(path, t)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, tag", [("tt", "core"), ("cp", "factor3"), ("ht", "node")])
+    def test_checkpoint_non_finite_weight(self, tmp_path, kind, tag):
+        net = make_score_network(kind, 4, 2, 3, 2, 2, seed=0)
+        net.weights.parameters()[-1][..., 0] = np.nan
+        path = tmp_path / "net.txt"
+        with pytest.raises(ValueError, match=f"net.txt: '{tag}' block holds nan"):
+            tensor_io.save_checkpoint(path, net)
+        assert not path.exists()
+
+    def test_checkpoint_non_finite_feature_map(self, tmp_path):
+        net = make_score_network("tt", 2, 1, 2, 2, 2, seed=0)
+        net.feature_map.A[0, 0] = np.inf
+        path = tmp_path / "net.txt"
+        with pytest.raises(ValueError, match="net.txt: 'A' block holds inf"):
+            tensor_io.save_checkpoint(path, net)
+        assert not path.exists()
+
 
 def _replace_line(path, number, token):
     lines = path.read_text().splitlines()
@@ -238,6 +312,22 @@ class TestCheckpoints:
         np.testing.assert_array_equal(back.scores_batch(x), net.scores_batch(x))
         tensor_io.save_checkpoint(again, back)
         assert again.read_bytes() == path.read_bytes()
+
+    # sha256 recorded with the writer that formatted one value per write.
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: make_score_network("tt", 3, 2, 4, 3, 2, seed=3, activation="sigmoid"),
+         "df8010dcfc25b37b1d1a4551d70fa11fcf166a3a2da13456db7ddbaf53a5dbbf"),
+        (lambda: make_score_network("cp", 3, 2, 4, 3, 2, seed=3, activation="sigmoid"),
+         "5311464f1a2380c152e3dc8d076cb18d9ddc36b2af75144c10adba2cfc07914b"),
+        (lambda: make_score_network("ht", 5, 2, 4, 3, 2, seed=3, activation="sigmoid"),
+         "48550dd8c9b496d249499f629a7311743a50428086efbf5826c3be413bfe0d58"),
+        (lambda: build_similarity_network(4, 3),
+         "603055d12c570b0f4d49c6d84347bb0fb2859106ce5f0c9265b0ba29eee5bda0"),
+    ], ids=["tt", "cp", "ht-d5", "similarity"])
+    def test_recorded_digest(self, tmp_path, build, digest):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, build())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_versioned_header(self, tmp_path):
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=0)

@@ -1,3 +1,5 @@
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from ttnets.networks import (
     network_gradients,
     stack_networks,
 )
+from ttnets.tensor_io import WRITE_CHUNK
 from ttnets.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -461,6 +464,23 @@ class TestCSVArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + 25
+
+    def test_grid_csv_past_a_chunk_matches_csv_writer(self, tmp_path):
+        # more rows than one formatted chunk; the reference is csv.writer's
+        # excel dialect, one row at a time
+        xs = np.linspace(-1.0, 1.0, 33)
+        ys = np.random.default_rng(0).normal(size=32)
+        labels = np.random.default_rng(1).integers(0, 10, size=(32, 33))
+        assert labels.size > WRITE_CHUNK
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, labels, xs, ys)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["x", "y", "label"])
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                writer.writerow([f"{x:.17g}", f"{y:.17g}", int(labels[iy, ix])])
+        assert path.read_bytes() == ref.getvalue().encode()
 
 
 class TestDataset:
