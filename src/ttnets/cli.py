@@ -282,8 +282,7 @@ def _load_dataset(args):
 
 
 def _train_one(args, data, rank):
-    cfg = TrainConfig(learning_rate=1e-3 if args.lr is None else args.lr,
-                      epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     num_patches, input_size = data.inputs.shape[1:]
 
     def build(seed):
@@ -296,10 +295,9 @@ def _train_one(args, data, rank):
         return net
 
     if args.lr is None:
-        outcome = train_lr_sweep(build, data, cfg, DEFAULT_LR_SWEEP)
-        return outcome.net, outcome.history
+        return train_lr_sweep(build, data, cfg, DEFAULT_LR_SWEEP)
     net = build(args.seed)
-    history = train(net, data, cfg)
+    history = train(net, data, cfg, args.lr)
     if history and not math.isfinite(history[-1].loss):
         raise ValueError(f"the run diverged (non-finite final loss) at learning rate "
                          f"{args.lr:g}")

@@ -61,7 +61,6 @@ __all__ = [
     "ht_leaf_modes",
     "ht_node_leaf_sets",
     "ht_random",
-    "ht_scores_from_features",
     "ht_states",
     "ht_to_dense",
     "ranks_from_dense",
@@ -325,10 +324,6 @@ def tt_scores_from_features(tt: TTTensor, phi) -> np.ndarray:
 
 def cp_scores_from_features(cp: CPTensor, phi) -> np.ndarray:
     return cp_states(cp, phi)[-1]
-
-
-def ht_scores_from_features(ht: HTTensor, phi) -> np.ndarray:
-    return ht_states(ht, phi)[-1]
 
 
 def states(t: TTTensor | CPTensor | HTTensor, phi) -> list[np.ndarray]:

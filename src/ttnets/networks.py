@@ -49,7 +49,6 @@ from .decompositions import (
     TTTensor,
     cp_scores_from_features,
     ht_leaf_modes,
-    ht_scores_from_features,
     states,
     tt_delta_example,
     tt_scores_from_features,
@@ -65,7 +64,6 @@ __all__ = [
     "count_parameters",
     "cp_scores_from_features",
     "extract_patches",
-    "ht_scores_from_features",
     "make_score_network",
     "network_gradients",
     "stack_networks",

@@ -99,8 +99,10 @@ def cp_rank_lower_bound(x, splits, rel_tol: float = DEFAULT_REL_TOL) -> int:
 
     Every matricization of a separable sum with r terms has matrix rank
     at most r, so the returned value is a certified lower bound on the
-    CP rank of ``x``.
+    CP rank of ``x``.  ``rel_tol`` must lie in (0, 1), split or no split.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     x = as_dense(x)
     best = int(np.any(x != 0))
     for split in splits:

@@ -7,9 +7,11 @@ vector elementwise, one vector operation per step.  The end-of-epoch
 revival of dead ReLU units draws no random numbers: it is a
 fixed function of the parameters and the training inputs.
 
-A learning-rate sweep trains its runs as one stack: the runs see the
-same batches, so each step is one forward, one loss, one backward and
-one Adam update of a (K, P) matrix whose row k is run k's parameter
+A :class:`TrainConfig` holds what every run of a stack shares (epochs,
+batch size and the shuffling seed); each run brings its own learning
+rate.  A learning-rate sweep trains its runs as one stack: the runs see
+the same batches, so each step is one forward, one loss, one backward
+and one Adam update of a (K, P) matrix whose row k is run k's parameter
 vector, at run k's own rate.  Every stacked operation acts on each run's
 rows exactly as it would on that run alone, and each run keeps its own
 moments, so each run's result is bit-identical to training it alone.  A
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,10 +96,8 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    """``learning_rate`` is one rate, or a (K, 1) column of rates, one per
-    run of a stack."""
+    """What every run of a stack shares; each run brings its own rate."""
 
-    learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
@@ -105,10 +105,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        rates = np.asarray(self.learning_rate, dtype=np.float64)
-        if not (np.isfinite(rates).all() and (rates > 0).all()):
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -209,13 +205,13 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig):
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, rate):
     """One bias-corrected moment update of a parameter vector, in place.
 
     The update is elementwise, so a whole network (``ScoreNetwork.vector``
     and a gradient vector of the same layout) takes one vector update, and
-    a (K, P) stack of vectors with a (K, 1) column ``cfg.learning_rate``
-    updates each row at its own rate."""
+    a (K, P) stack of vectors with a (K, 1) column ``rate`` updates each
+    row at its own rate."""
     grads = np.asarray(grads)
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match parameter "
@@ -232,7 +228,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: Trai
     m += (1.0 - ADAM_BETA1) * grads
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * grads * grads
-    params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    params -= rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -302,8 +298,9 @@ def revive_dead_units(net: ScoreNetwork, inputs: np.ndarray, state: AdamState):
     return revived[0] if dead.ndim == 1 else revived
 
 
-def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats]:
-    """Mini-batch Adam on the network's cores/factors and feature map.
+def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig,
+          learning_rate: float) -> list[EpochStats]:
+    """Mini-batch Adam at ``learning_rate`` on the cores/factors and feature map.
 
     Returns per-epoch training loss (mean over batches) and training
     accuracy (full pass at epoch end).  After each epoch, every ReLU unit
@@ -315,30 +312,37 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig) -> list[EpochStats
     history ends with that epoch's non-finite loss, the mean of the batch
     losses up to and including the first non-finite one.
     """
-    return train_runs([net], data, cfg, [cfg.learning_rate])[0]
+    return train_runs([net], data, cfg, [learning_rate])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
                rates) -> list[list[EpochStats]]:
     """:func:`train` of ``nets[k]`` at learning rate ``rates[k]``, for
     every k at once as one stack on the same batches; one history per run.
 
     Each run's history and final parameters are bit for bit those of
-    ``train(nets[k], data, replace(cfg, learning_rate=rates[k]))``.  A run
-    whose batch loss is not finite stays in the stack, frozen, until the
-    epoch ends: its gradient row and moments are zeroed, so each Adam
-    update adds exactly +0.0 to its parameters.  The epoch's revival and
-    accuracy serve every run of the stack at once; then the runs whose
-    epoch loss is not finite leave it.  Each network ends holding its
-    run's parameters."""
+    ``train(nets[k], data, cfg, rates[k])``; each rate must be finite and
+    positive.  A run whose batch loss is not finite stays in the stack,
+    frozen, until the epoch ends: its gradient row and moments are zeroed,
+    so each Adam update adds exactly +0.0 to its parameters.  The epoch's
+    revival and accuracy serve every run of the stack at once; then the
+    runs whose epoch loss is not finite leave it.  Each network ends
+    holding its run's parameters.  Overflow and invalid operations raise
+    no numpy warning: the non-finite loss they lead to is the report."""
     if len(rates) != len(nets):
         raise ValueError(f"need one learning rate per network, got {len(rates)} rates "
                          f"for {len(nets)} networks")
+    column = np.array(rates, dtype=np.float64)[:, None]  # row i: runs[i]'s rate
+    if column.ndim != 2:
+        raise ValueError(f"each learning rate must be one number, got {rates}")
+    for rate in column[:, 0]:
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {rate}")
     histories: list[list[EpochStats]] = [[] for _ in nets]
     runs = list(range(len(nets)))  # row i of the stack trains nets[runs[i]]
     net = stack_networks(nets)
     state = AdamState.for_params(net.vector)
-    stack_cfg = replace(cfg, learning_rate=np.array(rates, dtype=np.float64)[:, None])
     rng = np.random.default_rng(cfg.seed)
     starts = range(0, len(data), cfg.batch_size)
     for epoch in range(cfg.epochs):
@@ -362,7 +366,7 @@ def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
             if not all_live:
                 for frozen in (grads, state.m, state.v):
                     frozen[~live] = 0.0
-            adam_step(net.vector, grads, state, stack_cfg)
+            adam_step(net.vector, grads, state, column)
         revive_dead_units(net, data.inputs, state)
         for run, row, end, hits in zip(runs, losses, ends, accuracy(net, data)):
             histories[run].append(EpochStats(epoch + 1, float(np.mean(row[:end])),
@@ -376,28 +380,20 @@ def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
                 break
             net = stack_networks([nets[run] for run in runs])
             state = AdamState(state.m[keep], state.v[keep], state.step)
-            stack_cfg = replace(stack_cfg, learning_rate=stack_cfg.learning_rate[keep])
+            column = column[keep]
     return histories
 
 
-@dataclass
-class SweepOutcome:
-    best_lr: float
-    net: ScoreNetwork
-    history: list[EpochStats]
-    final_losses: dict = field(default_factory=dict)
-
-
 def train_lr_sweep(build_net, data: Dataset, cfg: TrainConfig,
-                   learning_rates=DEFAULT_LR_SWEEP) -> SweepOutcome:
-    """Train one independently initialized run per learning rate and keep
-    the best final train loss.
+                   learning_rates=DEFAULT_LR_SWEEP) -> tuple[ScoreNetwork, list[EpochStats]]:
+    """Train one independently initialized run per learning rate and return
+    the network and history of the run with the best final train loss.
 
     ``build_net(seed)`` must return a fresh network deterministically from
     the given seed; run k is built from a seed derived from (cfg.seed, k),
-    so the whole sweep is reproducible.  The runs train as one stack, and
-    each run's network and history are bit for bit those of
-    ``train(net_k, data, replace(cfg, learning_rate=lr_k))``.  Ties
+    so the whole sweep is reproducible.  The runs train as one stack
+    (:func:`train_runs`), and each run's network and history are bit for
+    bit those of ``train(net_k, data, cfg, learning_rates[k])``.  Ties
     resolve to the earlier rate in the list.  A run whose final loss is
     NaN or infinite has diverged and is never kept; if every run
     diverges, ValueError names the rates.
@@ -406,22 +402,17 @@ def train_lr_sweep(build_net, data: Dataset, cfg: TrainConfig,
         raise ValueError("learning_rates must be non-empty")
     nets = [build_net(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
             for k in range(len(learning_rates))]
-    best = None
-    finals = {}
-    for lr, net, history in zip(learning_rates, nets,
-                                train_runs(nets, data, cfg, learning_rates)):
-        final = history[-1].loss if history else math.inf
-        finals[lr] = final
-        if history and not math.isfinite(final):
-            continue
-        if best is None or final < best[0]:
-            best = (final, lr, net, history)
-    if best is None:
+    histories = train_runs(nets, data, cfg, learning_rates)
+    # zero epochs leave every history empty; the first run is then kept
+    finals = [(history[-1].loss if history else math.inf, k)
+              for k, history in enumerate(histories)
+              if not history or math.isfinite(history[-1].loss)]
+    if not finals:
         rates = ", ".join(f"{lr:g}" for lr in learning_rates)
         raise ValueError(f"every run diverged (non-finite final loss) at "
                          f"learning rates {rates}")
-    return SweepOutcome(best_lr=best[1], net=best[2], history=best[3],
-                        final_losses=finals)
+    best = min(finals)[1]
+    return nets[best], histories[best]
 
 
 # ---------------------------------------------------------------------------

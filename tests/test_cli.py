@@ -142,6 +142,14 @@ class TestRankCommand:
         assert code == 0
         assert out.strip() == "cp-rank lower bound: 1"
 
+    @pytest.mark.parametrize("rel_tol", ["5", "nan", "0", "1"])
+    def test_one_mode_file_checks_the_tolerance(self, tmp_path, capsys, rel_tol):
+        path = tmp_path / "vector.txt"
+        tensor_io.save_dense(path, np.array([1.0, 2.0, 3.0]))
+        code, out, err = run(capsys, "rank", str(path), "--rel-tol", rel_tol)
+        assert (code, out) == (2, "")
+        assert err == f"error: rel_tol must lie in (0, 1), got {float(rel_tol)}\n"
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("shape: 2 2\n1\n2\n")
@@ -164,14 +172,26 @@ class TestTrainCommand:
         assert len(history) == 4
         assert (tmp_path / "checkpoint.txt").exists()
 
+    # a diverging run's stderr is its one error line: no numpy warnings
+    @pytest.mark.filterwarnings("error")
     def test_diverged_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            code, _, err = run(capsys, "train", "--dataset", "moons", "--lr", "1e200",
-                               "--epochs", "3", "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "diverged" in err and "1e+200" in err
+        code, out, err = run(capsys, "train", "--dataset", "moons", "--lr", "1e200",
+                             "--epochs", "3", "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: the run diverged (non-finite final loss) at learning "
+                       "rate 1e+200\n")
         assert not (tmp_path / "history.csv").exists()
         assert not (tmp_path / "checkpoint.txt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_whose_every_rate_diverges(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_LR_SWEEP", (1e200, 1e150))
+        code, out, err = run(capsys, "train", "--dataset", "moons", "--epochs", "3",
+                             "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: every run diverged (non-finite final loss) at learning "
+                       "rates 1e+200, 1e+150\n")
+        assert not (tmp_path / "history.csv").exists()
 
     def test_zero_epochs(self, tmp_path, capsys):
         code, out, _ = run(capsys, "train", "--dataset", "circles", "--points", "40",
@@ -368,13 +388,13 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert first[:4] == ["tt", "1", "12", "20"]
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_run_exits_two_and_writes_nothing(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            code, _, err = run(capsys, "sweep", "--dataset", "moons", "--ranks", "2,4",
-                               "--lr", "1e200", "--epochs", "2",
-                               "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "diverged" in err and "1e+200" in err
+        code, out, err = run(capsys, "sweep", "--dataset", "moons", "--ranks", "2,4",
+                             "--lr", "1e200", "--epochs", "2", "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: the run diverged (non-finite final loss) at learning "
+                       "rate 1e+200\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_empty_rank_list(self, tmp_path, capsys):

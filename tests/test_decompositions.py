@@ -15,9 +15,9 @@ from ttnets.decompositions import (
     ht_leaf_modes,
     ht_node_leaf_sets,
     ht_random,
-    ht_scores_from_features,
     ht_to_dense,
     ranks_from_dense,
+    states,
     tt_delta_example,
     tt_equal_cores_random,
     tt_random,
@@ -339,7 +339,7 @@ FORMATS = {
            entry, tt_to_dense),
     "cp": (lambda: cp_random((2, 3, 2), 3, seed=2), cp_scores_from_features,
            entry, cp_to_dense),
-    "ht": (lambda: ht_random((2, 3, 2, 3), 2, seed=3), ht_scores_from_features,
+    "ht": (lambda: ht_random((2, 3, 2, 3), 2, seed=3), lambda t, phi: states(t, phi)[-1],
            entry, ht_to_dense),
 }
 

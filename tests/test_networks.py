@@ -24,7 +24,6 @@ from ttnets.networks import (
     cp_scores_from_features,
     extract_patches,
     ht_backward,
-    ht_scores_from_features,
     make_score_network,
     network_gradients,
     network_gradients_batch,
@@ -203,10 +202,14 @@ class TestForwardAgainstBruteForce:
         np.testing.assert_allclose(net.scores(x)[0], want, rtol=1e-12)
 
 
+def root_state(t, phi):
+    return states(t, phi)[-1]
+
+
 class TestMultilinearity:
     @pytest.mark.parametrize("kind,scorer", [
         ("tt", tt_scores_from_features), ("cp", cp_scores_from_features),
-        ("ht", ht_scores_from_features)])
+        ("ht", root_state)])
     def test_score_is_linear_in_each_feature_slot(self, kind, scorer):
         rng = np.random.default_rng(13)
         d, m, r, c = 4, 3, 2, 2

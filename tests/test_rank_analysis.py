@@ -262,18 +262,16 @@ class TestStackedSampling:
         assert sampled == []
 
     def test_one_stacked_call_per_split_through_the_svd_module(self, monkeypatch):
-        # the benchmark's tracer rebinds svd.singular_values, so the
-        # Jacobi stage must be reached through the module attribute: once
-        # per split and chunk, with exactly the matrices whose ranks the
-        # first QR's bounds leave open
+        # the Jacobi stage runs once per split and chunk, on the first QR's
+        # R factors of exactly the matrices whose ranks its bounds leave open
         seen = []
-        original = svd.singular_values
+        original = svd._values
 
-        def recording(a):
-            seen.append(np.array(a))
-            return original(a)
+        def recording(r):
+            seen.append(np.array(r))
+            return original(r)
 
-        monkeypatch.setattr(svd, "singular_values", recording)
+        monkeypatch.setattr(svd, "_values", recording)
         report = verify_ht_tt_bounds(4, 3, 2, 10, seed=2, direction="ht2tt")
         assert seen == []
         assert report.observed_ranks == [2] * 10
@@ -284,8 +282,9 @@ class TestStackedSampling:
         reports = verify_hypothesis1(6, [2, 3, 4], [2, 3, 4], 4, seed=2020003)
         undecided = rank_analysis._equal_core_chain(6, 4, 4,
                                                     sample_rng(2020003, 8 * 1_000_003 + 1))
+        matrix = matricize(undecided, odd_even_split(6))[None]
         assert len(seen) == 1
-        assert seen[0].tobytes() == matricize(undecided, odd_even_split(6))[None].tobytes()
+        assert seen[0].tobytes() == svd._first_r(svd._scaled(matrix)[0]).tobytes()
         expected = [8] * 12 + [18] * 4 + [27] * 8 + [32] * 4 + [48] * 4 + [64, 63, 64, 64]
         assert sum((r.observed_ranks for r in reports), []) == expected
         assert sum(r.num_satisfying for r in reports) == 35

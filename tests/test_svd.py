@@ -199,15 +199,17 @@ class TestRankAgreesWithSingularValues:
             np.eye(12, 8) * np.arange(8, 0, -1),
         ])
         seen = []
-        original = svd.singular_values
+        original = svd._values
 
-        def recording(a):
-            seen.append(np.array(a))
-            return original(a)
+        def recording(r):
+            seen.append(np.array(r))
+            return original(r)
 
-        monkeypatch.setattr(svd, "singular_values", recording)
+        # the Jacobi stage starts from the first QR's R, not from the matrix
+        monkeypatch.setattr(svd, "_values", recording)
         np.testing.assert_array_equal(numerical_rank(mats, 1e-9), [8, 3, 4, 0, 8])
-        assert len(seen) == 1 and seen[0].tobytes() == near[None].tobytes()
+        first_r = svd._first_r(svd._scaled(near[None])[0])
+        assert len(seen) == 1 and seen[0].tobytes() == first_r.tobytes()
         seen.clear()
         assert numerical_rank(near, 1e-9) == 4 and len(seen) == 1
         assert [numerical_rank(m, 1e-9) for m in mats[[0, 1, 3, 4]]] == [8, 3, 0, 8]

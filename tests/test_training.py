@@ -1,6 +1,7 @@
 import csv
 import io
-from dataclasses import replace
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -135,17 +136,17 @@ class TestAdam:
         flat = np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0])
         params = [flat[:2], flat[2:].reshape(2, 2)]
         state = AdamState.for_params(flat)
-        adam_step(flat, np.zeros(6), state, TrainConfig())
+        adam_step(flat, np.zeros(6), state, 1e-3)
         np.testing.assert_array_equal(params[0], [1.0, -2.0])
         np.testing.assert_array_equal(params[1], np.ones((2, 2)))
 
     def test_first_step_closed_form(self):
         # bias corrections cancel at t=1: update = -lr * g / (|g| + eps)
-        cfg = TrainConfig(learning_rate=0.05)
+        lr = 0.05
         g = np.array([0.5, -3.0, 1e-12])
         params = [np.zeros(3)]
-        adam_step(params[0], g, AdamState.for_params(params[0]), cfg)
-        want = -cfg.learning_rate * g / (np.abs(g) + ADAM_EPS)
+        adam_step(params[0], g, AdamState.for_params(params[0]), lr)
+        want = -lr * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(params[0], want, rtol=1e-12)
 
     def test_deterministic_trajectories(self):
@@ -153,9 +154,8 @@ class TestAdam:
             rng = np.random.default_rng(0)
             params = [rng.normal(size=(3, 2))]
             state = AdamState.for_params(params[0])
-            cfg = TrainConfig(learning_rate=1e-2)
             for _ in range(5):
-                adam_step(params[0], rng.normal(size=(3, 2)), state, cfg)
+                adam_step(params[0], rng.normal(size=(3, 2)), state, 1e-2)
             return params[0]
 
         np.testing.assert_array_equal(run(), run())
@@ -163,10 +163,10 @@ class TestAdam:
     def test_shape_mismatch(self):
         params = np.zeros(2)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, np.zeros(3), AdamState.for_params(params), TrainConfig())
+            adam_step(params, np.zeros(3), AdamState.for_params(params), 1e-3)
 
     @staticmethod
-    def per_array_step(params, grads, m, v, t, cfg):
+    def per_array_step(params, grads, m, v, t, lr):
         """The update applied one parameter array at a time."""
         c1 = 1.0 - ADAM_BETA1 ** t
         c2 = 1.0 - ADAM_BETA2 ** t
@@ -175,7 +175,7 @@ class TestAdam:
             mk += (1.0 - ADAM_BETA1) * g
             vk *= ADAM_BETA2
             vk += (1.0 - ADAM_BETA2) * g * g
-            p -= cfg.learning_rate * (mk / c1) / (np.sqrt(vk / c2) + ADAM_EPS)
+            p -= lr * (mk / c1) / (np.sqrt(vk / c2) + ADAM_EPS)
 
     @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
     def test_vector_step_matches_per_array_steps_bit_for_bit(self, kind):
@@ -184,13 +184,12 @@ class TestAdam:
         ref_m = [np.zeros_like(p) for p in ref]
         ref_v = [np.zeros_like(p) for p in ref]
         state = AdamState.for_params(net.vector)
-        cfg = TrainConfig(learning_rate=3e-3)
         rng = np.random.default_rng(7)
         for t in range(1, 21):
             grad = rng.normal(size=net.vector.size) * 10.0 ** rng.integers(-9, 3)
             grad[rng.random(grad.size) < 0.1] = 0.0
-            adam_step(net.vector, grad, state, cfg)
-            self.per_array_step(ref, net.views(grad), ref_m, ref_v, t, cfg)
+            adam_step(net.vector, grad, state, 3e-3)
+            self.per_array_step(ref, net.views(grad), ref_m, ref_v, t, 3e-3)
         for got, want in [(net.parameters(), ref), (net.views(state.m), ref_m),
                           (net.views(state.v), ref_v)]:
             for a, b in zip(got, want):
@@ -204,18 +203,18 @@ class TestTrainLoop:
         net = make_score_network(kind, 2, 1, 4, 3, 2, seed=1)
         arrays = net.parameters()
         before = [a.copy() for a in arrays]
-        train(net, data, TrainConfig(epochs=2, learning_rate=1e-2, seed=0))
+        train(net, data, TrainConfig(epochs=2, seed=0), 1e-2)
         np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]),
                                       net.vector)
         for a, b in zip(arrays, net.parameters()):
             np.testing.assert_array_equal(a, b)
         assert not all(np.array_equal(a, old) for a, old in zip(arrays, before))
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_run_stops_at_its_first_non_finite_epoch(self):
         data = make_moons(200, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 8, 2, seed=0)
-        with np.errstate(all="ignore"):
-            history = train(net, data, TrainConfig(learning_rate=1e200, epochs=50))
+        history = train(net, data, TrainConfig(epochs=50), 1e200)
         assert 1 <= len(history) < 50
         assert [h.epoch for h in history] == list(range(1, len(history) + 1))
         assert not np.isfinite(history[-1].loss)
@@ -227,7 +226,7 @@ class TestTrainLoop:
         data = make_moons(20, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=1)
         before = [p.copy() for p in net.weights.parameters()]
-        history = train(net, data, TrainConfig(epochs=0))
+        history = train(net, data, TrainConfig(epochs=0), 1e-3)
         assert history == []
         for old, new in zip(before, net.weights.parameters()):
             np.testing.assert_array_equal(old, new)
@@ -235,14 +234,14 @@ class TestTrainLoop:
     def test_history_epochs_monotone(self):
         data = make_moons(40, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=1)
-        history = train(net, data, TrainConfig(epochs=4, learning_rate=1e-3, seed=2))
+        history = train(net, data, TrainConfig(epochs=4, seed=2), 1e-3)
         assert [h.epoch for h in history] == [1, 2, 3, 4]
 
     def test_bit_deterministic(self):
         def run():
             data = make_moons(60, 0.1, seed=3)
             net = make_score_network("tt", 2, 1, 4, 3, 2, seed=4)
-            history = train(net, data, TrainConfig(epochs=3, learning_rate=2e-3, seed=5))
+            history = train(net, data, TrainConfig(epochs=3, seed=5), 2e-3)
             return history, net.weights.parameters()
 
         h1, p1 = run()
@@ -258,8 +257,8 @@ class TestTrainLoop:
         good = 0
         for seed in range(20):
             net = make_score_network("tt", 2, 1, 4, 4, 2, seed=seed)
-            cfg = TrainConfig(learning_rate=1e-3, epochs=10, batch_size=32, seed=0)
-            history = train(net, data, cfg)
+            cfg = TrainConfig(epochs=10, batch_size=32, seed=0)
+            history = train(net, data, cfg, 1e-3)
             losses = [h.loss for h in history]
             if all(b < a for a, b in zip(losses, losses[1:])):
                 good += 1
@@ -313,7 +312,7 @@ class TestDeadUnitRevival:
         net = make_score_network(kind, 2, 1, 4, 3, 2, seed=1)
         self.kill_unit(net, data, 2)
         assert not self.fires(net, data, 2)
-        train(net, data, TrainConfig(epochs=1, learning_rate=1e-3, seed=0))
+        train(net, data, TrainConfig(epochs=1, seed=0), 1e-3)
         assert self.fires(net, data, 2)
 
     @pytest.mark.parametrize("kind, d", [("tt", 2), ("cp", 2), ("ht", 2), ("ht", 5)],
@@ -355,56 +354,70 @@ class TestDeadUnitRevival:
             assert np.all(state.m == 1.0) and np.all(state.v == 1.0)
 
 
+def sweep_nets(build, cfg, count):
+    """Fresh copies of the networks a sweep of ``count`` rates builds."""
+    return [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
+            for k in range(count)]
+
+
+def keeping(build):
+    """``build``, and the list of every network it has built."""
+    kept = []
+
+    def wrapped(seed):
+        kept.append(build(seed))
+        return kept[-1]
+
+    return wrapped, kept
+
+
+def position(net, nets):
+    return next(k for k, other in enumerate(nets) if other is net)
+
+
 class TestSweep:
     def test_selection_reproducible(self):
         data = make_moons(50, 0.1, seed=2)
         cfg = TrainConfig(epochs=3, seed=11)
-
-        def build(seed):
-            return make_score_network("tt", 2, 1, 4, 2, 2, seed=seed)
-
-        a = train_lr_sweep(build, data, cfg, (4e-3, 1e-3))
-        b = train_lr_sweep(build, data, cfg, (4e-3, 1e-3))
-        assert a.best_lr == b.best_lr
-        assert [e.loss for e in a.history] == [e.loss for e in b.history]
+        build, kept = keeping(lambda s: make_score_network("tt", 2, 1, 4, 2, 2, seed=s))
+        a, a_history = train_lr_sweep(build, data, cfg, (4e-3, 1e-3))
+        b, b_history = train_lr_sweep(build, data, cfg, (4e-3, 1e-3))
+        assert position(a, kept) + 2 == position(b, kept)
+        np.testing.assert_array_equal(a.vector, b.vector)
+        assert [e.loss for e in a_history] == [e.loss for e in b_history]
 
     def test_picks_minimum_final_loss(self):
         data = make_moons(50, 0.1, seed=2)
         cfg = TrainConfig(epochs=2, seed=1)
-        out = train_lr_sweep(lambda s: make_score_network("tt", 2, 1, 4, 2, 2, seed=s),
-                             data, cfg, (2e-3, 1e-3, 5e-4))
-        assert out.final_losses[out.best_lr] == min(out.final_losses.values())
-
+        rates = (2e-3, 1e-3, 5e-4)
+        build, kept = keeping(lambda s: make_score_network("tt", 2, 1, 4, 2, 2, seed=s))
+        net, history = train_lr_sweep(build, data, cfg, rates)
+        finals = [h[-1].loss for h in train_runs(sweep_nets(build, cfg, 3), data, cfg, rates)]
+        k = position(net, kept)
+        assert history[-1].loss == finals[k] == min(finals)
 
     def test_diverged_run_never_kept(self):
         data = make_moons(50, 0.1, seed=2)
         cfg = TrainConfig(epochs=3, seed=1)
-
-        def build(seed):
-            return make_score_network("tt", 2, 1, 4, 2, 2, seed=seed,
-                                      activation="identity")
-
-        with np.errstate(all="ignore"):
-            out = train_lr_sweep(build, data, cfg, (1e150, 1e-3))
-            assert np.isnan(out.final_losses[1e150])
-            assert out.best_lr == 1e-3
-            assert np.isfinite(out.history[-1].loss)
-            with pytest.raises(ValueError, match="1e\\+150, 1e\\+140"):
-                train_lr_sweep(build, data, cfg, (1e150, 1e140))
+        build, kept = keeping(lambda s: make_score_network("tt", 2, 1, 4, 2, 2, seed=s,
+                                                           activation="identity"))
+        net, history = train_lr_sweep(build, data, cfg, (1e150, 1e-3))
+        assert net is kept[1]
+        assert np.isfinite(history[-1].loss)
+        wild = train_runs(sweep_nets(build, cfg, 1), data, cfg, (1e150,))[0]
+        assert np.isnan(wild[-1].loss)
+        with pytest.raises(ValueError, match="1e\\+150, 1e\\+140"):
+            train_lr_sweep(build, data, cfg, (1e150, 1e140))
 
     def test_finite_rate_kept_over_a_run_that_diverges_at_once(self):
         data = make_moons(200, 0.1, seed=0)
-        kept = []
-
-        def build(seed):
-            kept.append(make_score_network("tt", 2, 1, 4, 8, 2, seed=seed))
-            return kept[-1]
-
-        with np.errstate(all="ignore"):
-            out = train_lr_sweep(build, data, TrainConfig(epochs=10), (1e200, 1e-3))
-        assert out.best_lr == 1e-3 and out.net is kept[1]
-        assert len(out.history) == 10 and np.isfinite(out.history[-1].loss)
-        assert not np.isfinite(out.final_losses[1e200])
+        cfg = TrainConfig(epochs=10)
+        build, kept = keeping(lambda s: make_score_network("tt", 2, 1, 4, 8, 2, seed=s))
+        net, history = train_lr_sweep(build, data, cfg, (1e200, 1e-3))
+        assert net is kept[1]
+        assert len(history) == 10 and np.isfinite(history[-1].loss)
+        wild = train_runs(sweep_nets(build, cfg, 1), data, cfg, (1e200,))[0]
+        assert not np.isfinite(wild[-1].loss)
 
 
 class TestDecisionGrid:
@@ -439,17 +452,17 @@ class TestDecisionGrid:
 
         data = make_moons(500, 0.1, seed=1)
         cfg = TrainConfig(epochs=300, seed=7)
-        out = train_lr_sweep(lambda s: make_score_network("tt", 2, 1, 4, 8, 2, seed=s),
-                             data, cfg, DEFAULT_LR_SWEEP)
+        net, _ = train_lr_sweep(lambda s: make_score_network("tt", 2, 1, 4, 8, 2, seed=s),
+                                data, cfg, DEFAULT_LR_SWEEP)
         clean = make_moons(500, 0.0)
-        assert float(np.mean(predict(out.net, clean.inputs) == clean.labels)) >= 0.95
+        assert float(np.mean(predict(net, clean.inputs) == clean.labels)) >= 0.95
 
 
 class TestCSVArtifacts:
     def test_history_csv(self, tmp_path):
         data = make_moons(30, 0.1, seed=0)
         net = make_score_network("tt", 2, 1, 4, 2, 2, seed=1)
-        history = train(net, data, TrainConfig(epochs=2, seed=0))
+        history = train(net, data, TrainConfig(epochs=2, seed=0), 1e-3)
         path = tmp_path / "history.csv"
         write_history_csv(path, history)
         lines = path.read_text().splitlines()
@@ -532,9 +545,8 @@ class TestStackedRuns:
 
     @staticmethod
     def solo(build, data, cfg, k, lr):
-        net = build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
-        with np.errstate(all="ignore"):
-            history = train(net, data, replace(cfg, learning_rate=lr))
+        net = sweep_nets(build, cfg, k + 1)[k]
+        history = train(net, data, cfg, lr)
         return net, history
 
     @staticmethod
@@ -545,24 +557,25 @@ class TestStackedRuns:
     def test_sweep_runs_match_solo_runs(self, name):
         data, build = self.case(name)
         cfg = TrainConfig(epochs=3, seed=7)
-        out = train_lr_sweep(build, data, cfg)
-        assert list(out.final_losses) == list(DEFAULT_LR_SWEEP)
+        tracked, kept = keeping(build)
+        best, best_history = train_lr_sweep(tracked, data, cfg)
+        assert len(kept) == len(DEFAULT_LR_SWEEP)
+        finals = []
         for k, lr in enumerate(DEFAULT_LR_SWEEP):
             net, history = self.solo(build, data, cfg, k, lr)
-            assert out.final_losses[lr] == history[-1].loss
-            if lr == out.best_lr:
-                np.testing.assert_array_equal(out.net.vector, net.vector)
-                assert self.rows(out.history) == self.rows(history)
+            np.testing.assert_array_equal(kept[k].vector, net.vector)
+            finals.append(history[-1].loss)
+            if kept[k] is best:
+                assert self.rows(best_history) == self.rows(history)
+        assert position(best, kept) == finals.index(min(finals))
 
     @pytest.mark.parametrize("name", ["tt", "cp", "ht", "digits"])
     def test_diverging_run_leaves_its_neighbour_alone(self, name):
         data, build = self.case(name)
         cfg = TrainConfig(epochs=4, seed=7)
         rates = (1e150, 1e-3)
-        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
-                for k in range(2)]
-        with np.errstate(all="ignore"):
-            histories = train_runs(nets, data, cfg, rates)
+        nets = sweep_nets(build, cfg, 2)
+        histories = train_runs(nets, data, cfg, rates)
         wild, wild_history = self.solo(build, data, cfg, 0, rates[0])
         tame, tame_history = self.solo(build, data, cfg, 1, rates[1])
         if name != "digits":
@@ -585,10 +598,8 @@ class TestStackedRuns:
         data, build = self.case(kind)
         cfg = TrainConfig(epochs=4, batch_size=batch_size, seed=7)
         rates = (1e150, 1e-3)
-        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
-                for k in range(2)]
-        with np.errstate(all="ignore"):
-            histories = train_runs(nets, data, cfg, rates)
+        nets = sweep_nets(build, cfg, 2)
+        histories = train_runs(nets, data, cfg, rates)
         batches = []
         real = cross_entropy_batch
         monkeypatch.setattr("ttnets.training.cross_entropy_batch",
@@ -623,8 +634,7 @@ class TestStackedRuns:
             return loss, dscores
 
         monkeypatch.setattr("ttnets.training.cross_entropy_batch", forced)
-        nets = [build(int(np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0]))
-                for k in range(2)]
+        nets = sweep_nets(build, cfg, 2)
         histories = train_runs(nets, data, cfg, (1e-3, 1e-3))
         calls.clear()
         wild, wild_history = self.solo(build, data, cfg, 0, 1e-3)
@@ -636,6 +646,7 @@ class TestStackedRuns:
         np.testing.assert_array_equal(nets[1].vector, tame.vector)
         assert self.rows(histories[1]) == self.rows(tame_history)
 
+    @pytest.mark.filterwarnings("error")
     def test_stack_that_stops_skips_the_rest_of_the_epoch(self, monkeypatch):
         data, build = self.case("tt")
         nets = [build(seed) for seed in range(3)]
@@ -647,9 +658,8 @@ class TestStackedRuns:
             return real(net, batch)
 
         monkeypatch.setattr(ScoreNetwork, "forward", forward)
-        with np.errstate(all="ignore"):
-            histories = train_runs(nets, data, TrainConfig(epochs=3, seed=7),
-                                   (1e150, 1e160, 1e200))
+        histories = train_runs(nets, data, TrainConfig(epochs=3, seed=7),
+                               (1e150, 1e160, 1e200))
         assert [len(h) for h in histories] == [1, 1, 1]
         assert not any(np.isfinite(h[-1].loss) for h in histories)
         # every run stops on batch 2 of 4: two batch forwards, then one
@@ -662,6 +672,25 @@ class TestStackedRuns:
         for rates in [(1e-3,), (1e-3, 2e-3)]:
             with pytest.raises(ValueError, match=f"got {len(rates)} rates for 3 networks"):
                 train_runs(nets, data, TrainConfig(epochs=1), rates)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_every_rate_finite_and_positive(self, bad):
+        data, build = self.case("tt")
+        nets = [build(seed) for seed in range(3)]
+        before = [net.vector.copy() for net in nets]
+        message = f"learning_rate must be finite and positive, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_runs(nets, data, TrainConfig(epochs=1), (1e-3, bad, 2e-3))
+        for net, old in zip(nets, before):
+            np.testing.assert_array_equal(net.vector, old)
+
+    def test_a_rate_is_one_number(self):
+        data, build = self.case("tt")
+        with pytest.raises(ValueError, match="one number"):
+            train(build(0), data, TrainConfig(epochs=1), np.array([[1e-3]]))
+
+    def test_config_holds_only_what_the_runs_share(self):
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
 
     @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
     def test_stacked_revival_matches_each_run(self, kind):
