@@ -5,11 +5,14 @@
 
 Runs a fixed, small list of steps against ``CHECKOUT/src`` in this one
 interpreter, with BLAS pinned to one thread: the inputs (synthetic digit
-IDX files, dense tensors, an image CSV), then ``ttnets`` commands
-(``train`` on the toy sets, by sweep and at one rate, each followed by
-``boundary`` csv and svg; a digit ``sweep`` and ``train``; the three
+IDX files, dense tensors, an image CSV, a checkpoint whose root core has
+no class axis and a factor file whose cores have a mode of size 0), then
+``ttnets`` commands (``train`` on the toy sets, by sweep and at one rate,
+each followed by ``boundary`` csv and svg; a digit ``sweep`` and
+``train``; a ``train`` and a digit ``sweep`` of no epochs; the three
 verifiers; ``rank``; ``patches``), ``save_tensor`` of random TT, CP and
-HT tensors, and commands that must fail.  Step NAME writes its files
+HT tensors, ``load_tensor`` of the zero-size factor file, and commands
+that must fail.  Step NAME writes its files
 under ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its
 exit code).  The commands run with OUT_DIR as the working directory and
 relative paths, and the checkout's source path reads ``src/`` in the
@@ -57,6 +60,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("sweep-digits", ["sweep", *DIGITS, "--network", "tt", "--ranks", "2,4"]),
         ("train-digits", ["train", *DIGITS, "--network", "cp", "--rank", "4",
                           "--lr", "2e-3"]),
+        ("train-epochs-0", ["train", "--points", "40", "--epochs", "0", "--lr", "1e-3"]),
+        ("sweep-digits-epochs-0", ["sweep", *DIGITS, "--network", "tt", "--ranks", "2,4",
+                                   "--epochs", "0"]),
         ("verify-theorem1", ["verify", "theorem1", "--samples", "20"]),
         ("verify-hypothesis1", ["verify", "hypothesis1", "--d", "4", "--samples", "5"]),
         ("verify-ht-bounds-tt2ht", ["verify", "ht-bounds", "--samples", "10"]),
@@ -69,6 +75,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("train-lr-1e200", ["train", "--dataset", "moons", "--lr", "1e200",
                             "--epochs", "3"]),
         ("rank-one-mode-rel-tol-5", ["rank", "inputs/vector.txt", "--rel-tol", "5"]),
+        ("boundary-zero-classes", ["boundary", "--checkpoint", "inputs/zero-classes.txt"]),
     ]
 
 
@@ -81,6 +88,13 @@ def write_inputs(tt, out: Path) -> int:
     save_dense(out / "delta8.txt", dec.tt_to_dense(dec.tt_delta_example(8, 3, 3)))
     save_dense(out / "chain8.txt", dec.tt_to_dense(dec.tt_random((3,) * 8, (3,) * 7, seed=1)))
     save_dense(out / "vector.txt", np.array([1.0, 2.0, 3.0]))
+    # a root core with no class axis, declared as such: (2, 2, 0)
+    tt.tensor_io.save_checkpoint(out / "zero-classes.txt",
+                                 tt.networks.make_score_network("tt", 2, 1, 2, 2, 2, seed=0))
+    head = (out / "zero-classes.txt").read_text().split("core: 2 2 2\n")[0]
+    (out / "zero-classes.txt").write_text(head.replace("classes: 2", "classes: 0")
+                                          + "core: 2 2 0\n")
+    (out / "zero-mode.txt").write_text("tt: 2\ncore: 1 0 2\ncore: 2 0 1\n")
     return 0
 
 
@@ -90,6 +104,17 @@ def write_tensors(tt, out: Path) -> int:
                          ("cp", dec.cp_random((2, 3, 2), 3, seed=2)),
                          ("ht", dec.ht_random((2, 3, 2, 3), 2, seed=3))]:
         tt.tensor_io.save_tensor(out / f"{name}.txt", tensor)
+    return 0
+
+
+def load_zero_mode(tt) -> int:
+    """Print the shape of the factor file whose cores have a mode of size 0,
+    or the reader's error."""
+    try:
+        print(tt.tensor_io.load_tensor("inputs/zero-mode.txt").shape)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -127,6 +152,7 @@ def main(argv=None) -> int:
     os.chdir(args.out_dir)
     run_step("inputs", lambda: write_inputs(ttnets, Path("inputs")), src)
     run_step("save-tensor", lambda: write_tensors(ttnets, Path("save-tensor")), src)
+    run_step("load-tensor-zero-mode", lambda: load_zero_mode(ttnets), src)
     for name, command in commands():
         run_step(name, lambda: ttnets.cli.main([*command, "--out-dir", name]), src)
     return 0

@@ -13,7 +13,6 @@ numerical routine that did not converge), 2 usage or precondition failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -40,7 +39,7 @@ from .rank_analysis import (
     write_report_csv,
 )
 from .svd import DEFAULT_REL_TOL
-from .tensor import odd_even_split
+from .tensor import odd_even_split, prefix_splits
 from .training import (
     DEFAULT_LR_SWEEP,
     TrainConfig,
@@ -254,7 +253,7 @@ def cmd_rank(args) -> int:
     if args.split:
         splits = [_number_list(s, "--split") for s in args.split]
     else:
-        splits = [range(1, k + 1) for k in range(1, d)]
+        splits = prefix_splits(d)
         if d % 2 == 0:
             splits.append(odd_even_split(d))
     bound = cp_rank_lower_bound(x, splits, rel_tol=args.rel_tol)
@@ -365,11 +364,10 @@ def cmd_sweep(args) -> int:
         if history:
             print(f"rank {rank}: params {core_params} loss {history[-1].loss:.4f} "
                   f"accuracy {history[-1].accuracy:.4f}")
-    with open(_out_path(args, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network", "rank", "core_params", "total_params",
-                         "train_loss", "train_accuracy"])
-        writer.writerows(rows)
+    # every field as text: a run of no epochs leaves loss and accuracy empty
+    tensor_io.write_csv(_out_path(args, "sweep.csv"),
+                        ["network", "rank", "core_params", "total_params", "train_loss",
+                         "train_accuracy"], "%s,%s,%s,%s,%s,%s\r\n", rows)
     return 0
 
 
@@ -387,7 +385,8 @@ def cmd_patches(args) -> int:
                       args.patch_height, args.patch_width, args.stride)
     matrix = extract_patches(image, cfg)
     out = _out_path(args, "patches.csv")
-    np.savetxt(out, matrix, delimiter=",", fmt="%.17g")
+    with open(out, "w") as fh:
+        tensor_io.write_rows(fh, ",".join(["%.17g"] * matrix.shape[1]) + "\n", matrix)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} patch matrix -> {out}")
     return 0
 

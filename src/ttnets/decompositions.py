@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .svd import DEFAULT_REL_TOL, numerical_rank
-from .tensor import as_dense, matricize
+from .tensor import as_dense, matricize, prefix_splits
 
 __all__ = [
     "CPTensor",
@@ -523,7 +523,7 @@ def ranks_from_dense(x, which: str = "tt", rel_tol: float = DEFAULT_REL_TOL) -> 
     x = as_dense(x)
     d = x.ndim
     if which == "tt":
-        splits = [range(1, k + 1) for k in range(1, d)]
+        splits = prefix_splits(d)
     elif which == "ht":
         splits = ht_node_leaf_sets(d)
     else:

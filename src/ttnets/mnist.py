@@ -136,6 +136,7 @@ _DIGIT_SEGMENTS = [
 ]
 
 _GLYPH_H, _GLYPH_W = 16, 10
+_SIZE, _NOISE_SD = 28, 0.08  # image edge; standard deviation of the pixel noise
 
 
 def _glyph(digit: int) -> np.ndarray:
@@ -146,9 +147,8 @@ def _glyph(digit: int) -> np.ndarray:
     return out
 
 
-def synthetic_digits(num: int, seed: int = 0, size: int = 28,
-                     noise_sd: float = 0.08):
-    """Digit-like images (N, size, size) uint8 with labels cycling 0..9.
+def synthetic_digits(num: int, seed: int = 0):
+    """Digit-like images (N, 28, 28) uint8 with labels cycling 0..9.
 
     Each sample places its class glyph at a random offset (+-2 pixels
     around center), scales the stroke intensity, and adds clipped pixel
@@ -156,9 +156,9 @@ def synthetic_digits(num: int, seed: int = 0, size: int = 28,
     """
     rng = np.random.default_rng(seed)
     glyphs = [_glyph(d) for d in range(10)]
-    base_r = (size - _GLYPH_H) // 2
-    base_c = (size - _GLYPH_W) // 2
-    images = np.zeros((num, size, size))
+    base_r = (_SIZE - _GLYPH_H) // 2
+    base_c = (_SIZE - _GLYPH_W) // 2
+    images = np.zeros((num, _SIZE, _SIZE))
     labels = np.arange(num, dtype=np.int64) % 10
     for i in range(num):
         dr, dc = rng.integers(-2, 3, size=2)
@@ -166,6 +166,6 @@ def synthetic_digits(num: int, seed: int = 0, size: int = 28,
         canvas = images[i]
         r0, c0 = base_r + dr, base_c + dc
         canvas[r0 : r0 + _GLYPH_H, c0 : c0 + _GLYPH_W] = intensity * glyphs[labels[i]]
-    images += rng.normal(scale=noise_sd, size=images.shape)
+    images += rng.normal(scale=_NOISE_SD, size=images.shape)
     images = np.clip(images, 0.0, 1.0)
     return np.round(images * 255.0).astype(np.uint8), labels

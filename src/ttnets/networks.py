@@ -18,12 +18,14 @@ whose output leg is the class axis, and the contraction is the format's
 Scores are multilinear in the feature vectors, so every parameter
 gradient is an outer product of partial contractions; the batched
 closed forms live in the ``*_backward`` helpers, which evaluate them as
-matrix products (the chain's in one right-to-left sweep that reuses
-each core's mixed state for both its gradients).  They read the states
-that ``ScoreNetwork.forward`` kept from its one pass through the feature
-map and the contraction (the left states of the chain, the dots and
-their products of the sum, the node outputs of the tree), so a training
-step runs one forward and one backward.
+matrix products.  A chain core merges the running state with a feature
+and a tree node merges its two children, so the two share one merge
+backward, ``_merge_backward``.  (Their forwards round differently and
+stay per format.)  The backwards read the states that
+``ScoreNetwork.forward`` kept from its one pass through the feature map
+and the contraction (the left states of the chain, the dots and their
+products of the sum, the node outputs of the tree), so a training step
+runs one forward and one backward.
 
 A network keeps all its trainable numbers in one flat vector, and its
 weights and feature map are views of it; the backward writes into the
@@ -86,11 +88,9 @@ class PatchConfig:
     patch_height: int
     patch_width: int
     stride: int
-    channels: int = 1
 
     def __post_init__(self):
-        for name in ("image_height", "image_width", "patch_height", "patch_width",
-                     "stride", "channels"):
+        for name in ("image_height", "image_width", "patch_height", "patch_width", "stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.patch_height > self.image_height or self.patch_width > self.image_width:
@@ -112,43 +112,34 @@ class PatchConfig:
         gh, gw = self.grid
         return gh * gw
 
-    @property
-    def patch_size(self) -> int:
-        return self.patch_height * self.patch_width * self.channels
-
 
 def patch_sequences(images: np.ndarray, cfg: PatchConfig) -> np.ndarray:
-    """Vectorized patches for a batch of images: (N, num_patches, patch_size).
-
-    ``images`` is (N, H, W) or (N, H, W, C).  Patches are scanned
-    row-major over the patch grid; each patch is flattened row-major,
-    channels concatenated as leading blocks.
+    """Vectorized patches for a batch of grayscale images (N, H, W):
+    (N, num_patches, ph * pw).  Patches are scanned row-major over the
+    patch grid; each patch is flattened row-major.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[..., None]
-    n, h, w, c = images.shape
-    if (h, w, c) != (cfg.image_height, cfg.image_width, cfg.channels):
-        raise ValueError(f"image batch {(h, w, c)} does not match config "
-                         f"{(cfg.image_height, cfg.image_width, cfg.channels)}")
+    if images.ndim != 3:
+        raise ValueError(f"expected a batch of grayscale images (N, H, W), "
+                         f"got shape {images.shape}")
+    n, h, w = images.shape
+    if (h, w) != (cfg.image_height, cfg.image_width):
+        raise ValueError(f"image batch {(h, w)} does not match config "
+                         f"{(cfg.image_height, cfg.image_width)}")
     view = np.lib.stride_tricks.sliding_window_view(
         images, (cfg.patch_height, cfg.patch_width), axis=(1, 2))
-    view = view[:, ::cfg.stride, ::cfg.stride]  # (N, gh, gw, C, ph, pw)
+    view = view[:, ::cfg.stride, ::cfg.stride]  # (N, gh, gw, ph, pw)
     gh, gw = cfg.grid
-    seq = view.reshape(n, gh * gw, c * cfg.patch_height * cfg.patch_width)
+    seq = view.reshape(n, gh * gw, cfg.patch_height * cfg.patch_width)
     return np.ascontiguousarray(seq)
 
 
 def extract_patches(image: np.ndarray, cfg: PatchConfig) -> np.ndarray:
-    """Patch matrix of one image: (patch_size, num_patches), column j = patch j."""
+    """Patch matrix of one image (H, W): (ph * pw, num_patches), column j = patch j."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[None, :, :]
-    elif image.ndim == 3:
-        image = image[None, :, :, :]
-    else:
-        raise ValueError(f"expected a 2-D or 3-D image, got ndim={image.ndim}")
-    return patch_sequences(image, cfg)[0].T
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got ndim={image.ndim}")
+    return patch_sequences(image[None], cfg)[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +359,34 @@ class ScoreNetwork:
 # The features, upstream and states carry the weights' leading axes.
 
 
+def _merge_backward(x, y, node, delta, grad):
+    """Backward of the bilinear merge ``(x o y) node`` of a chain core or a
+    tree node: writes grad node = (x o y)^T delta into ``grad`` and returns
+    the sensitivities of x and y, both from the one mixed stack delta node^T."""
+    a, c, o = node.shape[-3:]
+    lead = node.shape[:-3]
+    outer = x[..., :, None] * y[..., None, :]
+    np.matmul(_t(outer.reshape(*x.shape[:-1], a * c)), delta,
+              out=grad.reshape(*lead, a * c, o))
+    mixed = (delta @ _t(node.reshape(*lead, a * c, o))).reshape(*x.shape[:-1], a, c)
+    return (mixed @ y[..., :, None])[..., 0], (x[..., None, :] @ mixed)[..., 0, :]
+
+
 def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
                 grads: list):
     """Core gradients and feature gradients for the chain contraction.
 
     The score is linear in each core, so grad G_k is the outer product of
     the left state L_{k-1} (read from ``states``), the feature phi_k, and
-    the upstream-contracted right state R_{k+1}.  One right-to-left sweep
-    evaluates these as matrix products: core k's mixed state R_{k+1} G_k
-    gives grad phi_k against L_{k-1} and the next right state R_k against
-    phi_k.  Core 0's left state is all ones, so its terms are the plain
-    products with R_1.
+    the upstream-contracted right state R_{k+1}.  A right-to-left sweep of
+    merge backwards gives grad G_k, R_k and grad phi_k from R_{k+1}; core
+    0's left state is all ones, so its terms are plain products with R_1.
     """
-    *lead, batch = phi.shape[:-2]
     dphi = np.empty_like(phi)
     right = upstream
     for k in range(weights.ndim - 1, 0, -1):
-        a, i, c = weights.cores[k].shape[-3:]
-        core = weights.cores[k].reshape(*weights.lead, a * i, c)
-        mixed = (right @ _t(core)).reshape(*lead, batch, a, i)
-        dphi[..., k, :] = (states[k - 1][..., None, :] @ mixed)[..., 0, :]
-        outer = states[k - 1][..., :, None] * phi[..., k, None, :]
-        np.matmul(_t(outer.reshape(*lead, batch, a * i)), right,
-                  out=grads[k].reshape(*weights.lead, a * i, c))
-        right = (mixed @ phi[..., k, :, None])[..., 0]
+        right, dphi[..., k, :] = _merge_backward(states[k - 1], phi[..., k, :],
+                                                 weights.cores[k], right, grads[k])
     core = weights.cores[0][..., 0, :, :]  # (n, r_1): r_0 = 1
     dphi[..., 0, :] = right @ _t(core)
     np.matmul(_t(phi[..., 0, :]), right, out=grads[0][..., 0, :, :])
@@ -433,23 +428,15 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
 def ht_backward(weights: HTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,
                 grads: list):
     """Leaf/transfer and feature gradients for the tree contraction, from
-    the root down; node d+t's children are nodes 2t and 2t+1 of ``states``.
-    Each transfer tensor is mixed with its node's sensitivity once, and
-    that (B, a, c) stack gives both children's sensitivities."""
-    d, nodes = weights.ndim, weights.nodes
-    *lead, batch = phi.shape[:-2]
+    the root down; node d+t's children are nodes 2t and 2t+1 of ``states``,
+    and its merge backward gives both children's sensitivities."""
+    d = weights.ndim
     deltas = [None] * len(states)  # downstream sensitivity of each node
     deltas[-1] = upstream
     for t in range(d - 2, -1, -1):
-        left, right, delta = states[2 * t], states[2 * t + 1], deltas[d + t]
-        a, c, o = nodes[d + t].shape[-3:]
-        node = nodes[d + t].reshape(*weights.lead, a * c, o)
-        outer = left[..., :, None] * right[..., None, :]
-        np.matmul(_t(outer.reshape(*lead, batch, a * c)), delta,
-                  out=grads[d + t].reshape(*weights.lead, a * c, o))
-        mixed = (delta @ _t(node)).reshape(*lead, batch, a, c)
-        deltas[2 * t] = (mixed @ right[..., :, None])[..., 0]
-        deltas[2 * t + 1] = (left[..., None, :] @ mixed)[..., 0, :]
+        deltas[2 * t], deltas[2 * t + 1] = _merge_backward(
+            states[2 * t], states[2 * t + 1], weights.nodes[d + t], deltas[d + t],
+            grads[d + t])
     dphi = np.empty_like(phi)
     for k, (p, leaf) in enumerate(zip(ht_leaf_modes(d), weights.leaves)):
         np.matmul(_t(phi[..., p, :]), deltas[k], out=grads[k])

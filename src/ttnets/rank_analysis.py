@@ -42,7 +42,6 @@ chunk size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,8 @@ from .decompositions import (
     tt_to_dense,
 )
 from .svd import DEFAULT_REL_TOL, numerical_rank
-from .tensor import as_dense, matricize, odd_even_split
+from .tensor import as_dense, matricize, odd_even_split, prefix_splits
+from .tensor_io import write_csv
 
 __all__ = [
     "CERT_REL_TOL",
@@ -165,13 +165,9 @@ class RankReport:
 
 def write_report_csv(path, reports) -> None:
     """Write one or more reports to a single CSV file."""
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_HEADER)
-        for report in reports:
-            writer.writerows(report.rows())
+    reports = reports if isinstance(reports, (list, tuple)) else [reports]
+    write_csv(path, REPORT_CSV_HEADER, ",".join(["%d"] * len(REPORT_CSV_HEADER)) + "\r\n",
+              [row for report in reports for row in report.rows()])
 
 
 def _sample_ranks(report: RankReport, num_samples: int, first: int, draw,
@@ -269,7 +265,7 @@ def verify_ht_tt_bounds(d: int, n: int, r: int, num_samples: int, seed: int,
         bound, draw, splits = r * r, _chain, ht_node_leaf_sets(d)
     else:
         bound = r ** max(_prefix_cuts(d))
-        draw, splits = _tree, [range(1, k + 1) for k in range(1, d)]
+        draw, splits = _tree, prefix_splits(d)
     report = RankReport(d=d, n=n, r=r, q=r, threshold=bound, seed=int(seed),
                         rel_tol=rel_tol, floor=False)
     return _sample_ranks(report, num_samples, 0, draw, splits)

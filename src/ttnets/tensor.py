@@ -27,6 +27,7 @@ __all__ = [
     "inner_product",
     "matricize",
     "odd_even_split",
+    "prefix_splits",
 ]
 
 
@@ -45,6 +46,11 @@ def odd_even_split(d: int) -> tuple[int, ...]:
     if d < 2 or d % 2:
         raise ValueError(f"odd/even split needs an even number of axes >= 2, got {d}")
     return tuple(range(1, d, 2))
+
+
+def prefix_splits(d: int) -> list[range]:
+    """The row axes ``{1..k}`` of the chain's matricizations, k = 1..d-1."""
+    return [range(1, k + 1) for k in range(1, d)]
 
 
 def matricize(x, rows) -> np.ndarray:

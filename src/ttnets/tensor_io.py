@@ -6,9 +6,14 @@ flattened row-major (last index fastest).  Every array is a block: a
 ``tag: dim1 dim2 ...`` header line followed by its values.  The writers
 format a chunk of ``WRITE_CHUNK`` values with one ``%`` template and one
 write, in the bytes of one ``f"{v:.17g}"`` per value.  Before opening the
-file they refuse what the readers refuse: a value that is not finite
-(the error names its block's tag), and for a dense tensor a 0-d array or
-an axis of length 0.
+file they refuse what the readers refuse: a value that is not finite or
+an axis of length 0 (the error names the block's tag; a reader names the
+line of a dimension below 1), and for a dense tensor a 0-d array.
+
+The CSV artifacts (history, grid, report, sweep) go through the same
+writer, :func:`write_csv`: a header line, then rows with floats at
+``%.17g``, CRLF line ends and no field quoted, as ``csv``'s excel dialect
+writes them.  The patch matrix has no header and LF line ends.
 
 Dense tensor::
 
@@ -70,13 +75,16 @@ __all__ = [
     "save_checkpoint",
     "save_dense",
     "save_tensor",
+    "write_csv",
+    "write_rows",
 ]
 
 CHECKPOINT_HEADER = "ttnets-checkpoint v1"
 
-# Block tag of each format's arrays by ndim, and the ndim of each block tag.
+# Block tag of each format's arrays by ndim; the ndim of each block tag (None: any).
 _TAGS = {"tt": {3: "core"}, "cp": {2: "factor", 3: "factor3"}, "ht": {2: "leaf", 3: "node"}}
-_BLOCK_DIMS = {"A": 2, "b": 1, **{t: n for tags in _TAGS.values() for n, t in tags.items()}}
+_BLOCK_DIMS = {"shape": None, "A": 2, "b": 1,
+               **{t: n for tags in _TAGS.values() for n, t in tags.items()}}
 
 
 # Rows formatted per ``%`` and per write.  A chunk's floats, tuple and
@@ -99,12 +107,21 @@ def write_rows(fh, row: str, values) -> None:
         fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def write_csv(path, header, row: str, values) -> None:
+    """A CSV artifact: the ``header`` names, then ``values`` through :func:`write_rows`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        write_rows(fh, row, values)
+
+
 def _write_file(path, head: str, blocks) -> None:
     """Write ``head``, then each ``(tag, array)`` block: a header line and
-    the values.  A non-finite value is refused before the file is opened,
-    as the readers would refuse it."""
+    the values.  An empty axis or a non-finite value is refused before the
+    file is opened, as the readers would refuse it."""
     blocks = [(tag, np.asarray(arr, dtype=np.float64)) for tag, arr in blocks]
     for tag, arr in blocks:
+        if 0 in arr.shape:
+            raise ValueError(f"{path}: '{tag}' block has an empty axis, shape {arr.shape}")
         finite = np.isfinite(arr)
         if not finite.all():
             raise ValueError(f"{path}: '{tag}' block holds {arr[~finite][0]}, "
@@ -184,7 +201,11 @@ class _LineReader:
     def block(self, *tags: str) -> np.ndarray:
         """The next block, whose tag is one of ``tags``."""
         tag = next((t for t in tags if self.has(f"{t}:")), tags[0])
-        return self.values(self.header(f"{tag}:", _BLOCK_DIMS[tag]))
+        shape = self.header(f"{tag}:", _BLOCK_DIMS[tag])
+        if min(shape, default=0) < 1:
+            raise ValueError(f"{self.path}: line {self.file_line(self.pos - 1)}: '{tag}' "
+                             f"block needs dimensions of at least 1, got {shape}")
+        return self.values(shape)
 
     @contextlib.contextmanager
     def naming_errors(self):
@@ -235,10 +256,7 @@ def save_dense(path, x) -> None:
 
 def load_dense(path) -> np.ndarray:
     reader = _LineReader(path)
-    shape = reader.header("shape:", None)
-    if not shape or any(n < 1 for n in shape):
-        raise ValueError(f"{path}: invalid shape {shape}")
-    x = reader.values(shape)
+    x = reader.block("shape")
     reader.expect_end()
     return x
 

@@ -23,14 +23,13 @@ the stack of one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .networks import PatchConfig, ScoreNetwork, patch_sequences, stack_networks
-from .tensor_io import write_rows
+from .tensor_io import write_csv
 
 __all__ = [
     "ADAM_BETA1",
@@ -448,19 +447,13 @@ def decision_grid(net: ScoreNetwork, bounds, resolution: int):
 
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "accuracy"])
-        for row in history:
-            writer.writerow([row.epoch, f"{row.loss:.17g}", f"{row.accuracy:.17g}"])
+    """One ``epoch,loss,accuracy`` row per epoch (a float64 holds the epoch exactly)."""
+    write_csv(path, ["epoch", "loss", "accuracy"], "%d,%.17g,%.17g\r\n",
+              [(h.epoch, h.loss, h.accuracy) for h in history])
 
 
 def write_grid_csv(path, labels, xs, ys) -> None:
-    """One ``x,y,label`` row per cell, x fastest, in the bytes of ``csv``'s
-    excel dialect: CRLF line ends, and no field of these needs quoting."""
+    """One ``x,y,label`` row per cell, x fastest."""
     gx, gy = np.meshgrid(xs, ys)
-    # float64 holds the integer labels exactly, and "%d" prints them
     rows = np.stack([gx.ravel(), gy.ravel(), np.ravel(labels)], axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,label\r\n")
-        write_rows(fh, "%.17g,%.17g,%d\r\n", rows)
+    write_csv(path, ["x", "y", "label"], "%.17g,%.17g,%d\r\n", rows)

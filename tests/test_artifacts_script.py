@@ -5,17 +5,21 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 TRAINED = {"checkpoint.txt", "history.csv"}
-FAILING = {"train-lr-0", "train-lr-1e200", "rank-one-mode-rel-tol-5"}
+FAILING = {"train-lr-0", "train-lr-1e200", "rank-one-mode-rel-tol-5",
+           "boundary-zero-classes", "load-tensor-zero-mode"}
 
 
 def expected_files() -> dict[str, set[str]]:
     """Files each step writes besides its stdout, stderr and exit."""
     steps = {
         "inputs": {"chain8.txt", "delta8.txt", "digit.csv", "digits-images.idx",
-                   "digits-labels.idx", "vector.txt"},
+                   "digits-labels.idx", "vector.txt", "zero-classes.txt",
+                   "zero-mode.txt"},
         "save-tensor": {"tt.txt", "cp.txt", "ht.txt"},
         "sweep-digits": {"sweep.csv"},
         "train-digits": TRAINED,
+        "train-epochs-0": TRAINED,
+        "sweep-digits-epochs-0": {"sweep.csv"},
         "verify-theorem1": {"theorem1_report.csv"},
         "verify-hypothesis1": {"hypothesis1_report.csv"},
         "verify-ht-bounds-tt2ht": {"ht_bounds_report.csv"},
@@ -48,3 +52,9 @@ def test_artifacts_script_records_every_step(tmp_path):
     assert exits == {name: "2\n" if name in FAILING else "0\n" for name in steps}
     assert (out / "train-lr-1e200" / "stderr").read_text() == (
         "error: the run diverged (non-finite final loss) at learning rate 1e+200\n")
+    assert (out / "boundary-zero-classes" / "stderr").read_text() == (
+        "error: inputs/zero-classes.txt: line 17: 'core' block needs dimensions of at "
+        "least 1, got [2, 2, 0]\n")
+    assert (out / "load-tensor-zero-mode" / "stderr").read_text() == (
+        "error: inputs/zero-mode.txt: line 2: 'core' block needs dimensions of at "
+        "least 1, got [1, 0, 2]\n")

@@ -300,6 +300,18 @@ class TestBoundaryCommand:
             "b7c26adaadda3bef70dec9f16c3f108bfb2f0c09f2391d169bd9d409c3ca9692"
         assert data.startswith(b"x,y,label\r\n-1.5,-1.25,1\r\n")
 
+    def test_zero_class_checkpoint_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 2, seed=0))
+        head = path.read_text().split("core: 2 2 2\n")[0].replace("classes: 2", "classes: 0")
+        path.write_text(head + "core: 2 2 0\n")
+        code, out, err = run(capsys, "boundary", "--checkpoint", str(path),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: line 17: 'core' block needs dimensions of at "
+                       f"least 1, got [2, 2, 0]\n")
+        assert not (tmp_path / "out").exists()
+
     def test_svg_has_one_rect_per_cell(self, tmp_path, capsys, checkpoint):
         code, _, _ = run(capsys, "boundary", "--checkpoint", str(checkpoint),
                          "--resolution", "7", "--emit", "svg",
@@ -615,3 +627,41 @@ class TestUsageErrors:
             assert code == 0
         assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
         assert (a / "checkpoint.txt").read_bytes() == (b / "checkpoint.txt").read_bytes()
+
+
+class TestCsvDigests:
+    """sha256 of each command's CSV, recorded before the CSV writers were
+    merged into one: the writer may change, the bytes may not."""
+
+    CASES = {
+        "history-trained": (
+            ["train", "--dataset", "moons", "--points", "40", "--epochs", "2", "--lr", "0.004",
+             "--seed", "1"], "history.csv",
+            "332f44aca1a1569ff0db49d42e291547347ce684dfafe89bf4d40fd40e4d0997"),
+        "history-no-epochs": (
+            ["train", "--dataset", "moons", "--points", "40", "--epochs", "0", "--lr", "0.004"],
+            "history.csv", "bdc803604e5beb6fc451a1c6ea397c13c56dbc64ae76c54e6cf949d86265ef2d"),
+        "sweep-trained": (
+            ["sweep", "--dataset", "moons", "--points", "40", "--epochs", "1", "--lr", "0.001",
+             "--ranks", "1,2", "--seed", "2"], "sweep.csv",
+            "0747ef8f79a00a8d02ac5c1f549b775b5258d3a51e84596653bbb952f03c7bec"),
+        "sweep-no-epochs": (  # empty loss and accuracy fields
+            ["sweep", "--dataset", "circles", "--points", "40", "--epochs", "0", "--lr", "0.001",
+             "--ranks", "3,1"], "sweep.csv",
+            "450f26800f9c2e0deb6ee780cf8fc6ed33717c9e3fb981cd7b627dfd42037c10"),
+        "patches": (
+            ["patches", "--image", "{dir}/img.csv", "--patch-height", "2", "--patch-width", "3",
+             "--stride", "1"], "patches.csv",
+            "74777797a45b5aa8adc15b624f1f8c43f153e23237516d3cf9e9c50062b4598f"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_recorded_digest(self, tmp_path, capsys, case):
+        argv, name, digest = self.CASES[case]
+        image = np.random.default_rng(4).normal(size=(4, 5))
+        image[0, :2] = [-0.0, 0.1]
+        np.savetxt(tmp_path / "img.csv", image, delimiter=",", fmt="%.17g")
+        code, _, _ = run(capsys, *[a.format(dir=tmp_path) for a in argv],
+                         "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest

@@ -27,6 +27,7 @@ from ttnets.networks import (
     make_score_network,
     network_gradients,
     network_gradients_batch,
+    patch_sequences,
     stack_networks,
     tt_backward,
     tt_scores_from_features,
@@ -82,12 +83,14 @@ class TestPatches:
         with pytest.raises(ValueError, match="tile"):
             PatchConfig(28, 28, 8, 8, 8)
 
-    def test_channels_concatenated(self):
-        img = np.zeros((2, 2, 2))
-        img[:, :, 0] = [[1, 2], [3, 4]]
-        img[:, :, 1] = [[5, 6], [7, 8]]
-        mat = extract_patches(img, PatchConfig(2, 2, 2, 2, 1, channels=2))
-        np.testing.assert_array_equal(mat[:, 0], [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4, 3)])
+    def test_batch_that_is_not_3d_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"grayscale images \(N, H, W\), got shape"):
+            patch_sequences(np.zeros(shape), PatchConfig(4, 4, 2, 2, 2))
+
+    def test_image_that_is_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-D image, got ndim=3"):
+            extract_patches(np.zeros((4, 4, 2)), PatchConfig(4, 4, 2, 2, 2))
 
 
 class TestFeatureMap:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttnets import tensor_io
-from ttnets.decompositions import cp_random, ht_random, tt_delta_example, tt_random
+from ttnets.decompositions import TTTensor, cp_random, ht_random, tt_delta_example, tt_random
 from ttnets.networks import build_similarity_network, make_score_network
 
 
@@ -117,6 +117,51 @@ class TestWritersRefuse:
         path = tmp_path / "net.txt"
         with pytest.raises(ValueError, match="net.txt: 'A' block holds inf"):
             tensor_io.save_checkpoint(path, net)
+        assert not path.exists()
+
+
+class TestBlockDimensions:
+    """A block dimension below 1 is refused by the reader, naming the line
+    and the tag, and an empty axis by the writer, before the file opens."""
+
+    @pytest.mark.parametrize("text, line, tag, dims", [
+        ("tt: 2\ncore: 1 0 2\ncore: 2 0 1\n", 2, "core", [1, 0, 2]),
+        ("tt: 1\ncore: 1 -3 1\n1\n2\n3\n", 2, "core", [1, -3, 1]),
+        ("cp: 2 2\nfactor: 2 2\n1\n2\n3\n4\n\nfactor: 0 2\n", 8, "factor", [0, 2]),
+        ("\nshape: 2 0 3\n", 2, "shape", [2, 0, 3]),
+        ("shape:\n1\n", 1, "shape", []),
+    ], ids=["tt-zero", "tt-negative", "cp-zero-after-blank", "dense-zero", "dense-no-axis"])
+    def test_factor_and_dense_files(self, tmp_path, text, line, tag, dims):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            (tensor_io.load_dense if tag == "shape" else tensor_io.load_tensor)(path)
+        assert str(err.value) == (f"{path}: line {line}: '{tag}' block needs dimensions "
+                                  f"of at least 1, got {dims}")
+
+    @pytest.mark.parametrize("line, edited", [("A: 2 1", "A: -1 1"), ("b: 2", "b: 0"),
+                                              ("core: 2 2 2", "core: 2 2 0")])
+    def test_checkpoint(self, tmp_path, line, edited):
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 2, seed=0))
+        lines = path.read_text().splitlines()
+        number = lines.index(line) + 1
+        lines[number - 1] = edited
+        path.write_text("\n".join(lines) + "\n")
+        tag, *dims = edited.split()
+        with pytest.raises(ValueError) as err:
+            tensor_io.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: line {number}: '{tag[:-1]}' block needs "
+                                  f"dimensions of at least 1, got {[int(n) for n in dims]}")
+
+    def test_writers_refuse_an_empty_axis(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=re.escape(
+                "t.txt: 'core' block has an empty axis, shape (1, 0, 2)")):
+            tensor_io.save_tensor(path, TTTensor([np.zeros((1, 0, 2)), np.zeros((2, 0, 1))]))
+        with pytest.raises(ValueError, match=re.escape(
+                "t.txt: 'core' block has an empty axis, shape (2, 2, 0)")):
+            tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 2, 2, 0, seed=0))
         assert not path.exists()
 
 
