@@ -5,14 +5,16 @@
 
 Runs a fixed, small list of steps against ``CHECKOUT/src`` in this one
 interpreter, with BLAS pinned to one thread: the inputs (synthetic digit
-IDX files, dense tensors, an image CSV, a checkpoint whose root core has
+IDX files, a copy of the image file with trailing bytes, dense tensors,
+an image CSV, a one-column image CSV, a checkpoint whose root core has
 no class axis and a factor file whose cores have a mode of size 0), then
 ``ttnets`` commands (``train`` on the toy sets, by sweep and at one rate,
-each followed by ``boundary`` csv and svg; a digit ``sweep`` and
-``train``; a ``train`` and a digit ``sweep`` of no epochs; the three
-verifiers; ``rank``; ``patches``), ``save_tensor`` of random TT, CP and
-HT tensors, ``load_tensor`` of the zero-size factor file, and commands
-that must fail.  Step NAME writes its files
+each followed by ``boundary`` csv and svg; a sigmoid ``train`` followed
+by ``boundary`` far outside the data; a digit ``sweep`` and ``train``; a
+``train`` and a digit ``sweep`` of no epochs; the three verifiers;
+``rank``; ``patches`` of both images), ``save_tensor`` of random TT, CP
+and HT tensors, ``load_tensor`` of the zero-size factor file, and
+commands that must fail.  Step NAME writes its files
 under ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its
 exit code).  The commands run with OUT_DIR as the working directory and
 relative paths, and the checkout's source path reads ``src/`` in the
@@ -56,7 +58,12 @@ def commands() -> list[tuple[str, list[str]]]:
                 steps.append((f"{name}-boundary-{emit}",
                               ["boundary", "--checkpoint", f"{name}/checkpoint.txt",
                                "--resolution", "30", "--emit", emit]))
+    sigmoid = "train-moons-sigmoid"
     return steps + [
+        (sigmoid, ["train", "--dataset", "moons", "--activation", "sigmoid", "--points",
+                   "120", "--epochs", "5", "--lr", "4e-3", "--seed", "3"]),
+        (f"{sigmoid}-boundary-far", ["boundary", "--checkpoint", f"{sigmoid}/checkpoint.txt",
+                                     "--bounds=-2000,2000,-2000,2000", "--resolution", "30"]),
         ("sweep-digits", ["sweep", *DIGITS, "--network", "tt", "--ranks", "2,4"]),
         ("train-digits", ["train", *DIGITS, "--network", "cp", "--rank", "4",
                           "--lr", "2e-3"]),
@@ -71,11 +78,17 @@ def commands() -> list[tuple[str, list[str]]]:
         ("rank-delta-chain", ["rank", "inputs/delta8.txt"]),
         ("rank-chain", ["rank", "inputs/chain8.txt"]),
         ("patches", ["patches", "--image", "inputs/digit.csv"]),
+        ("patches-one-column", ["patches", "--image", "inputs/column.csv",
+                                "--patch-height", "2", "--patch-width", "1", "--stride", "2"]),
         ("train-lr-0", ["train", "--lr", "0", "--epochs", "1"]),
         ("train-lr-1e200", ["train", "--dataset", "moons", "--lr", "1e200",
                             "--epochs", "3"]),
         ("rank-one-mode-rel-tol-5", ["rank", "inputs/vector.txt", "--rel-tol", "5"]),
         ("boundary-zero-classes", ["boundary", "--checkpoint", "inputs/zero-classes.txt"]),
+        ("train-digits-trailing-bytes", ["train", "--dataset", "mnist", "--images",
+                                         "inputs/digits-images-trailing.idx", "--labels",
+                                         "inputs/digits-labels.idx", "--epochs", "2",
+                                         "--network", "cp", "--rank", "4", "--lr", "2e-3"]),
     ]
 
 
@@ -83,7 +96,10 @@ def write_inputs(tt, out: Path) -> int:
     images, labels = tt.mnist.synthetic_digits(300, seed=0)
     tt.mnist.save_idx_images(out / "digits-images.idx", images)
     tt.mnist.save_idx_labels(out / "digits-labels.idx", labels)
+    (out / "digits-images-trailing.idx").write_bytes(
+        (out / "digits-images.idx").read_bytes() + bytes(1000))
     np.savetxt(out / "digit.csv", images[0], delimiter=",", fmt="%d")
+    (out / "column.csv").write_text("1\n2\n3\n4\n")
     dec, save_dense = tt.decompositions, tt.tensor_io.save_dense
     save_dense(out / "delta8.txt", dec.tt_to_dense(dec.tt_delta_example(8, 3, 3)))
     save_dense(out / "chain8.txt", dec.tt_to_dense(dec.tt_random((3,) * 8, (3,) * 7, seed=1)))

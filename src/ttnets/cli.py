@@ -26,9 +26,9 @@ from . import mnist, tensor_io
 from .networks import (
     PatchConfig,
     count_parameters,
-    extract_patches,
     initialize_for_training,
     make_score_network,
+    patch_sequences,
 )
 from .rank_analysis import (
     CERT_REL_TOL,
@@ -42,11 +42,11 @@ from .svd import DEFAULT_REL_TOL
 from .tensor import odd_even_split, prefix_splits
 from .training import (
     DEFAULT_LR_SWEEP,
+    Dataset,
     TrainConfig,
     decision_grid,
     make_circles,
     make_moons,
-    sequence_dataset,
     train,
     train_lr_sweep,
     write_grid_csv,
@@ -276,7 +276,7 @@ def _load_dataset(args):
             images, labels = images[: args.limit], labels[: args.limit]
         cfg = PatchConfig(images.shape[1], images.shape[2],
                           args.patch_size, args.patch_size, args.stride)
-        return sequence_dataset(images, labels, cfg, 10)
+        return Dataset(patch_sequences(images, cfg), labels, 10)
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
 
@@ -376,14 +376,14 @@ def cmd_patches(args) -> int:
         raise ValueError("patches needs --image")
     with warnings.catch_warnings():  # an empty file is refused below
         warnings.simplefilter("ignore", UserWarning)
-        image = np.atleast_2d(np.loadtxt(args.image, delimiter=","))
+        image = np.loadtxt(args.image, delimiter=",", ndmin=2)
     if not image.size:
         raise ValueError(f"{args.image}: the image holds no pixel values")
     if not np.isfinite(image).all():
         raise ValueError(f"{args.image}: pixel values must be finite (found NaN or inf)")
     cfg = PatchConfig(image.shape[0], image.shape[1],
                       args.patch_height, args.patch_width, args.stride)
-    matrix = extract_patches(image, cfg)
+    matrix = patch_sequences(image[None], cfg)[0].T  # column j is patch j
     out = _out_path(args, "patches.csv")
     with open(out, "w") as fh:
         tensor_io.write_rows(fh, ",".join(["%.17g"] * matrix.shape[1]) + "\n", matrix)

@@ -37,7 +37,7 @@ IDX_LABEL_MAGIC = 2049
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX content: bad magic, truncation, or count mismatch."""
+    """Malformed IDX content: bad magic, truncation, trailing bytes or count mismatch."""
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -54,6 +54,8 @@ def load_idx_images(path) -> np.ndarray:
         if magic != IDX_IMAGE_MAGIC:
             raise IdxFormatError(f"{path}: image magic {magic} != {IDX_IMAGE_MAGIC}")
         raw = _read_exact(fh, count * rows * cols, path, "pixel data")
+        if fh.read(1):
+            raise IdxFormatError(f"{path}: trailing bytes after the pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     return pixels.astype(np.float64) / 255.0
 
@@ -64,6 +66,8 @@ def load_idx_labels(path) -> np.ndarray:
         if magic != IDX_LABEL_MAGIC:
             raise IdxFormatError(f"{path}: label magic {magic} != {IDX_LABEL_MAGIC}")
         raw = _read_exact(fh, count, path, "label data")
+        if fh.read(1):
+            raise IdxFormatError(f"{path}: trailing bytes after the label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

@@ -18,14 +18,16 @@ whose output leg is the class axis, and the contraction is the format's
 Scores are multilinear in the feature vectors, so every parameter
 gradient is an outer product of partial contractions; the batched
 closed forms live in the ``*_backward`` helpers, which evaluate them as
-matrix products.  A chain core merges the running state with a feature
-and a tree node merges its two children, so the two share one merge
-backward, ``_merge_backward``.  (Their forwards round differently and
-stay per format.)  The backwards read the states that
-``ScoreNetwork.forward`` kept from its one pass through the feature map
-and the contraction (the left states of the chain, the dots and their
-products of the sum, the node outputs of the tree), so a training step
-runs one forward and one backward.
+matrix products.  Each walks its format once, right to left, carrying
+one running sensitivity: the chain's right state, the tree's node
+sensitivities from the root down, the sum's product of later dots.  A
+chain core merges the running state with a feature and a tree node
+merges its two children, so the two share one merge backward,
+``_merge_backward``; their forwards round differently.  The backwards
+read the states that ``ScoreNetwork.forward`` kept from its one pass
+through the feature map and the contraction (the left states of the
+chain, the dots and their products of the sum, the node outputs of the
+tree), so a training step runs one forward and one backward.
 
 A network keeps all its trainable numbers in one flat vector, and its
 weights and feature map are views of it; the backward writes into the
@@ -65,7 +67,6 @@ __all__ = [
     "build_similarity_network",
     "count_parameters",
     "cp_scores_from_features",
-    "extract_patches",
     "make_score_network",
     "network_gradients",
     "stack_networks",
@@ -107,16 +108,11 @@ class PatchConfig:
         return ((self.image_height - self.patch_height) // self.stride + 1,
                 (self.image_width - self.patch_width) // self.stride + 1)
 
-    @property
-    def num_patches(self) -> int:
-        gh, gw = self.grid
-        return gh * gw
-
 
 def patch_sequences(images: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     """Vectorized patches for a batch of grayscale images (N, H, W):
-    (N, num_patches, ph * pw).  Patches are scanned row-major over the
-    patch grid; each patch is flattened row-major.
+    (N, gh * gw, ph * pw) over the (gh, gw) patch ``grid``.  Patches are
+    scanned row-major over the grid; each patch is flattened row-major.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
@@ -132,14 +128,6 @@ def patch_sequences(images: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     gh, gw = cfg.grid
     seq = view.reshape(n, gh * gw, cfg.patch_height * cfg.patch_width)
     return np.ascontiguousarray(seq)
-
-
-def extract_patches(image: np.ndarray, cfg: PatchConfig) -> np.ndarray:
-    """Patch matrix of one image (H, W): (ph * pw, num_patches), column j = patch j."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got ndim={image.ndim}")
-    return patch_sequences(image[None], cfg)[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +179,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp overflows to inf, giving exactly 0.0
+            return 1.0 / (1.0 + np.exp(-z))
     return z
 
 
@@ -405,17 +394,14 @@ def cp_backward(weights: CPTensor, phi: np.ndarray, upstream: np.ndarray, states
     dots, prefix, last, _ = states
     d = weights.ndim
     *lead, batch, rank, num_classes = last.shape
-    # prefix[k] = prod_{l<k} dots_l ; suffix[k] = prod_{l>=k} dots_l
-    suffix = np.empty_like(prefix)
-    suffix[d - 1] = 1.0
-    for k in range(d - 2, -1, -1):
-        np.multiply(suffix[k + 1], dots[k], out=suffix[k])
     head = (last @ upstream[..., :, None])[..., 0]
     dphi = np.empty_like(phi)
-    for k in range(d - 1):
-        others = prefix[k] * suffix[k + 1] * head  # (..., B, r)
+    suffix = 1.0  # prod_{l>k} dots_l
+    for k in range(d - 2, -1, -1):
+        others = prefix[k] * suffix * head  # (..., B, r)
         np.matmul(_t(phi[..., k, :]), others, out=grads[k])
         dphi[..., k, :] = others @ _t(weights.factors[k])
+        suffix = suffix * dots[k]
     full = prefix[d - 1]  # product of all d-1 dots
     outer = (full[..., :, None] * upstream[..., None, :]).reshape(*lead, batch,
                                                                   rank * num_classes)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import PatchConfig, ScoreNetwork, patch_sequences, stack_networks
+from .networks import ScoreNetwork, stack_networks
 from .tensor_io import write_csv
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "make_moons",
     "predict",
     "revive_dead_units",
-    "sequence_dataset",
     "train",
     "train_lr_sweep",
     "train_runs",
@@ -147,12 +146,6 @@ def make_circles(num_points: int, noise_sd: float, factor: float = 0.5,
         raise ValueError(f"factor must lie in (0, 1), got {factor}")
     return _two_class_toy(num_points, noise_sd, seed, 2.0 * np.pi, False,
                           lambda arc: factor * arc)
-
-
-def sequence_dataset(images: np.ndarray, labels: np.ndarray, cfg: PatchConfig,
-                     num_classes: int) -> Dataset:
-    """Patch-sequence dataset from a batch of images."""
-    return Dataset(patch_sequences(images, cfg), labels, num_classes)
 
 
 # ---------------------------------------------------------------------------

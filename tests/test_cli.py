@@ -247,6 +247,21 @@ class TestTrainCommand:
         assert code == 2
         assert "limit" in err
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_idx_file_with_trailing_bytes_exits_two(self, tmp_path, capsys, which):
+        images, labels = synthetic_digits(4, seed=1)
+        save_idx_images(tmp_path / "images.idx", images)
+        save_idx_labels(tmp_path / "labels.idx", labels)
+        with open(tmp_path / f"{which}.idx", "ab") as fh:
+            fh.write(bytes(3))
+        code, out, err = run(capsys, "train", "--dataset", "mnist",
+                             "--images", str(tmp_path / "images.idx"),
+                             "--labels", str(tmp_path / "labels.idx"), "--epochs", "1",
+                             "--lr", "0.001", "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / which}.idx: ")
+        assert not (tmp_path / "out").exists()
+
     def test_mnist_tiny_run(self, tmp_path, capsys):
         images, labels = synthetic_digits(40, seed=1)
         save_idx_images(tmp_path / "im.idx", images)
@@ -286,6 +301,18 @@ class TestBoundaryCommand:
         lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert lines[0] == "x,y,label"
         assert len(lines) == 1 + 81
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_network_far_outside_the_data(self, tmp_path, capsys):
+        # the sigmoid saturates at +-2000 without an overflow warning
+        code, _, _ = run(capsys, "train", "--dataset", "moons", "--points", "40",
+                         "--activation", "sigmoid", "--epochs", "2", "--lr", "4e-3",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert run(capsys, "boundary", "--checkpoint", str(tmp_path / "checkpoint.txt"),
+                   "--bounds=-2000,2000,-2000,2000", "--resolution", "5",
+                   "--out-dir", str(tmp_path)) == (0, "", "")
+        assert len((tmp_path / "grid.csv").read_text().splitlines()) == 1 + 25
 
     def test_recorded_digest(self, tmp_path, capsys):
         # sha256 recorded with the csv.writer rows (CRLF line ends); the
@@ -452,6 +479,31 @@ class TestPatchesCommand:
         mat = np.loadtxt(tmp_path / "patches.csv", delimiter=",")
         assert mat.shape == (4, 4)
         np.testing.assert_array_equal(mat[:, 0], [0, 1, 4, 5])
+
+    def test_recorded_digest_of_a_4x4_image(self, tmp_path, capsys):
+        # sha256 recorded while the command still had its own one-image
+        # patch routine
+        np.savetxt(tmp_path / "img.csv", np.arange(16.0).reshape(4, 4) / 7, delimiter=",",
+                   fmt="%.17g")
+        code, out, _ = run(capsys, "patches", "--image", str(tmp_path / "img.csv"),
+                           "--patch-height", "2", "--patch-width", "2", "--stride", "1",
+                           "--out-dir", str(tmp_path))
+        assert code == 0 and out.startswith("4x9 patch matrix -> ")
+        assert hashlib.sha256((tmp_path / "patches.csv").read_bytes()).hexdigest() == \
+            "9f550aa3ad5feef265b474dff4bb96040483b7bb6fd479a8f6bcd39d34468ea2"
+
+    @pytest.mark.parametrize("text, height, width, matrix", [
+        ("1\n2\n3\n4\n", "2", "1", "1,3\n2,4\n"),  # a 4x1 image, not a 1x4 one
+        ("1,2,3,4\n", "1", "2", "1,3\n2,4\n"),
+        ("5\n", "1", "1", "5\n"),
+    ], ids=["one-column", "one-row", "one-value"])
+    def test_image_of_one_row_or_column(self, tmp_path, capsys, text, height, width, matrix):
+        (tmp_path / "img.csv").write_text(text)
+        code, out, _ = run(capsys, "patches", "--image", str(tmp_path / "img.csv"),
+                           "--patch-height", height, "--patch-width", width, "--stride", "2",
+                           "--out-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "patches.csv").read_text() == matrix
 
     def test_non_tiling_config(self, tmp_path, capsys):
         np.savetxt(tmp_path / "img.csv", np.zeros((5, 5)), delimiter=",")

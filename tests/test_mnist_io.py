@@ -83,6 +83,16 @@ class TestIdxFiles:
         with pytest.raises(IdxFormatError, match="tiny.idx: truncated file"):
             load(path)
 
+    @pytest.mark.parametrize("load, name, extra", [
+        (load_idx_images, "img.idx", 1000), (load_idx_images, "img.idx", 1),
+        (load_idx_labels, "lab.idx", 3),
+    ], ids=["images-1000", "images-1", "labels-3"])
+    def test_trailing_bytes_rejected(self, tmp_path, idx_pair, load, name, extra):
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(bytes(extra))
+        with pytest.raises(IdxFormatError, match=f"{name}: trailing bytes after the"):
+            load(tmp_path / name)
+
     def test_count_mismatch(self, tmp_path, idx_pair):
         ip, _, _, _ = idx_pair
         lp = tmp_path / "short_labels.idx"

@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -22,7 +23,6 @@ from ttnets.networks import (
     count_parameters,
     cp_backward,
     cp_scores_from_features,
-    extract_patches,
     ht_backward,
     make_score_network,
     network_gradients,
@@ -61,23 +61,21 @@ def brute_scores(net, x):
 class TestPatches:
     def test_fig_like_geometry(self):
         cfg = PatchConfig(28, 28, 7, 7, 7)
-        mat = extract_patches(np.zeros((28, 28)), cfg)
-        assert mat.shape == (49, 16)
+        assert patch_sequences(np.zeros((2, 28, 28)), cfg).shape == (2, 16, 49)
 
     def test_flat_index_image(self):
         img = np.arange(16.0).reshape(4, 4)
-        mat = extract_patches(img, PatchConfig(4, 4, 2, 2, 2))
-        np.testing.assert_array_equal(mat[:, 0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(mat[:, 1], [2, 3, 6, 7])
-        np.testing.assert_array_equal(mat[:, 2], [8, 9, 12, 13])
+        seq = patch_sequences(np.stack([img, -img]), PatchConfig(4, 4, 2, 2, 2))
+        np.testing.assert_array_equal(seq[0, :3], [[0, 1, 4, 5], [2, 3, 6, 7],
+                                                   [8, 9, 12, 13]])
+        np.testing.assert_array_equal(seq[1], -seq[0])
 
     def test_eight_by_eight(self):
         cfg = PatchConfig(32, 32, 8, 8, 8)
-        assert extract_patches(np.zeros((32, 32)), cfg).shape == (64, 16)
+        assert patch_sequences(np.zeros((1, 32, 32)), cfg).shape == (1, 16, 64)
 
     def test_overlapping_stride(self):
-        cfg = PatchConfig(28, 28, 8, 8, 5)
-        assert cfg.num_patches == 25
+        assert PatchConfig(28, 28, 8, 8, 5).grid == (5, 5)
 
     def test_non_tiling_rejected(self):
         with pytest.raises(ValueError, match="tile"):
@@ -88,10 +86,6 @@ class TestPatches:
         with pytest.raises(ValueError, match=r"grayscale images \(N, H, W\), got shape"):
             patch_sequences(np.zeros(shape), PatchConfig(4, 4, 2, 2, 2))
 
-    def test_image_that_is_not_2d_rejected(self):
-        with pytest.raises(ValueError, match="expected a 2-D image, got ndim=3"):
-            extract_patches(np.zeros((4, 4, 2)), PatchConfig(4, 4, 2, 2, 2))
-
 
 class TestFeatureMap:
     def test_identity_affine_relu(self):
@@ -101,6 +95,14 @@ class TestFeatureMap:
     def test_constant_map(self):
         fm = FeatureMap(np.zeros((2, 3)), np.array([5.0, 5.0]), "relu")
         np.testing.assert_array_equal(apply_feature_map(fm, np.array([9.0, -9.0, 0.1])), [5, 5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_saturates_without_warning(self):
+        # exp(1000) overflows to inf, and 1 / (1 + inf) is exactly 0.0
+        fm = FeatureMap(np.ones((1, 1)), np.zeros(1), "sigmoid")
+        z = np.array([[-1000.0], [-40.0], [0.0], [40.0], [1000.0]])
+        np.testing.assert_array_equal(apply_feature_map(fm, z)[:, 0],
+                                      [0.0, 1.0 / (1.0 + np.exp(40.0)), 0.5, 1.0, 1.0])
 
     def test_identity_activation_is_affine(self):
         rng = np.random.default_rng(2)
@@ -346,6 +348,34 @@ def einsum_ht_backward(ht, phi, upstream):
         grads[k] = np.einsum("bi,ba->ia", phi[:, p], deltas[k])
         dphi[:, p] = deltas[k] @ ht.leaves[k].T
     return grads, dphi
+
+
+class TestCpGradientDigests:
+    """sha256 of CP gradient vectors at ranks 1, 3 and 8, each of three
+    networks alone and then as one stack, recorded before the backward's
+    suffix products moved into its gradient loop: the bits may not change."""
+
+    DIGESTS = {
+        2: "a67ff7f00090ae8d78fcba4d300cd83f6d4cffd45b3fcc97039c98b96d965c5c",
+        3: "5f135964a972a7413caa15b6046364d4f6709656a637e47ab6668e7d9079aaa4",
+        5: "5394a4d03f2a7722e4510c2578b06c0929141f93494ce2c2ca4eab732dbb22c5",
+        25: "7ddaa99362fde46456adfb09dc3057c50294717c49eaadf90262c013a380e938",
+    }
+
+    @pytest.mark.parametrize("d", list(DIGESTS))
+    def test_recorded_digest(self, d):
+        rng = np.random.default_rng(d)
+        batch = rng.normal(size=(6, d, 3))
+        upstream = rng.normal(size=(3, 6, 4))
+        digest = hashlib.sha256()
+        for rank in (1, 3, 8):
+            nets = [make_score_network("cp", d, 3, 4, rank, 4, seed=s, activation="sigmoid")
+                    for s in (1, 2, 3)]
+            for k, net in enumerate(nets):
+                digest.update(net.backward(net.forward(batch)[1], upstream[k]).vector.tobytes())
+            stack = stack_networks(nets)
+            digest.update(stack.backward(stack.forward(batch)[1], upstream).vector.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[d]
 
 
 class TestBackwardAgainstEinsum:

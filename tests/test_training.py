@@ -13,6 +13,7 @@ from ttnets.networks import (
     initialize_for_training,
     make_score_network,
     network_gradients,
+    patch_sequences,
     stack_networks,
 )
 from ttnets.tensor_io import WRITE_CHUNK
@@ -33,7 +34,6 @@ from ttnets.training import (
     make_moons,
     predict,
     revive_dead_units,
-    sequence_dataset,
     train,
     train_lr_sweep,
     train_runs,
@@ -535,7 +535,7 @@ class TestStackedRuns:
 
             return make_moons(100, 0.1, seed=3), toy
         images, labels = synthetic_digits(64, seed=3)
-        data = sequence_dataset(images, labels, PatchConfig(28, 28, 8, 8, 5), 10)
+        data = Dataset(patch_sequences(images, PatchConfig(28, 28, 8, 8, 5)), labels, 10)
 
         def digit(seed):
             net = make_score_network("tt", 25, 64, 4, 4, 10, seed=seed)
