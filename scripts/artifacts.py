@@ -5,21 +5,22 @@
 
 Runs a fixed, small list of steps against ``CHECKOUT/src`` in this one
 interpreter, with BLAS pinned to one thread: the inputs (synthetic digit
-IDX files, a copy of the image file with trailing bytes, dense tensors,
-an image CSV, a one-column image CSV, a checkpoint whose root core has
-no class axis and a factor file whose cores have a mode of size 0), then
-``ttnets`` commands (``train`` on the toy sets, by sweep and at one rate,
-each followed by ``boundary`` csv and svg; a sigmoid ``train`` followed
-by ``boundary`` far outside the data; a digit ``sweep`` and ``train``; a
-``train`` and a digit ``sweep`` of no epochs; the three verifiers;
-``rank``; ``patches`` of both images), ``save_tensor`` of random TT, CP
-and HT tensors, ``load_tensor`` of the zero-size factor file, and
-commands that must fail.  Step NAME writes its files
-under ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its
-exit code).  The commands run with OUT_DIR as the working directory and
-relative paths, and the checkout's source path reads ``src/`` in the
-captured text, so that two checkouts that compute the same bytes give
-trees that ``diff -r`` finds equal.  A run takes a few seconds.
+IDX files, a copy of the image file with trailing bytes, an image file
+of 0-pixel rows, dense tensors, an image CSV, a one-column image CSV, a
+ragged CSV, a checkpoint whose root core has no class axis and a factor
+file whose cores have a mode of size 0), then ``ttnets`` commands
+(``train`` on the toy sets, by sweep and at one rate, each followed by
+``boundary`` csv and svg; a sigmoid ``train`` followed by ``boundary`` far
+outside the data; a digit ``sweep`` and ``train``; a ``train`` and a digit
+``sweep`` of no epochs; the three verifiers; ``rank``, once on a chain
+whose 81x81 matricization takes the Jacobi fallback; ``patches`` of both
+images), ``save_tensor`` of random TT, CP and HT tensors, ``load_tensor``
+of the zero-size factor file, and commands that must fail.  Step NAME
+writes its files under ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr``
+and ``exit`` (its exit code).  The commands run with OUT_DIR as the
+working directory and relative paths, and the checkout's source path
+reads ``src/`` in the captured text, so that two checkouts that compute
+the same bytes give trees that ``diff -r`` finds equal.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
 import warnings  # noqa: E402
@@ -89,6 +91,13 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "inputs/digits-images-trailing.idx", "--labels",
                                          "inputs/digits-labels.idx", "--epochs", "2",
                                          "--network", "cp", "--rank", "4", "--lr", "2e-3"]),
+        ("rank-chain-fallback", ["rank", "inputs/chain8-seed78.txt", "--split", "1,3,5,7"]),
+        ("patches-ragged", ["patches", "--image", "inputs/ragged.csv"]),
+        ("train-digits-patch-size-30", ["train", *DIGITS, "--patch-size", "30",
+                                        "--lr", "2e-3"]),
+        ("train-digits-zero-rows", ["train", "--dataset", "mnist", "--images",
+                                    "inputs/digits-images-zero-rows.idx", "--labels",
+                                    "inputs/digits-labels.idx", "--epochs", "2", "--lr", "2e-3"]),
     ]
 
 
@@ -98,11 +107,18 @@ def write_inputs(tt, out: Path) -> int:
     tt.mnist.save_idx_labels(out / "digits-labels.idx", labels)
     (out / "digits-images-trailing.idx").write_bytes(
         (out / "digits-images.idx").read_bytes() + bytes(1000))
+    # a header of 300 images of 0 rows by 28 columns, and no pixels
+    (out / "digits-images-zero-rows.idx").write_bytes(
+        struct.pack(">IIII", tt.mnist.IDX_IMAGE_MAGIC, 300, 0, 28))
     np.savetxt(out / "digit.csv", images[0], delimiter=",", fmt="%d")
     (out / "column.csv").write_text("1\n2\n3\n4\n")
+    (out / "ragged.csv").write_text("1,2\n3\n")
     dec, save_dense = tt.decompositions, tt.tensor_io.save_dense
     save_dense(out / "delta8.txt", dec.tt_to_dense(dec.tt_delta_example(8, 3, 3)))
     save_dense(out / "chain8.txt", dec.tt_to_dense(dec.tt_random((3,) * 8, (3,) * 7, seed=1)))
+    # its 81x81 odd-even matricization leaves the QR bound undecided
+    save_dense(out / "chain8-seed78.txt",
+               dec.tt_to_dense(dec.tt_random((3,) * 8, (3,) * 7, seed=78)))
     save_dense(out / "vector.txt", np.array([1.0, 2.0, 3.0]))
     # a root core with no class axis, declared as such: (2, 2, 0)
     tt.tensor_io.save_checkpoint(out / "zero-classes.txt",

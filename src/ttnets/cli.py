@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +260,17 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _patch_config(source, image_shape, patch_shape, stride, flags: str) -> PatchConfig:
+    """The patch geometry over images of ``image_shape`` read from ``source``;
+    a refusal names the file, the option ``flags`` that set it and the image size."""
+    try:
+        return PatchConfig(*image_shape, *patch_shape, stride)
+    except ValueError as exc:
+        height, width = image_shape
+        raise ValueError(f"{source}: {flags} do not fit a {height}x{width} image: "
+                         f"{exc}") from None
+
+
 def _load_dataset(args):
     if args.dataset == "moons":
         return make_moons(args.points, args.noise, seed=args.seed)
@@ -274,8 +284,8 @@ def _load_dataset(args):
             if args.limit < 1:
                 raise ValueError(f"--limit must be positive, got {args.limit}")
             images, labels = images[: args.limit], labels[: args.limit]
-        cfg = PatchConfig(images.shape[1], images.shape[2],
-                          args.patch_size, args.patch_size, args.stride)
+        cfg = _patch_config(args.images, images.shape[1:], (args.patch_size,) * 2, args.stride,
+                            f"--patch-size {args.patch_size} and --stride {args.stride}")
         return Dataset(patch_sequences(images, cfg), labels, 10)
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
@@ -371,18 +381,42 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _read_image_csv(path) -> np.ndarray:
+    """The pixel grid of a CSV file: one image row per line, values separated
+    by commas; blank lines and ``#`` comments are skipped.  A line that is
+    not a row of numbers as long as the first is refused by its number."""
+    with open(path) as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file ({exc.reason})") from None
+    rows = []
+    for number, line in enumerate(lines, 1):
+        text = line.partition("#")[0]
+        if not text.strip():
+            continue
+        try:
+            rows.append([float(value) for value in text.split(",")])
+        except ValueError:
+            raise ValueError(f"{path}: line {number}: expected numbers separated by "
+                             f"commas, got {text.strip()!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}: line {number}: expected {len(rows[0])} values like "
+                             f"the rows before it, got {len(rows[-1])}")
+    return np.array(rows, dtype=np.float64)
+
+
 def cmd_patches(args) -> int:
     if not args.image:
         raise ValueError("patches needs --image")
-    with warnings.catch_warnings():  # an empty file is refused below
-        warnings.simplefilter("ignore", UserWarning)
-        image = np.loadtxt(args.image, delimiter=",", ndmin=2)
+    image = _read_image_csv(args.image)
     if not image.size:
         raise ValueError(f"{args.image}: the image holds no pixel values")
     if not np.isfinite(image).all():
         raise ValueError(f"{args.image}: pixel values must be finite (found NaN or inf)")
-    cfg = PatchConfig(image.shape[0], image.shape[1],
-                      args.patch_height, args.patch_width, args.stride)
+    cfg = _patch_config(args.image, image.shape, (args.patch_height, args.patch_width),
+                        args.stride, f"--patch-height {args.patch_height}, --patch-width "
+                        f"{args.patch_width} and --stride {args.stride}")
     matrix = patch_sequences(image[None], cfg)[0].T  # column j is patch j
     out = _out_path(args, "patches.csv")
     with open(out, "w") as fh:

@@ -379,21 +379,19 @@ def tt_to_dense(tt: TTTensor) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(tt.shape))
 
 
-def tt_random(shape, ranks, seed) -> TTTensor:
-    """TT tensor with i.i.d. standard Gaussian cores."""
+def tt_random(shape, ranks, seed, num_classes: int = 1) -> TTTensor:
+    """TT tensor with i.i.d. standard Gaussian cores, drawn first to last; ``ranks``
+    is one int for every bond or d-1 ints, and the last core's output leg has ``num_classes``."""
     shape = tuple(int(n) for n in shape)
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(int(r) for r in ((ranks,) * (len(shape) - 1) if np.isscalar(ranks) else ranks))
     if len(ranks) != len(shape) - 1:
         raise ValueError(f"need {len(shape) - 1} ranks for {len(shape)} modes, got {len(ranks)}")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
     rng = np.random.default_rng(seed)
-    bounds = (1, *ranks, 1)
-    cores = tuple(
-        rng.standard_normal((bounds[k], shape[k], bounds[k + 1]))
-        for k in range(len(shape))
-    )
-    return TTTensor(cores)
+    bounds = (1, *ranks, int(num_classes))
+    return TTTensor([rng.standard_normal((bounds[k], n, bounds[k + 1]))
+                     for k, n in enumerate(shape)])
 
 
 def tt_delta_example(d: int, n: int, r: int) -> TTTensor:
@@ -444,15 +442,16 @@ def cp_to_dense(cp: CPTensor) -> np.ndarray:
     return np.ascontiguousarray(out.sum(axis=1).reshape(cp.shape))
 
 
-def cp_random(shape, r: int, seed) -> CPTensor:
-    """CP tensor with i.i.d. standard Gaussian factors."""
+def cp_random(shape, r: int, seed, num_classes: int = 1) -> CPTensor:
+    """CP tensor with i.i.d. standard Gaussian factors, drawn first to
+    last; the last factor, (n, r, num_classes), carries the output leg."""
     shape = tuple(int(n) for n in shape)
     r = int(r)
     if r < 1:
         raise ValueError("rank must be positive")
     rng = np.random.default_rng(seed)
-    *modes, last = (rng.standard_normal((n, r)) for n in shape)
-    return CPTensor((*modes, last[..., None]))
+    return CPTensor([*(rng.standard_normal((n, r)) for n in shape[:-1]),
+                     *(rng.standard_normal((n, r, int(num_classes))) for n in shape[-1:])])
 
 
 @functools.cache
@@ -478,11 +477,11 @@ def ht_node_leaf_sets(d: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def ht_random(shape, node_ranks, seed) -> HTTensor:
-    """Hierarchical tensor with i.i.d. standard Gaussian nodes.
+def ht_random(shape, node_ranks, seed, num_classes: int = 1) -> HTTensor:
+    """Hierarchical tensor with i.i.d. standard Gaussian nodes, drawn in node order.
 
-    ``node_ranks`` is a single int applied to every non-root node, or a
-    flat list in :func:`ht_node_leaf_sets` order.
+    ``node_ranks`` is a single int applied to every non-root node, or a flat
+    list in :func:`ht_node_leaf_sets` order; the root's leg is ``num_classes``.
     """
     shape = tuple(int(n) for n in shape)
     d = len(shape)
@@ -494,7 +493,7 @@ def ht_random(shape, node_ranks, seed) -> HTTensor:
                          f"internal nodes, root excluded), got d = {d} and {len(ranks)} ranks")
     if any(r < 1 for r in ranks):
         raise ValueError("node ranks must be positive")
-    ranks.append(1)  # the root's output leg
+    ranks.append(int(num_classes))  # the root's output leg
     shapes = [*((shape[p], r) for p, r in zip(ht_leaf_modes(d), ranks)),
               *((ranks[2 * t], ranks[2 * t + 1], ranks[d + t]) for t in range(d - 1))]
     rng = np.random.default_rng(seed)

@@ -37,7 +37,8 @@ IDX_LABEL_MAGIC = 2049
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX content: bad magic, truncation, trailing bytes or count mismatch."""
+    """Malformed IDX content: bad magic, images of no rows or columns,
+    truncation, trailing bytes or count mismatch."""
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -53,6 +54,9 @@ def load_idx_images(path) -> np.ndarray:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path, "header"))
         if magic != IDX_IMAGE_MAGIC:
             raise IdxFormatError(f"{path}: image magic {magic} != {IDX_IMAGE_MAGIC}")
+        if not rows or not cols:
+            raise IdxFormatError(f"{path}: images of {rows}x{cols} pixels; an image needs "
+                                 f"at least one row and one column")
         raw = _read_exact(fh, count * rows * cols, path, "pixel data")
         if fh.read(1):
             raise IdxFormatError(f"{path}: trailing bytes after the pixel data")
@@ -76,8 +80,8 @@ def load_mnist_idx(images_path, labels_path):
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
+        raise IdxFormatError(f"count mismatch: {images_path} holds {images.shape[0]} images, "
+                             f"{labels_path} holds {labels.shape[0]} labels")
     return images, labels
 
 
@@ -86,6 +90,9 @@ def save_idx_images(path, images) -> None:
     images = np.asarray(images)
     if images.ndim != 3:
         raise ValueError(f"images must be an (N, rows, cols) array, got shape {images.shape}")
+    if 0 in images.shape[1:]:
+        raise ValueError(f"an image needs at least one row and one column, got shape "
+                         f"{images.shape}")
     if images.dtype != np.uint8:
         inside = (images >= 0.0) & (images <= 1.0)  # False for NaN
         if not inside.all():

@@ -51,10 +51,13 @@ from .decompositions import (
     CPTensor,
     HTTensor,
     TTTensor,
+    cp_random,
     cp_scores_from_features,
     ht_leaf_modes,
+    ht_random,
     states,
     tt_delta_example,
+    tt_random,
     tt_scores_from_features,
 )
 
@@ -465,36 +468,29 @@ def stack_networks(nets) -> ScoreNetwork:
 # construction
 
 
-def _random_weights(kind: str, d: int, m: int, rank: int, num_classes: int,
-                    rng: np.random.Generator):
-    if kind == "tt":
-        if d < 2:
-            raise ValueError("chain networks need d >= 2")
-        shapes = [(1, m, rank), *[(rank, m, rank)] * (d - 2), (rank, m, num_classes)]
-    elif kind == "cp":
-        shapes = [*[(m, rank)] * (d - 1), (m, rank, num_classes)]
-    elif kind == "ht":
-        if d < 2:
-            raise ValueError("tree networks need d >= 2")
-        shapes = [*[(m, rank)] * d, *[(rank, rank, rank)] * (d - 2), (rank, rank, num_classes)]
-    else:
-        raise ValueError(f"unknown network kind {kind!r}")
-    scale = 1.0 / np.sqrt(m if kind == "cp" else rank)
-    return FORMATS[kind]([rng.normal(scale=scale, size=shape) for shape in shapes])
+_RANDOM = {"tt": tt_random, "cp": cp_random, "ht": ht_random}
 
 
 def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
                        num_classes: int, seed, activation: str = "relu") -> ScoreNetwork:
     """Fresh network with Gaussian parameters.
 
-    Cores/factors are drawn with standard deviation rank**-0.5 so the
-    forward magnitude stays O(1)-ish across depth; the feature map uses
-    scale n**-0.5 with a small random bias.
+    The weights are the format's random tensor over ``(m,) * d`` with a leg of
+    ``num_classes``, scaled to standard deviation m**-0.5 for CP factors and
+    rank**-0.5 for TT cores and HT nodes, so the forward magnitude stays O(1)-ish
+    across depth; the feature map, drawn next, uses n**-0.5 and a small random bias.
     """
     if rank < 1 or m < 1:
         raise ValueError(f"rank and feature count must be positive, got rank {rank}, m {m}")
+    if kind not in _RANDOM:
+        raise ValueError(f"unknown network kind {kind!r}")
+    if kind != "cp" and d < 2:
+        raise ValueError(f"{kind} networks need d >= 2, got d = {d}")
     rng = np.random.default_rng(seed)
-    weights = _random_weights(kind, d, m, rank, num_classes, rng)
+    weights = _RANDOM[kind]((m,) * d, rank, rng, num_classes)
+    scale = 1.0 / np.sqrt(m if kind == "cp" else rank)
+    for w in weights.parameters():
+        w *= scale
     fm = FeatureMap(A=rng.normal(scale=1.0 / np.sqrt(n), size=(m, n)),
                     b=rng.normal(scale=0.5, size=m), activation=activation)
     return ScoreNetwork(feature_map=fm, weights=weights)
@@ -508,7 +504,7 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     exponentially in the sequence length, which kills optimization for
     long inputs (measured: chance-level accuracy at d = 25).  This
     initializer measures the feature statistics on a sample of real
-    inputs and
+    inputs, redraws the weights from the format's random tensor and
 
     * for chain weights, sets each interior core to ``c * I`` plus small
       noise, with the gain c chosen so one recurrence step preserves the
@@ -516,36 +512,32 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     * for separable-sum weights, rescales each factor so its dot with an
       average feature vector has unit standard deviation.
 
-    The feature map and the class-axis core stay randomly initialized.
-    Returns the network for chaining.
+    The class-axis array is redrawn at standard deviation r**-0.5, r its
+    leading size; the feature map is kept.  Returns the network.
     """
     rng = np.random.default_rng(seed)
     sample = np.asarray(sample_inputs, dtype=np.float64)
     if not len(sample):
         raise ValueError("calibrated init needs a non-empty sample of inputs")
     phi = apply_feature_map(net.feature_map, sample)
+    w = net.weights
     if net.kind == "tt":
         gain = 1.0 / max(float(phi.sum(axis=2).mean()), 1e-12)
-        cores = net.weights.cores
-        for core in cores[:-1]:
-            r_prev, m, r_next = core.shape
-            eye = np.eye(r_prev, r_next)
-            core[:] = rng.normal(scale=0.1 * gain, size=core.shape)
-            core += gain * eye[:, None, :]
-        last = cores[-1]
-        last[:] = rng.normal(scale=1.0 / np.sqrt(last.shape[0]), size=last.shape)
+        *cores, last = w.cores
+        *draws, z = tt_random(w.shape, w.ranks, rng, w.num_classes).cores
+        for core, z_k in zip(cores, draws):
+            core[:] = 0.1 * gain * z_k
+            core += gain * np.eye(core.shape[0], core.shape[2])[:, None, :]
     elif net.kind == "cp":
-        factors = net.weights.factors
+        *factors, last = w.factors
+        *draws, z = cp_random(w.shape, w.rank, rng, w.num_classes).factors
         flat = phi.reshape(-1, phi.shape[-1])
-        for factor in factors[:-1]:
-            factor[:] = rng.normal(scale=1.0 / np.sqrt(factor.shape[0]),
-                                   size=factor.shape)
-            sd = flat @ factor
-            factor /= np.maximum(sd.std(axis=0), 1e-12)
-        last = factors[-1]
-        last[:] = rng.normal(scale=1.0 / np.sqrt(last.shape[0]), size=last.shape)
+        for factor, z_k in zip(factors, draws):
+            factor[:] = z_k * (1.0 / np.sqrt(factor.shape[0]))
+            factor /= np.maximum((flat @ factor).std(axis=0), 1e-12)
     else:
         raise ValueError("calibrated init supports tt and cp networks")
+    last[:] = z * (1.0 / np.sqrt(last.shape[0]))
     return net
 
 

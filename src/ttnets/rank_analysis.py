@@ -195,7 +195,7 @@ def _sample_ranks(report: RankReport, num_samples: int, first: int, draw,
 
 # The samplers: (d, n, r, generator) -> dense tensor.
 def _chain(d: int, n: int, r: int, rng) -> np.ndarray:
-    return tt_to_dense(tt_random((n,) * d, (r,) * (d - 1), rng))
+    return tt_to_dense(tt_random((n,) * d, r, rng))
 
 
 def _equal_core_chain(d: int, n: int, r: int, rng) -> np.ndarray:

@@ -6,14 +6,16 @@ ROOT = Path(__file__).parents[1]
 
 TRAINED = {"checkpoint.txt", "history.csv"}
 FAILING = {"train-lr-0", "train-lr-1e200", "rank-one-mode-rel-tol-5",
-           "boundary-zero-classes", "load-tensor-zero-mode", "train-digits-trailing-bytes"}
+           "boundary-zero-classes", "load-tensor-zero-mode", "train-digits-trailing-bytes",
+           "patches-ragged", "train-digits-patch-size-30", "train-digits-zero-rows"}
 
 
 def expected_files() -> dict[str, set[str]]:
     """Files each step writes besides its stdout, stderr and exit."""
     steps = {
-        "inputs": {"chain8.txt", "column.csv", "delta8.txt", "digit.csv",
-                   "digits-images.idx", "digits-images-trailing.idx", "digits-labels.idx",
+        "inputs": {"chain8.txt", "chain8-seed78.txt", "column.csv", "delta8.txt",
+                   "digit.csv", "digits-images.idx", "digits-images-trailing.idx",
+                   "digits-images-zero-rows.idx", "digits-labels.idx", "ragged.csv",
                    "vector.txt", "zero-classes.txt", "zero-mode.txt"},
         "save-tensor": {"tt.txt", "cp.txt", "ht.txt"},
         "sweep-digits": {"sweep.csv"},
@@ -26,6 +28,7 @@ def expected_files() -> dict[str, set[str]]:
         "verify-ht-bounds-ht2tt": {"ht_bounds_report.csv"},
         "rank-delta-chain": set(),
         "rank-chain": set(),
+        "rank-chain-fallback": set(),
         "train-moons-sigmoid": TRAINED,
         "train-moons-sigmoid-boundary-far": {"grid.csv"},
         "patches": {"patches.csv"},
@@ -60,6 +63,15 @@ def test_artifacts_script_records_every_step(tmp_path):
         "least 1, got [2, 2, 0]\n")
     assert (out / "train-digits-trailing-bytes" / "stderr").read_text() == (
         "error: inputs/digits-images-trailing.idx: trailing bytes after the pixel data\n")
+    assert (out / "rank-chain-fallback" / "stdout").read_text() == "cp-rank lower bound: 81\n"
+    assert (out / "patches-ragged" / "stderr").read_text() == (
+        "error: inputs/ragged.csv: line 2: expected 2 values like the rows before it, got 1\n")
+    assert (out / "train-digits-patch-size-30" / "stderr").read_text() == (
+        "error: inputs/digits-images.idx: --patch-size 30 and --stride 5 do not fit a 28x28 "
+        "image: patch larger than image\n")
+    assert (out / "train-digits-zero-rows" / "stderr").read_text() == (
+        "error: inputs/digits-images-zero-rows.idx: images of 0x28 pixels; an image needs at "
+        "least one row and one column\n")
     for name in ("train-moons-sigmoid-boundary-far", "patches-one-column"):
         assert (out / name / "stderr").read_text() == ""
     assert (out / "load-tensor-zero-mode" / "stderr").read_text() == (

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ttnets import cli, tensor_io
 from ttnets.cli import main
 from ttnets.decompositions import tt_delta_example, tt_to_dense
-from ttnets.mnist import save_idx_images, save_idx_labels, synthetic_digits
+from ttnets.mnist import IDX_IMAGE_MAGIC, save_idx_images, save_idx_labels, synthetic_digits
 from ttnets.networks import make_score_network
 
 
@@ -262,6 +263,43 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path / which}.idx: ")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def digit_pair(tmp_path, size=28):
+        images, labels = synthetic_digits(20, seed=1)
+        lo = (28 - size) // 2
+        save_idx_images(tmp_path / "im.idx", images[:, lo : lo + size, lo : lo + size])
+        save_idx_labels(tmp_path / "lb.idx", labels)
+        return ["--dataset", "mnist", "--images", str(tmp_path / "im.idx"),
+                "--labels", str(tmp_path / "lb.idx")]
+
+    @pytest.mark.parametrize("flags, size, geometry, reason", [
+        (["--patch-size", "30"], 28, "30 and --stride 5", "patch larger than image"),
+        (["--stride", "0"], 28, "8 and --stride 0", "stride must be positive"),
+        (["--patch-size", "0"], 28, "0 and --stride 5", "patch_height must be positive"),
+        ([], 20, "8 and --stride 5", "patches of 8x8 with stride 5 do not tile a 20x20 image"),
+    ], ids=["patch-size-30", "stride-0", "patch-size-0", "20x20-defaults"])
+    def test_patch_geometry_names_its_flags(self, tmp_path, capsys, flags, size, geometry,
+                                            reason):
+        digits = self.digit_pair(tmp_path, size)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "train", *digits, *flags, "--epochs", "1",
+                                "--lr", "0.001", "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {tmp_path / 'im.idx'}: --patch-size {geometry} do not fit a "
+                       f"{size}x{size} image: {reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0)])
+    def test_idx_images_of_no_rows_or_columns_exit_two(self, tmp_path, capsys, rows, cols):
+        digits = self.digit_pair(tmp_path)
+        (tmp_path / "im.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 20, rows, cols))
+        code, out, err = run(capsys, "train", *digits, "--epochs", "1", "--lr", "0.001",
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'im.idx'}: images of {rows}x{cols} pixels")
+        assert not (tmp_path / "out").exists()
+
     def test_mnist_tiny_run(self, tmp_path, capsys):
         images, labels = synthetic_digits(40, seed=1)
         save_idx_images(tmp_path / "im.idx", images)
@@ -511,13 +549,55 @@ class TestPatchesCommand:
                            "--patch-height", "2", "--patch-width", "2", "--stride", "2",
                            "--out-dir", str(tmp_path))
         assert code == 2
+        assert err == (f"error: {tmp_path / 'img.csv'}: --patch-height 2, --patch-width 2 and "
+                       f"--stride 2 do not fit a 5x5 image: patches of 2x2 with stride 2 do "
+                       f"not tile a 5x5 image\n")
 
+    @pytest.mark.parametrize("height, width, stride, reason", [
+        ("6", "2", "1", "patch larger than image"),
+        ("2", "2", "0", "stride must be positive"),
+    ], ids=["too-tall", "stride-0"])
+    def test_geometry_error_names_flags_and_file(self, tmp_path, capsys, height, width,
+                                                 stride, reason):
+        path = tmp_path / "img.csv"
+        np.savetxt(path, np.zeros((5, 5)), delimiter=",")
+        code, out, err = run(capsys, "patches", "--image", str(path), "--patch-height", height,
+                             "--patch-width", width, "--stride", stride,
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: --patch-height {height}, --patch-width {width} and "
+                       f"--stride {stride} do not fit a 5x5 image: {reason}\n")
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", ["1,2\nnan,4\n", "1,inf\n3,4\n", ""],
-                             ids=["nan", "inf", "empty"])
-    def test_unusable_image_exits_two(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, line, fault", [
+        ("1,2\n3\n", 2, "expected 2 values like the rows before it, got 1"),
+        ("1,2,\n3,4,\n", 1, "expected numbers separated by commas, got '1,2,'"),
+        ("# grid\n\n1,2\n3,x\n", 4, "expected numbers separated by commas, got '3,x'"),
+    ], ids=["ragged", "trailing-comma", "not-a-number"])
+    def test_malformed_csv_names_file_and_line(self, tmp_path, capsys, text, line, fault):
         path = tmp_path / "img.csv"
         path.write_text(text)
+        code, out, err = run(capsys, "patches", "--image", str(path), "--patch-height", "1",
+                             "--patch-width", "1", "--stride", "1",
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line {line}: {fault}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        (tmp_path / "img.csv").write_text("# a 2x2 image\n1, 2\n\n3,4  # last row\n")
+        code, _, _ = run(capsys, "patches", "--image", str(tmp_path / "img.csv"),
+                         "--patch-height", "1", "--patch-width", "2", "--stride", "1",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "patches.csv").read_text() == "1,3\n2,4\n"
+
+
+    @pytest.mark.parametrize("content", [b"1,2\nnan,4\n", b"1,inf\n3,4\n", b"", b"1,2\n\xff,3\n"],
+                             ids=["nan", "inf", "empty", "not-text"])
+    def test_unusable_image_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "img.csv"
+        path.write_bytes(content)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "patches", "--image", str(path),

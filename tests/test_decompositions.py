@@ -89,6 +89,26 @@ class TestTTRandom:
             assert numerical_rank(matricize(dense, s)) == 1
 
 
+class TestConstructorLeg:
+    """``num_classes`` sizes the output leg of each constructor's tensor."""
+
+    @pytest.mark.parametrize("build, last_shape", [
+        (lambda c: tt_random((2, 3, 2), (2, 3), seed=1, num_classes=c), (3, 2, 4)),
+        (lambda c: cp_random((2, 3, 2), 3, seed=2, num_classes=c), (2, 3, 4)),
+        (lambda c: ht_random((2, 3, 2, 3), 2, seed=3, num_classes=c), (2, 2, 4)),
+    ], ids=["tt", "cp", "ht"])
+    def test_leg_of_num_classes(self, build, last_shape):
+        t = build(4)
+        assert t.num_classes == 4 and t.parameters()[-1].shape == last_shape
+        assert build(1).num_classes == 1
+
+    def test_int_rank_is_every_bond(self):
+        a = tt_random((2, 3, 2, 4), 3, seed=4)
+        b = tt_random((2, 3, 2, 4), (3, 3, 3), seed=4)
+        assert a.ranks == (3, 3, 3)
+        assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
+
+
 class TestDeltaChain:
     def test_closed_form_entries(self):
         for d, n, r in [(4, 2, 2), (4, 3, 2), (6, 2, 3)]:
@@ -321,26 +341,14 @@ class TestRanksFromDense:
             ranks_from_dense(np.zeros((2, 2)), "tucker")
 
 
-def with_leg(t, c, seed):
-    """The same format with a Gaussian output leg of size c."""
-    rng = np.random.default_rng(seed)
-    if isinstance(t, TTTensor):
-        last = t.cores[-1]
-        return TTTensor((*t.cores[:-1], rng.normal(size=(last.shape[0], last.shape[1], c))))
-    if isinstance(t, CPTensor):
-        n = t.factors[-1].shape[0]
-        return CPTensor((*t.factors[:-1], rng.normal(size=(n, t.rank, c))))
-    root = t.nodes[-1]
-    return HTTensor((*t.nodes[:-1], rng.normal(size=(*root.shape[:2], c))))
-
-
+# (build with a leg of c, scores, entry, to_dense) per format
 FORMATS = {
-    "tt": (lambda: tt_random((2, 3, 2), (2, 3), seed=1), tt_scores_from_features,
-           entry, tt_to_dense),
-    "cp": (lambda: cp_random((2, 3, 2), 3, seed=2), cp_scores_from_features,
-           entry, cp_to_dense),
-    "ht": (lambda: ht_random((2, 3, 2, 3), 2, seed=3), lambda t, phi: states(t, phi)[-1],
-           entry, ht_to_dense),
+    "tt": (lambda c=1: tt_random((2, 3, 2), (2, 3), seed=1, num_classes=c),
+           tt_scores_from_features, entry, tt_to_dense),
+    "cp": (lambda c=1: cp_random((2, 3, 2), 3, seed=2, num_classes=c),
+           cp_scores_from_features, entry, cp_to_dense),
+    "ht": (lambda c=1: ht_random((2, 3, 2, 3), 2, seed=3, num_classes=c),
+           lambda t, phi: states(t, phi)[-1], entry, ht_to_dense),
 }
 
 
@@ -349,7 +357,7 @@ class TestOutputLeg:
     def test_leg_columns_are_class_tensors(self, kind):
         build, scores, entry, to_dense = FORMATS[kind]
         t = build()
-        wide = with_leg(t, 3, seed=4)
+        wide = build(3)
         assert wide.num_classes == 3 and t.num_classes == 1
         rng = np.random.default_rng(5)
         phi = [rng.normal(size=(4, n)) for n in t.shape]
@@ -366,7 +374,7 @@ class TestOutputLeg:
 
     @pytest.mark.parametrize("kind", FORMATS)
     def test_class_tensor_keeps_a_leg_of_one(self, kind):
-        t = with_leg(FORMATS[kind][0](), 3, seed=7)
+        t = FORMATS[kind][0](3)
         for y in range(3):
             one = t.class_tensor(y)
             assert one.num_classes == 1 and one.parameters()[-1].shape[-1] == 1
@@ -377,7 +385,7 @@ class TestOutputLeg:
     def test_entries_and_dense_need_a_leg_of_size_one(self, kind):
         build, _scores, entry, to_dense = FORMATS[kind]
         t = build()
-        wide = with_leg(t, 2, seed=6)
+        wide = build(2)
         with pytest.raises(ValueError, match="class_tensor"):
             entry(wide, (0,) * t.ndim)
         with pytest.raises(ValueError, match="class_tensor"):

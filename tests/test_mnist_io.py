@@ -97,8 +97,16 @@ class TestIdxFiles:
         ip, _, _, _ = idx_pair
         lp = tmp_path / "short_labels.idx"
         save_idx_labels(lp, np.zeros(3, dtype=np.uint8))
-        with pytest.raises(IdxFormatError, match="mismatch"):
+        with pytest.raises(IdxFormatError) as info:
             load_mnist_idx(ip, lp)
+        assert str(info.value) == f"count mismatch: {ip} holds 7 images, {lp} holds 3 labels"
+
+    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
+    def test_images_of_no_rows_or_columns_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "img.idx"
+        path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 20, rows, cols))
+        with pytest.raises(IdxFormatError, match=f"^{path}: images of {rows}x{cols} pixels"):
+            load_idx_images(path)
 
     def test_float_images_scaled_on_save(self, tmp_path):
         path = tmp_path / "float.idx"
@@ -136,6 +144,13 @@ class TestIdxFiles:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
                 save_idx_images(path, images)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(2, 0, 28), (2, 28, 0), (0, 0, 0)])
+    def test_images_of_no_rows_or_columns_not_saved(self, tmp_path, shape):
+        path = tmp_path / "img.idx"
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            save_idx_images(path, np.zeros(shape, dtype=np.uint8))
         assert not path.exists()
 
     def test_empty_arrays_saved(self, tmp_path):

@@ -24,6 +24,7 @@ from ttnets.networks import (
     cp_backward,
     cp_scores_from_features,
     ht_backward,
+    initialize_for_training,
     make_score_network,
     network_gradients,
     network_gradients_batch,
@@ -492,6 +493,63 @@ class TestConstruction:
     def test_nonpositive_width_rejected(self, rank, m):
         with pytest.raises(ValueError, match="positive"):
             make_score_network("tt", 2, 1, m, rank, 2, seed=0)
+
+    @pytest.mark.parametrize("kind, d", [("tt", 1), ("ht", 1), ("tt", 0), ("ht", 0)])
+    def test_chains_and_trees_need_two_slots(self, kind, d):
+        with pytest.raises(ValueError, match="d >= 2"):
+            make_score_network(kind, d, 2, 3, 2, 2, seed=0)
+
+    def test_separable_sum_needs_one_slot(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            make_score_network("cp", 0, 2, 3, 2, 2, seed=0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown network kind"):
+            make_score_network("mps", 3, 2, 3, 2, 2, seed=0)
+
+    # (m, rank, classes) of the digest grids below
+    WIDTHS = [(1, 1, 2), (4, 8, 10), (3, 2, 1), (2, 16, 3)]
+
+    @staticmethod
+    def digest(nets):
+        h = hashlib.sha256()
+        for net in nets:
+            h.update(repr(net._shapes).encode())
+            h.update(net.vector.tobytes())
+        return h.hexdigest()
+
+    # sha256 recorded while each network kind drew its own weight shapes:
+    # every network keeps its values bit for bit.
+    @pytest.mark.parametrize("kind, dims, digest", [
+        ("tt", (2, 3, 5, 8, 25),
+         "fdeb687a3737aabd7a3279299bad616c6f8a71cb6176b104fd19b94127a44320"),
+        ("cp", (1, 2, 3, 5, 8, 25),
+         "b7e46ff9fa5f2291cd982bf96d1e1fa552e0a57ca733f7358573dbde4a0017cb"),
+        ("ht", (2, 3, 5, 8, 25),
+         "8ea86bb31d93ed6f0eb86ffce1485fbd57cd1ab4956b8b874d7ff9200d1c7b6c"),
+    ])
+    def test_recorded_digest(self, kind, dims, digest):
+        nets = (make_score_network(kind, d, 2, m, rank, classes, seed=seed)
+                for d in dims for m, rank, classes in self.WIDTHS for seed in (0, 1, 7))
+        assert self.digest(nets) == digest
+
+    # sha256 recorded while the calibrated init drew its own arrays.
+    @pytest.mark.parametrize("kind, digest", [
+        ("tt", "f46b3f248740a724091d5fe2ce1c3a603f2212200f9bb8c16b1bc71e5e3e7a08"),
+        ("cp", "bf3e0c5d7e81d951a43d316b47f8933c9580e7c006e5c8bddbdb89bf0a9bdcdc"),
+    ])
+    def test_recorded_calibrated_digest(self, kind, digest):
+        def nets():
+            for d in (2, 3, 8, 25):
+                sample = np.random.default_rng(d).uniform(size=(16, d, 2))
+                for activation in ("relu", "sigmoid"):
+                    for m, rank, classes in self.WIDTHS:
+                        for seed in (0, 1, 7):
+                            net = make_score_network(kind, d, 2, m, rank, classes, seed=seed,
+                                                     activation=activation)
+                            yield initialize_for_training(net, sample, seed=seed + 3)
+
+        assert self.digest(nets()) == digest
 
 
 class TestParameterCount:
