@@ -10,17 +10,20 @@ of 0-pixel rows, dense tensors, an image CSV, a one-column image CSV, a
 ragged CSV, a checkpoint whose root core has no class axis and a factor
 file whose cores have a mode of size 0), then ``ttnets`` commands
 (``train`` on the toy sets, by sweep and at one rate, each followed by
-``boundary`` csv and svg; a sigmoid ``train`` followed by ``boundary`` far
-outside the data; a digit ``sweep`` and ``train``; a ``train`` and a digit
+``boundary`` csv and svg; a sigmoid ``train`` followed by ``boundary``
+far outside the data; a digit ``sweep``, a digit ``train`` of a CP
+network and one of a tree on 14x14 patches; a ``train`` and a digit
 ``sweep`` of no epochs; the three verifiers; ``rank``, once on a chain
 whose 81x81 matricization takes the Jacobi fallback; ``patches`` of both
-images), ``save_tensor`` of random TT, CP and HT tensors, ``load_tensor``
-of the zero-size factor file, and commands that must fail.  Step NAME
-writes its files under ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr``
-and ``exit`` (its exit code).  The commands run with OUT_DIR as the
-working directory and relative paths, and the checkout's source path
-reads ``src/`` in the captured text, so that two checkouts that compute
-the same bytes give trees that ``diff -r`` finds equal.  A run takes a few seconds.
+images), ``save_tensor`` of random TT, CP and HT tensors,
+``load_tensor`` of the zero-size factor file, library calls that must be
+refused (a class outside a tensor's output leg, a chain of no modes),
+and commands that must fail.  Step NAME writes its files under
+``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its exit
+code).  The commands run with OUT_DIR as the working directory and
+relative paths, and the checkout's source path reads ``src/`` in the
+captured text, so that two checkouts that compute the same bytes give
+trees that ``diff -r`` finds equal.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("sweep-digits", ["sweep", *DIGITS, "--network", "tt", "--ranks", "2,4"]),
         ("train-digits", ["train", *DIGITS, "--network", "cp", "--rank", "4",
                           "--lr", "2e-3"]),
+        ("train-digits-ht", ["train", *DIGITS, "--network", "ht", "--rank", "4",
+                             "--patch-size", "14", "--stride", "14", "--lr", "2e-3"]),
         ("train-epochs-0", ["train", "--points", "40", "--epochs", "0", "--lr", "1e-3"]),
         ("sweep-digits-epochs-0", ["sweep", *DIGITS, "--network", "tt", "--ranks", "2,4",
                                    "--epochs", "0"]),
@@ -150,6 +155,25 @@ def load_zero_mode(tt) -> int:
     return 0
 
 
+def library_refusals(tt) -> int:
+    """Print what ``class_tensor`` of a class outside a leg of 2 and
+    ``tt_random`` of no modes give: the tensor's leg, or the error."""
+    dec = tt.decompositions
+    wide = dec.tt_random((3, 3), 2, seed=0, num_classes=2)
+    calls = [("class_tensor(5)", lambda: wide.class_tensor(5)),
+             ("class_tensor(-1)", lambda: wide.class_tensor(-1)),
+             ("tt_random((), 3)", lambda: dec.tt_random((), 3, seed=0)),
+             ("tt_random((), ())", lambda: dec.tt_random((), (), seed=0))]
+    code = 0
+    for what, call in calls:
+        try:
+            print(f"{what}: a leg of size {call().num_classes}")
+        except (IndexError, ValueError) as exc:
+            print(f"error: {what}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 2
+    return code
+
+
 def run_step(name: str, step, src: Path) -> None:
     """Run ``step()`` and record its output and exit code under ``name/``."""
     folder = Path(name)
@@ -185,6 +209,7 @@ def main(argv=None) -> int:
     run_step("inputs", lambda: write_inputs(ttnets, Path("inputs")), src)
     run_step("save-tensor", lambda: write_tensors(ttnets, Path("save-tensor")), src)
     run_step("load-tensor-zero-mode", lambda: load_zero_mode(ttnets), src)
+    run_step("library-refusals", lambda: library_refusals(ttnets), src)
     for name, command in commands():
         run_step(name, lambda: ttnets.cli.main([*command, "--out-dir", name]), src)
     return 0

@@ -20,9 +20,12 @@ same way for all three.  A plain tensor has C = 1; ``class_tensor(y)``
 cuts a wider leg down to class y, keeping a leg of 1.
 One batched contraction per format (``*_states``, picked by ``t.kind`` in
 ``states(t, phi)``) keeps the states of every step, the last being the
-scores; ``entry(t, idx)`` is the scores at one-hot features.  Dense
-reconstruction keeps a reshape-then-matmul form, far cheaper than
-contracting all prod(n) one-hot inputs.
+scores; ``entry(t, idx)`` is the scores at one-hot features.  A chain
+core and a tree node are one bilinear unit, so ``tt_states`` and
+``ht_states`` run every merge through ``_merge``, whose backward
+``_merge_backward`` sits beside it.  Dense reconstruction keeps a
+reshape-then-matmul form, far cheaper than contracting all prod(n)
+one-hot inputs.
 
 Each container is exactly its parameter list (cores, factors or nodes),
 and ``type(t)(arrays)`` rebuilds one over other arrays in that order; a
@@ -112,6 +115,8 @@ class _Format:
 
     def class_tensor(self, y: int) -> _Format:
         """The d-way tensor of class y (a leg of size 1)."""
+        if not 0 <= y < self.num_classes:
+            raise IndexError(f"class y = {y} is outside 0..C-1 for C = {self.num_classes}")
         *rest, last = getattr(self, self._field)
         return type(self)((*rest, last[..., y : y + 1]))
 
@@ -278,16 +283,36 @@ def _modes(phi):
     return phi.transpose(phi.ndim - 2, *range(phi.ndim - 2), phi.ndim - 1)
 
 
+def _merge(x, y, node):
+    """The bilinear merge ``(x o y) node`` of a chain core, x the running
+    state and y the feature, or of a tree node, x and y its children:
+    x (..., B, a) and y (..., B, c) through node (..., a, c, o) give
+    (..., B, o).  The node is read as (a, c*o), so x mixes in by one
+    matrix product and y contracts after it."""
+    *lead, a, c, o = node.shape
+    mixed = x @ node.reshape(*lead, a, c * o)
+    return np.einsum("...bco,...bc->...bo", mixed.reshape(*mixed.shape[:-1], c, o), y)
+
+
+def _merge_backward(x, y, node, delta, grad):
+    """Backward of :func:`_merge`: writes grad node = (x o y)^T delta into
+    ``grad`` and returns the sensitivities of x and y, both from the one
+    mixed stack delta node^T, with the node read as (a*c, o)."""
+    *lead, a, c, o = node.shape
+    outer = x[..., :, None] * y[..., None, :]
+    np.matmul(outer.reshape(*x.shape[:-1], a * c).swapaxes(-1, -2), delta,
+              out=grad.reshape(*lead, a * c, o))
+    mixed = (delta @ node.reshape(*lead, a * c, o).swapaxes(-1, -2)).reshape(*x.shape[:-1], a, c)
+    return (mixed @ y[..., :, None])[..., 0], (x[..., None, :] @ mixed)[..., 0, :]
+
+
 def tt_states(tt: TTTensor, phi) -> list[np.ndarray]:
     """Recurrent pass: the running state (..., B, r_k) after every core;
     the last one is the (..., B, C) scores."""
     phi = _modes(phi)
     states = [phi[0] @ tt.cores[0][..., 0, :, :]]
     for k in range(1, tt.ndim):
-        r_prev, n, r_next = tt.cores[k].shape[-3:]
-        mixed = states[-1] @ tt.cores[k].reshape(*tt.lead, r_prev, n * r_next)
-        states.append(np.einsum("...bnr,...bn->...br",
-                                mixed.reshape(*mixed.shape[:-1], n, r_next), phi[k]))
+        states.append(_merge(states[-1], phi[k], tt.cores[k]))
     return states
 
 
@@ -313,8 +338,7 @@ def ht_states(ht: HTTensor, phi) -> list[np.ndarray]:
     phi = _modes(phi)
     outputs = [phi[p] @ leaf for p, leaf in zip(ht_leaf_modes(ht.ndim), ht.leaves)]
     for t, b in enumerate(ht.nodes[ht.ndim:]):
-        outputs.append(np.einsum("...ba,...bc,...aco->...bo",
-                                 outputs[2 * t], outputs[2 * t + 1], b))
+        outputs.append(_merge(outputs[2 * t], outputs[2 * t + 1], b))
     return outputs
 
 
@@ -383,6 +407,8 @@ def tt_random(shape, ranks, seed, num_classes: int = 1) -> TTTensor:
     """TT tensor with i.i.d. standard Gaussian cores, drawn first to last; ``ranks``
     is one int for every bond or d-1 ints, and the last core's output leg has ``num_classes``."""
     shape = tuple(int(n) for n in shape)
+    if not shape:
+        raise ValueError("a TT tensor needs at least one mode")
     ranks = tuple(int(r) for r in ((ranks,) * (len(shape) - 1) if np.isscalar(ranks) else ranks))
     if len(ranks) != len(shape) - 1:
         raise ValueError(f"need {len(shape) - 1} ranks for {len(shape)} modes, got {len(ranks)}")

@@ -22,12 +22,13 @@ matrix products.  Each walks its format once, right to left, carrying
 one running sensitivity: the chain's right state, the tree's node
 sensitivities from the root down, the sum's product of later dots.  A
 chain core merges the running state with a feature and a tree node
-merges its two children, so the two share one merge backward,
-``_merge_backward``; their forwards round differently.  The backwards
-read the states that ``ScoreNetwork.forward`` kept from its one pass
-through the feature map and the contraction (the left states of the
-chain, the dots and their products of the sum, the node outputs of the
-tree), so a training step runs one forward and one backward.
+merges its two children, so the two share one bilinear merge in both
+directions: ``decompositions._merge`` in their forwards and
+``decompositions._merge_backward`` here.  The backwards read the states
+that ``ScoreNetwork.forward`` kept from its one pass through the feature
+map and the contraction (the left states of the chain, the dots and
+their products of the sum, the node outputs of the tree), so a training
+step runs one forward and one backward.
 
 A network keeps all its trainable numbers in one flat vector, and its
 weights and feature map are views of it; the backward writes into the
@@ -51,6 +52,7 @@ from .decompositions import (
     CPTensor,
     HTTensor,
     TTTensor,
+    _merge_backward,
     cp_random,
     cp_scores_from_features,
     ht_leaf_modes,
@@ -349,19 +351,6 @@ class ScoreNetwork:
 # writes the weight gradients into ``grads``, arrays shaped like
 # ``weights.parameters()``; it returns them with the feature gradients.
 # The features, upstream and states carry the weights' leading axes.
-
-
-def _merge_backward(x, y, node, delta, grad):
-    """Backward of the bilinear merge ``(x o y) node`` of a chain core or a
-    tree node: writes grad node = (x o y)^T delta into ``grad`` and returns
-    the sensitivities of x and y, both from the one mixed stack delta node^T."""
-    a, c, o = node.shape[-3:]
-    lead = node.shape[:-3]
-    outer = x[..., :, None] * y[..., None, :]
-    np.matmul(_t(outer.reshape(*x.shape[:-1], a * c)), delta,
-              out=grad.reshape(*lead, a * c, o))
-    mixed = (delta @ _t(node.reshape(*lead, a * c, o))).reshape(*x.shape[:-1], a, c)
-    return (mixed @ y[..., :, None])[..., 0], (x[..., None, :] @ mixed)[..., 0, :]
 
 
 def tt_backward(weights: TTTensor, phi: np.ndarray, upstream: np.ndarray, states: list,

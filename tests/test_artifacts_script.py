@@ -7,7 +7,8 @@ ROOT = Path(__file__).parents[1]
 TRAINED = {"checkpoint.txt", "history.csv"}
 FAILING = {"train-lr-0", "train-lr-1e200", "rank-one-mode-rel-tol-5",
            "boundary-zero-classes", "load-tensor-zero-mode", "train-digits-trailing-bytes",
-           "patches-ragged", "train-digits-patch-size-30", "train-digits-zero-rows"}
+           "patches-ragged", "train-digits-patch-size-30", "train-digits-zero-rows",
+           "library-refusals"}
 
 
 def expected_files() -> dict[str, set[str]]:
@@ -20,6 +21,7 @@ def expected_files() -> dict[str, set[str]]:
         "save-tensor": {"tt.txt", "cp.txt", "ht.txt"},
         "sweep-digits": {"sweep.csv"},
         "train-digits": TRAINED,
+        "train-digits-ht": TRAINED,
         "train-epochs-0": TRAINED,
         "sweep-digits-epochs-0": {"sweep.csv"},
         "verify-theorem1": {"theorem1_report.csv"},
@@ -77,3 +79,10 @@ def test_artifacts_script_records_every_step(tmp_path):
     assert (out / "load-tensor-zero-mode" / "stderr").read_text() == (
         "error: inputs/zero-mode.txt: line 2: 'core' block needs dimensions of at "
         "least 1, got [1, 0, 2]\n")
+    assert (out / "library-refusals" / "stdout").read_text() == ""
+    assert (out / "library-refusals" / "stderr").read_text() == (
+        "error: class_tensor(5): IndexError: class y = 5 is outside 0..C-1 for C = 2\n"
+        "error: class_tensor(-1): IndexError: class y = -1 is outside 0..C-1 for C = 2\n"
+        "error: tt_random((), 3): ValueError: a TT tensor needs at least one mode\n"
+        "error: tt_random((), ()): ValueError: a TT tensor needs at least one mode\n")
+    assert (out / "train-digits-ht" / "stderr").read_text() == ""

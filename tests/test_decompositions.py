@@ -8,6 +8,8 @@ from ttnets.decompositions import (
     CPTensor,
     HTTensor,
     TTTensor,
+    _merge,
+    _merge_backward,
     cp_random,
     cp_scores_from_features,
     cp_to_dense,
@@ -87,6 +89,11 @@ class TestTTRandom:
         dense = tt_to_dense(tt)
         for s in ([1], [2], [3], [1, 2]):
             assert numerical_rank(matricize(dense, s)) == 1
+
+    @pytest.mark.parametrize("ranks", [3, ()], ids=["int-rank", "no-ranks"])
+    def test_no_modes_rejected(self, ranks):
+        with pytest.raises(ValueError, match="a TT tensor needs at least one mode"):
+            tt_random((), ranks, seed=0)
 
 
 class TestConstructorLeg:
@@ -381,6 +388,12 @@ class TestOutputLeg:
             np.testing.assert_array_equal(one.parameters()[-1][..., 0],
                                           t.parameters()[-1][..., y])
 
+    @pytest.mark.parametrize("y", [2, 5, -1])
+    @pytest.mark.parametrize("kind", FORMATS)
+    def test_class_outside_the_leg_rejected(self, kind, y):
+        with pytest.raises(IndexError, match=rf"class y = {y} is outside 0\.\.C-1 for C = 2"):
+            FORMATS[kind][0](2).class_tensor(y)
+
     @pytest.mark.parametrize("kind", FORMATS)
     def test_entries_and_dense_need_a_leg_of_size_one(self, kind):
         build, _scores, entry, to_dense = FORMATS[kind]
@@ -443,3 +456,29 @@ class TestLeadingAxes:
     def test_mismatched_leading_axes_rejected(self, arrays, cls):
         with pytest.raises(ValueError, match="leading axes"):
             cls(arrays)
+
+
+class TestMerge:
+    """The bilinear merge of a chain core or a tree node: <delta, merge(x, y,
+    node)> is linear in each of x, y and node, so it equals each one's inner
+    product with its gradient from ``_merge_backward``."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["solo", "stack"])
+    @pytest.mark.parametrize("batch, a, c, o", [
+        (32, 8, 4, 8), (32, 1, 4, 8), (5, 8, 4, 2),  # chain: state, feature, next state
+        (32, 16, 16, 16), (7, 8, 8, 3), (4, 1, 3, 1),  # tree: left, right, output
+    ], ids=["chain-digits", "chain-first", "chain-toy", "tree-digits", "tree-toy", "tree-unit"])
+    def test_adjoint(self, lead, batch, a, c, o):
+        rng = np.random.default_rng(batch * a * c * o)
+        x, y = rng.normal(size=(*lead, batch, a)), rng.normal(size=(*lead, batch, c))
+        node = rng.normal(size=(*lead, a, c, o))
+        delta = rng.normal(size=(*lead, batch, o))
+        grad = np.empty_like(node)
+        dx, dy = _merge_backward(x, y, node, delta, grad)
+
+        def inner(u, v):  # one inner product per run
+            return (u * v).reshape(*lead, -1).sum(axis=-1)
+
+        want = inner(delta, _merge(x, y, node))
+        for got in (inner(grad, node), inner(dx, x), inner(dy, y)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

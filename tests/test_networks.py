@@ -9,6 +9,7 @@ from ttnets.decompositions import (
     HTTensor,
     TTTensor,
     cp_to_dense,
+    ht_leaf_modes,
     ht_node_leaf_sets,
     ht_to_dense,
     states,
@@ -329,14 +330,21 @@ def einsum_cp_backward(cp, phi, upstream):
     return grads, dphi
 
 
+def einsum_ht_states(ht, phi):
+    """Tree node outputs, each internal node one three-operand einsum over
+    its two children; the tensor's leading axes carry through."""
+    outputs = [phi[..., p, :] @ leaf for p, leaf in zip(ht_leaf_modes(ht.ndim), ht.leaves)]
+    for t, node in enumerate(ht.nodes[ht.ndim:]):
+        outputs.append(np.einsum("...ba,...bc,...aco->...bo",
+                                 outputs[2 * t], outputs[2 * t + 1], node))
+    return outputs
+
+
 def einsum_ht_backward(ht, phi, upstream):
     """Tree gradients: node outputs bottom-up, sensitivities top-down."""
     d, nodes = ht.ndim, ht.parameters()
     modes = [s[0] - 1 for s in ht_node_leaf_sets(d)[:d]]  # the mode each leaf reads
-    outputs = [phi[:, p] @ leaf for p, leaf in zip(modes, ht.leaves)]
-    for t in range(d - 1):
-        left, right = outputs[2 * t], outputs[2 * t + 1]
-        outputs.append(np.einsum("ba,bc,aco->bo", left, right, nodes[d + t]))
+    outputs = einsum_ht_states(ht, phi)
     grads, deltas = [None] * len(nodes), [None] * len(nodes)
     deltas[-1] = upstream
     for t in range(d - 2, -1, -1):
@@ -379,6 +387,40 @@ class TestCpGradientDigests:
         assert digest.hexdigest() == self.DIGESTS[d]
 
 
+class TestChainDigests:
+    """sha256 of ``tt_states`` and the TT gradient vectors of three networks
+    alone and then as one stack, recorded while the chain ran its merge
+    step inside ``tt_states``: the bits may not change."""
+
+    # (d, n, m, rank, classes, batch): digest
+    DIGESTS = {
+        (2, 1, 4, 8, 2, 32):
+            "2600548350733ae18decad9cae955901de0fd9f0a719a5579689bf4460fe7d41",
+        (3, 2, 3, 3, 1, 5):
+            "185452393ea35f18fa07c4d1626076eb57258fa0b132123e2a7b4902a6fb7ce5",
+        (25, 64, 4, 8, 10, 32):
+            "e5d84141f01edb72c3189fe2117dcdeafcca4893104849ecb68c023b165b3671",
+        (8, 3, 2, 16, 3, 7):
+            "a4aea699d503fa62f37c8eecfc9f39527a23c249707b5317ff25c01a51a258d0",
+    }
+
+    @pytest.mark.parametrize("shape", list(DIGESTS), ids=lambda shape: "-".join(map(str, shape)))
+    def test_recorded_digest(self, shape):
+        d, n, m, rank, classes, size = shape
+        rng = np.random.default_rng(d)
+        batch = rng.normal(size=(size, d, n))
+        upstream = rng.normal(size=(3, size, classes))
+        nets = [make_score_network("tt", d, n, m, rank, classes, seed=s, activation="sigmoid")
+                for s in (1, 2, 3)]
+        digest = hashlib.sha256()
+        for net, up in [*zip(nets, upstream), (stack_networks(nets), upstream)]:
+            _, fp = net.forward(batch)
+            for state in fp.states:
+                digest.update(state.tobytes())
+            digest.update(net.backward(fp, up).vector.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[shape]
+
+
 class TestBackwardAgainstEinsum:
     """The batched backwards against the plain einsum closed forms, at the
     digit shape (25 patches of 64 pixels; also 16 for the tree) and at the
@@ -403,6 +445,30 @@ class TestBackwardAgainstEinsum:
         for got, want in zip([*grads, dphi], [*ref_grads, ref_dphi]):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("runs", [1, 3], ids=["solo", "stack"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 25])
+    def test_tree_states_match_einsum_reference(self, d, runs):
+        # the merge and the einsum differ only in rounding: each state, and
+        # each gradient fed by them, within 1e-14 of the array's largest entry
+        nets = [make_score_network("ht", d, 3, 4, 8, 10, seed=s, activation="sigmoid")
+                for s in range(11, 11 + runs)]
+        net = nets[0] if runs == 1 else stack_networks(nets)
+        rng = np.random.default_rng(d)
+        _, fp = net.forward(rng.normal(size=(32, d, 3)))
+        upstream = rng.normal(size=(*net.weights.lead, 32, 10))
+
+        def states_and_gradients(kept):
+            grads, dphi = ht_backward(net.weights, fp.phi, upstream, kept,
+                                      [np.empty_like(p) for p in net.weights.parameters()])
+            return [*kept, *grads, dphi]
+
+        got = states_and_gradients(fp.states)
+        want = states_and_gradients(einsum_ht_states(net.weights, fp.phi))
+        assert len(got) == len(want) == 2 * len(net.weights.nodes) + 1
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
 
 class TestFlatParameterVector:

@@ -589,15 +589,21 @@ class TestStackedRuns:
         np.testing.assert_array_equal(nets[1].vector, tame.vector)
         assert self.rows(histories[1]) == self.rows(tame_history)
 
-    @pytest.mark.parametrize("kind, batch_size, stop", [
-        ("tt", 50, 2), ("cp", 50, 2),  # the last of an epoch's two batches
-        ("ht", 50, 1),  # the first of epoch 2's two batches
-        ("tt", 100, 1), ("cp", 100, 1), ("ht", 100, 1),  # one batch per epoch
-    ])
-    def test_stop_on_an_epochs_edge_batch(self, kind, batch_size, stop, monkeypatch):
+    # (kind, batch size, batch of the last epoch it stops on, diverging rate);
+    # at 1e150 a tree with two batches per epoch stops on epoch 1's last
+    # batch, so it runs at 1e100, which stops it on epoch 2's first
+    EDGE_CASES = [
+        ("tt", 50, 2, 1e150), ("cp", 50, 2, 1e150),  # the last of an epoch's two batches
+        ("ht", 50, 1, 1e100),  # the first of epoch 2's two batches
+        ("tt", 100, 1, 1e150), ("cp", 100, 1, 1e150), ("ht", 100, 1, 1e150),  # one per epoch
+    ]
+
+    @pytest.mark.parametrize("kind, batch_size, stop, rate", EDGE_CASES,
+                             ids=[f"{k}-{size}-{stop}" for k, size, stop, _ in EDGE_CASES])
+    def test_stop_on_an_epochs_edge_batch(self, kind, batch_size, stop, rate, monkeypatch):
         data, build = self.case(kind)
         cfg = TrainConfig(epochs=4, batch_size=batch_size, seed=7)
-        rates = (1e150, 1e-3)
+        rates = (rate, 1e-3)
         nets = sweep_nets(build, cfg, 2)
         histories = train_runs(nets, data, cfg, rates)
         batches = []
