@@ -17,7 +17,8 @@ network and one of a tree on 14x14 patches; a ``train`` and a digit
 whose 81x81 matricization takes the Jacobi fallback; ``patches`` of both
 images), ``save_tensor`` of random TT, CP and HT tensors,
 ``load_tensor`` of the zero-size factor file, library calls that must be
-refused (a class outside a tensor's output leg, a chain of no modes),
+refused (a class outside a tensor's output leg, a chain of no modes), a
+``train_runs`` stack in which one run stops while the other trains on,
 and commands that must fail.  Step NAME writes its files under
 ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its exit
 code).  The commands run with OUT_DIR as the working directory and
@@ -174,6 +175,20 @@ def library_refusals(tt) -> int:
     return code
 
 
+def train_stack_stop(tt, out: Path) -> int:
+    """Train two chains on moons as one stack at rates (1e150, 1e-3) for 4
+    epochs, so run 0 stops in epoch 1 while run 1 trains on, and write
+    each run's history and checkpoint."""
+    training = tt.training
+    data = training.make_moons(120, 0.1, seed=3)
+    nets = [tt.networks.make_score_network("tt", 2, 1, 4, 8, 2, seed=k) for k in range(2)]
+    histories = training.train_runs(nets, data, training.TrainConfig(epochs=4), (1e150, 1e-3))
+    for k, (net, history) in enumerate(zip(nets, histories)):
+        training.write_history_csv(out / f"history-{k}.csv", history)
+        tt.tensor_io.save_checkpoint(out / f"checkpoint-{k}.txt", net)
+    return 0
+
+
 def run_step(name: str, step, src: Path) -> None:
     """Run ``step()`` and record its output and exit code under ``name/``."""
     folder = Path(name)
@@ -210,6 +225,8 @@ def main(argv=None) -> int:
     run_step("save-tensor", lambda: write_tensors(ttnets, Path("save-tensor")), src)
     run_step("load-tensor-zero-mode", lambda: load_zero_mode(ttnets), src)
     run_step("library-refusals", lambda: library_refusals(ttnets), src)
+    run_step("train-stack-stop", lambda: train_stack_stop(ttnets, Path("train-stack-stop")),
+             src)
     for name, command in commands():
         run_step(name, lambda: ttnets.cli.main([*command, "--out-dir", name]), src)
     return 0

@@ -471,6 +471,8 @@ def make_score_network(kind: str, d: int, n: int, m: int, rank: int,
     """
     if rank < 1 or m < 1:
         raise ValueError(f"rank and feature count must be positive, got rank {rank}, m {m}")
+    if n < 1:
+        raise ValueError(f"input size must be positive, got n {n}")
     if kind not in _RANDOM:
         raise ValueError(f"unknown network kind {kind!r}")
     if kind != "cp" and d < 2:
@@ -508,6 +510,8 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     sample = np.asarray(sample_inputs, dtype=np.float64)
     if not len(sample):
         raise ValueError("calibrated init needs a non-empty sample of inputs")
+    if not np.isfinite(sample).all():
+        raise ValueError("network inputs must be finite (found NaN or inf)")
     phi = apply_feature_map(net.feature_map, sample)
     w = net.weights
     if net.kind == "tt":

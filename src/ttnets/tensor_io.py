@@ -8,7 +8,9 @@ format a chunk of ``WRITE_CHUNK`` values with one ``%`` template and one
 write, in the bytes of one ``f"{v:.17g}"`` per value.  Before opening the
 file they refuse what the readers refuse: a value that is not finite or
 an axis of length 0 (the error names the block's tag; a reader names the
-line of a dimension below 1), and for a dense tensor a 0-d array.
+line of a dimension below 1), for a dense tensor a 0-d array, and a
+stack (:func:`~ttnets.networks.stack_networks`): a file holds one tensor
+or network, so arrays with leading axes are refused, naming the axes.
 
 The CSV artifacts (history, grid, report, sweep) go through the same
 writer, :func:`write_csv`: a header line, then rows with floats at
@@ -225,9 +227,13 @@ class _LineReader:
 # block codecs, one per format
 
 
-def _blocks(kind: str, arrays) -> list:
-    """The ``(tag, array)`` blocks of a format's arrays."""
-    return [(_TAGS[kind][arr.ndim], arr) for arr in arrays]
+def _blocks(path, t: TTTensor | CPTensor | HTTensor, arrays) -> list:
+    """The ``(tag, array)`` blocks of ``arrays``, those of ``t`` or its
+    file spelling; a stack of ``t`` is refused."""
+    if t.lead:
+        raise ValueError(f"{path}: cannot save a stack with leading axes {t.lead}: a file "
+                         f"holds one tensor or network")
+    return [(_TAGS[t.kind][arr.ndim], arr) for arr in arrays]
 
 
 def _read_tensor(reader: _LineReader, kind: str, d: int):
@@ -271,7 +277,7 @@ def save_tensor(path, t: TTTensor | CPTensor | HTTensor) -> None:
     if t.kind == "cp" and t.num_classes == 1:
         arrays[-1] = arrays[-1][..., 0]  # spelled ``factor: n r``
     _write_file(path, f"{t.kind}: " + " ".join(str(n) for n in _tensor_header(t)) + "\n",
-                _blocks(t.kind, arrays))
+                _blocks(path, t, arrays))
 
 
 def load_tensor(path) -> TTTensor | CPTensor | HTTensor:
@@ -302,7 +308,7 @@ def save_checkpoint(path, net: ScoreNetwork) -> None:
         head += "order: " + " ".join(str(i) for i in net.input_order) + "\n"
     head += f"activation: {fm.activation}\n"
     _write_file(path, head, [("A", fm.A), ("b", fm.b),
-                             *_blocks(net.kind, net.weights.parameters())])
+                             *_blocks(path, net.weights, net.weights.parameters())])
 
 
 def load_checkpoint(path) -> ScoreNetwork:

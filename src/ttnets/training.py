@@ -14,11 +14,11 @@ the same batches, so each step is one forward, one loss, one backward
 and one Adam update of a (K, P) matrix whose row k is run k's parameter
 vector, at run k's own rate.  Every stacked operation acts on each run's
 rows exactly as it would on that run alone, and each run keeps its own
-moments, so each run's result is bit-identical to training it alone.  A
-run whose batch loss is not finite stops: it stays in the stack, frozen
-by a zero gradient and zero moments, until the epoch ends, and leaves it
-after the epoch's one revival and accuracy.  A single :func:`train` is
-the stack of one.
+moments, so each run's result is bit-identical to training it alone.  The
+stack is built once.  A run whose batch loss is not finite stops: its
+history ends with that epoch, after the epoch's one revival and
+accuracy, and its row stays in the stack to the end, frozen by a zero
+gradient and zero moments.  A single :func:`train` is the stack of one.
 """
 
 from __future__ import annotations
@@ -300,9 +300,10 @@ def train(net: ScoreNetwork, data: Dataset, cfg: TrainConfig,
     :func:`revive_dead_units`, which leaves the scores unchanged.  Zero
     epochs returns an empty history and leaves parameters untouched.  A
     run stops at the first batch whose loss is NaN or infinite: it takes
-    no step from that batch on, the rest of the epoch is skipped, and the
-    history ends with that epoch's non-finite loss, the mean of the batch
-    losses up to and including the first non-finite one.
+    no step from that batch on, the rest of the epoch is skipped, and
+    training ends after that epoch's revival and accuracy.  The history
+    ends with that epoch's non-finite loss, the mean of the batch losses
+    up to and including the first non-finite one.
     """
     return train_runs([net], data, cfg, [learning_rate])[0]
 
@@ -315,64 +316,62 @@ def train_runs(nets: list[ScoreNetwork], data: Dataset, cfg: TrainConfig,
 
     Each run's history and final parameters are bit for bit those of
     ``train(nets[k], data, cfg, rates[k])``; each rate must be finite and
-    positive.  A run whose batch loss is not finite stays in the stack,
-    frozen, until the epoch ends: its gradient row and moments are zeroed,
-    so each Adam update adds exactly +0.0 to its parameters.  The epoch's
-    revival and accuracy serve every run of the stack at once; then the
-    runs whose epoch loss is not finite leave it.  Each network ends
-    holding its run's parameters.  Overflow and invalid operations raise
-    no numpy warning: the non-finite loss they lead to is the report."""
+    positive.  The stack is built once and keeps every run to the end.  A
+    run whose batch loss is not finite stops there: on every later batch
+    its gradient row and moments are zeroed, so each Adam update adds
+    exactly +0.0 to its row.  The epoch it stops in still revives it and
+    scores its accuracy with the other runs, and its history ends with
+    that epoch.  Each network is written from its row at the end of every
+    epoch its run starts live, so no later revival of a frozen row reaches
+    it.  A stopped run keeps its share of every batch until every run has
+    stopped or the epochs run out: a stack of K runs with s stopped does
+    K/(K-s) times the work of its live runs.  Overflow and invalid
+    operations raise no numpy warning: the non-finite loss they lead to is
+    the report."""
     if len(rates) != len(nets):
         raise ValueError(f"need one learning rate per network, got {len(rates)} rates "
                          f"for {len(nets)} networks")
-    column = np.array(rates, dtype=np.float64)[:, None]  # row i: runs[i]'s rate
+    column = np.array(rates, dtype=np.float64)[:, None]  # row k: run k's rate
     if column.ndim != 2:
         raise ValueError(f"each learning rate must be one number, got {rates}")
     for rate in column[:, 0]:
         if not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {rate}")
     histories: list[list[EpochStats]] = [[] for _ in nets]
-    runs = list(range(len(nets)))  # row i of the stack trains nets[runs[i]]
     net = stack_networks(nets)
     state = AdamState.for_params(net.vector)
+    live = np.ones(len(nets), dtype=bool)
     rng = np.random.default_rng(cfg.seed)
     starts = range(0, len(data), cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(data))
-        losses = np.empty((len(runs), len(starts)))
-        ends = np.full(len(runs), len(starts))  # row i's loss: mean of losses[i, :ends[i]]
-        live, all_live = np.ones(len(runs), dtype=bool), True
+        losses = np.empty((len(nets), len(starts)))
+        # row k's loss: mean of losses[k, :ends[k]]; 0 marks a run stopped before
+        ends = np.where(live, len(starts), 0)
         for j, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
             scores, fp = net.forward(data.inputs[idx])
             loss, dscores = cross_entropy_batch(scores, data.labels[idx])
             losses[:, j] = loss
-            if not (all_live and np.isfinite(loss).all()):
+            if not np.isfinite(loss).all():
                 stops = live & ~np.isfinite(loss)
                 ends[stops] = j + 1
                 live &= ~stops
-                all_live = False
                 if not live.any():
                     break
             grads = net.backward(fp, dscores).vector
-            if not all_live:
+            if not live.all():
                 for frozen in (grads, state.m, state.v):
                     frozen[~live] = 0.0
             adam_step(net.vector, grads, state, column)
         revive_dead_units(net, data.inputs, state)
-        for run, row, end, hits in zip(runs, losses, ends, accuracy(net, data)):
-            histories[run].append(EpochStats(epoch + 1, float(np.mean(row[:end])),
-                                             float(hits)))
-        for run, row in zip(runs, net.vector):
-            nets[run].vector[:] = row
-        keep = np.isfinite([histories[run][-1].loss for run in runs])
-        if not keep.all():
-            runs = [run for run, kept in zip(runs, keep) if kept]
-            if not runs:
-                break
-            net = stack_networks([nets[run] for run in runs])
-            state = AdamState(state.m[keep], state.v[keep], state.step)
-            column = column[keep]
+        hits = accuracy(net, data)
+        for k in np.flatnonzero(ends):
+            histories[k].append(EpochStats(epoch + 1, float(np.mean(losses[k, :ends[k]])),
+                                           float(hits[k])))
+            nets[k].vector[:] = net.vector[k]
+        if not live.any():
+            break
     return histories
 
 

@@ -19,6 +19,8 @@ def expected_files() -> dict[str, set[str]]:
                    "digits-images-zero-rows.idx", "digits-labels.idx", "ragged.csv",
                    "vector.txt", "zero-classes.txt", "zero-mode.txt"},
         "save-tensor": {"tt.txt", "cp.txt", "ht.txt"},
+        "train-stack-stop": {"history-0.csv", "history-1.csv", "checkpoint-0.txt",
+                             "checkpoint-1.txt"},
         "sweep-digits": {"sweep.csv"},
         "train-digits": TRAINED,
         "train-digits-ht": TRAINED,
@@ -86,3 +88,8 @@ def test_artifacts_script_records_every_step(tmp_path):
         "error: tt_random((), 3): ValueError: a TT tensor needs at least one mode\n"
         "error: tt_random((), ()): ValueError: a TT tensor needs at least one mode\n")
     assert (out / "train-digits-ht" / "stderr").read_text() == ""
+    # run 0 stops in epoch 1; run 1 trains all 4 epochs
+    histories = [(out / "train-stack-stop" / f"history-{k}.csv").read_text().splitlines()
+                 for k in range(2)]
+    assert [len(rows) for rows in histories] == [2, 5]
+    assert histories[0][1].startswith("1,nan,")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from functools import reduce
 
 import numpy as np
@@ -559,6 +560,24 @@ class TestConstruction:
     def test_nonpositive_width_rejected(self, rank, m):
         with pytest.raises(ValueError, match="positive"):
             make_score_network("tt", 2, 1, m, rank, 2, seed=0)
+
+    @pytest.mark.parametrize("kind", ["tt", "cp", "ht"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_input_size_must_be_positive(self, kind, n):
+        with pytest.raises(ValueError, match=f"^input size must be positive, got n {n}$"):
+            make_score_network(kind, 3, n, 4, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("kind", ["tt", "cp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_calibrated_init_refuses_non_finite_inputs(self, kind, bad):
+        net = make_score_network(kind, 8, 3, 2, 2, 2, seed=0)
+        before = net.vector.copy()
+        sample = np.random.default_rng(0).uniform(size=(5, 8, 3))
+        sample[2, 4, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                "network inputs must be finite (found NaN or inf)")):
+            initialize_for_training(net, sample)
+        np.testing.assert_array_equal(net.vector, before)
 
     @pytest.mark.parametrize("kind, d", [("tt", 1), ("ht", 1), ("tt", 0), ("ht", 0)])
     def test_chains_and_trees_need_two_slots(self, kind, d):

@@ -6,7 +6,7 @@ import pytest
 
 from ttnets import tensor_io
 from ttnets.decompositions import TTTensor, cp_random, ht_random, tt_delta_example, tt_random
-from ttnets.networks import build_similarity_network, make_score_network
+from ttnets.networks import build_similarity_network, make_score_network, stack_networks
 
 
 class TestDenseFiles:
@@ -117,6 +117,21 @@ class TestWritersRefuse:
         path = tmp_path / "net.txt"
         with pytest.raises(ValueError, match="net.txt: 'A' block holds inf"):
             tensor_io.save_checkpoint(path, net)
+        assert not path.exists()
+
+
+    @pytest.mark.parametrize("kind, classes", [("tt", 2), ("cp", 2), ("ht", 2), ("cp", 1)],
+                             ids=["tt", "cp", "ht", "cp-unit-leg"])
+    def test_a_stack_refused(self, tmp_path, kind, classes):
+        net = make_score_network(kind, 3, 2, 3, 2, classes, seed=0)
+        stack = stack_networks([net, net])
+        path = tmp_path / "t.txt"
+        message = re.escape("t.txt: cannot save a stack with leading axes (2,): a file "
+                            "holds one tensor or network")
+        with pytest.raises(ValueError, match=message):
+            tensor_io.save_checkpoint(path, stack)
+        with pytest.raises(ValueError, match=message):
+            tensor_io.save_tensor(path, stack.weights)
         assert not path.exists()
 
 

@@ -672,6 +672,49 @@ class TestStackedRuns:
         # accuracy pass for the whole stack
         assert shapes == [(3,), (3,), (3,)]
 
+    def test_the_stack_is_built_once(self, monkeypatch):
+        data, build = self.case("tt")
+        cfg = TrainConfig(epochs=4, seed=7)
+        built = []
+        real = stack_networks
+        monkeypatch.setattr("ttnets.training.stack_networks",
+                            lambda nets: built.append(len(nets)) or real(nets))
+        histories = train_runs(sweep_nets(build, cfg, 2), data, cfg, (1e150, 1e-3))
+        assert [len(h) for h in histories] == [1, 4]
+        assert built == [2]
+
+    def test_later_revival_of_a_frozen_row_leaves_its_network_alone(self, monkeypatch):
+        # run 0 stops in epoch 1; from epoch 2 on its frozen row gets a dead
+        # unit before each revival, which revives it and so changes the row
+        data, build = self.case("tt")
+        cfg = TrainConfig(epochs=4, seed=7)
+        rates = (1e150, 1e-3)
+        real = revive_dead_units
+        revived, frozen = [], []
+
+        def killing(net, inputs, state):
+            if revived:
+                proj = inputs @ net.feature_map.A[0, 2]
+                net.feature_map.b[0, 2] = -float(proj.max()) - 1.0
+            revived.append(real(net, inputs, state))
+            frozen.append(net.vector[0].copy())
+            return revived[-1]
+
+        monkeypatch.setattr("ttnets.training.revive_dead_units", killing)
+        nets = sweep_nets(build, cfg, 2)
+        histories = train_runs(nets, data, cfg, rates)
+        monkeypatch.undo()
+        wild, wild_history = self.solo(build, data, cfg, 0, rates[0])
+        tame, tame_history = self.solo(build, data, cfg, 1, rates[1])
+        assert len(wild_history) == 1 and len(revived) == cfg.epochs
+        assert all(2 in runs[0] for runs in revived[1:])
+        assert not np.array_equal(frozen[-1], frozen[0])
+        np.testing.assert_array_equal(self.rows(histories[0]), self.rows(wild_history),
+                                      strict=True)
+        np.testing.assert_array_equal(nets[0].vector, wild.vector)
+        np.testing.assert_array_equal(nets[1].vector, tame.vector)
+        assert self.rows(histories[1]) == self.rows(tame_history)
+
     def test_one_rate_per_network(self):
         data, build = self.case("tt")
         nets = [build(seed) for seed in range(3)]
