@@ -15,11 +15,14 @@ far outside the data; a digit ``sweep``, a digit ``train`` of a CP
 network and one of a tree on 14x14 patches; a ``train`` and a digit
 ``sweep`` of no epochs; the three verifiers; ``rank``, once on a chain
 whose 81x81 matricization takes the Jacobi fallback; ``patches`` of both
-images), ``save_tensor`` of random TT, CP and HT tensors,
-``load_tensor`` of the zero-size factor file, library calls that must be
-refused (a class outside a tensor's output leg, a chain of no modes), a
-``train_runs`` stack in which one run stops while the other trains on,
-and commands that must fail.  Step NAME writes its files under
+images; a digit ``train`` with identity features), ``save_tensor`` of
+random TT, CP and HT tensors, ``load_tensor`` of the zero-size factor
+file, library calls that must be refused (a class outside a tensor's
+output leg, a chain of no modes, an equal-core chain of rank 0, a dataset
+of labels that are not integers), a ``train_runs`` stack in which one run
+stops while the other trains on, and commands that must fail (among them
+``rank`` and ``--config`` of an IDX file, and ``boundary`` over a box
+whose height overflows).  Step NAME writes its files under
 ``OUT_DIR/NAME/`` next to ``stdout``, ``stderr`` and ``exit`` (its exit
 code).  The commands run with OUT_DIR as the working directory and
 relative paths, and the checkout's source path reads ``src/`` in the
@@ -104,6 +107,14 @@ def commands() -> list[tuple[str, list[str]]]:
         ("train-digits-zero-rows", ["train", "--dataset", "mnist", "--images",
                                     "inputs/digits-images-zero-rows.idx", "--labels",
                                     "inputs/digits-labels.idx", "--epochs", "2", "--lr", "2e-3"]),
+        ("rank-not-text", ["rank", "inputs/digits-images.idx"]),
+        ("config-not-text", ["rank", "inputs/vector.txt", "--config",
+                             "inputs/digits-images.idx"]),
+        ("boundary-overflowing-box", ["boundary", "--checkpoint",
+                                      "train-moons-tt-lr/checkpoint.txt",
+                                      "--bounds", "0,1,-1e+308,1e+308", "--resolution", "30"]),
+        ("train-digits-identity", ["train", *DIGITS, "--activation", "identity",
+                                   "--lr", "2e-3"]),
     ]
 
 
@@ -157,14 +168,19 @@ def load_zero_mode(tt) -> int:
 
 
 def library_refusals(tt) -> int:
-    """Print what ``class_tensor`` of a class outside a leg of 2 and
-    ``tt_random`` of no modes give: the tensor's leg, or the error."""
+    """Print what ``class_tensor`` of a class outside a leg of 2,
+    ``tt_random`` of no modes, ``tt_equal_cores_random`` of rank 0 and a
+    ``Dataset`` of labels that are not integers give: the leg of the tensor
+    (the class count of the dataset), or the error."""
     dec = tt.decompositions
     wide = dec.tt_random((3, 3), 2, seed=0, num_classes=2)
     calls = [("class_tensor(5)", lambda: wide.class_tensor(5)),
              ("class_tensor(-1)", lambda: wide.class_tensor(-1)),
              ("tt_random((), 3)", lambda: dec.tt_random((), 3, seed=0)),
-             ("tt_random((), ())", lambda: dec.tt_random((), (), seed=0))]
+             ("tt_random((), ())", lambda: dec.tt_random((), (), seed=0)),
+             ("tt_equal_cores_random(4, 3, 0)", lambda: dec.tt_equal_cores_random(4, 3, 0, 0)),
+             ("Dataset(labels=(0.5, 1.7))",
+              lambda: tt.training.Dataset(np.zeros((2, 2, 1)), np.array([0.5, 1.7]), 2))]
     code = 0
     for what, call in calls:
         try:

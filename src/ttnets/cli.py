@@ -187,8 +187,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     table = {flag: (default, caster) for flag, default, caster, _h in _OPTIONS[args.command]}
     values = {flag: default for flag, (default, _c) in table.items()}
     if args.config is not None:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = json.loads(tensor_io.read_text(args.config))
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a flat JSON object")
         for key, val in loaded.items():
@@ -345,16 +344,16 @@ def cmd_boundary(args) -> int:
 
 
 def _write_grid_svg(path, labels) -> None:
+    """One square per grid cell; row iy is drawn at y = res-1-iy, so y points up."""
     res = labels.shape[0]
-    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="400" height="400" '
-            f'viewBox="0 0 {res} {res}" shape-rendering="crispEdges">']
-    for iy in range(res):
-        for ix in range(res):
-            color = _GRID_COLORS[int(labels[iy, ix]) % len(_GRID_COLORS)]
-            rows.append(f'<rect x="{ix}" y="{res - 1 - iy}" width="1" height="1" '
-                        f'fill="{color}"/>')
-    rows.append("</svg>")
-    Path(path).write_text("\n".join(rows) + "\n")
+    iy, ix = np.indices(labels.shape).astype(str)
+    colors = np.array(_GRID_COLORS)[labels % len(_GRID_COLORS)]
+    cells = np.stack([ix, iy[::-1], colors], axis=-1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="400" height="400" '
+                 f'viewBox="0 0 {res} {res}" shape-rendering="crispEdges">\n')
+        tensor_io.write_rows(fh, '<rect x="%s" y="%s" width="1" height="1" fill="%s"/>\n', cells)
+        fh.write("</svg>\n")
 
 
 def cmd_sweep(args) -> int:
@@ -385,13 +384,8 @@ def _read_image_csv(path) -> np.ndarray:
     """The pixel grid of a CSV file: one image row per line, values separated
     by commas; blank lines and ``#`` comments are skipped.  A line that is
     not a row of numbers as long as the first is refused by its number."""
-    with open(path) as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not a text file ({exc.reason})") from None
     rows = []
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(tensor_io.read_text(path).split("\n"), 1):
         text = line.partition("#")[0]
         if not text.strip():
             continue

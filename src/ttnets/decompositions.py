@@ -447,16 +447,13 @@ def tt_delta_example(d: int, n: int, r: int) -> TTTensor:
 
 
 def tt_equal_cores_random(d: int, n: int, r: int, seed) -> TTTensor:
-    """Gaussian TT tensor whose interior cores 2..d-1 are one shared core."""
-    d, n, r = int(d), int(n), int(r)
+    """Gaussian TT tensor whose interior cores 2..d-1 are one shared core:
+    the three cores of ``tt_random((n,) * 3, r, seed)``, the middle one repeated."""
+    d = int(d)
     if d < 3:
         raise ValueError(f"equal-core construction needs d >= 3, got {d}")
-    rng = np.random.default_rng(seed)
-    first = rng.standard_normal((1, n, r))
-    middle = rng.standard_normal((r, n, r))
-    last = rng.standard_normal((r, n, 1))
-    cores = [first] + [middle] * (d - 2) + [last]
-    return TTTensor(tuple(cores))
+    first, middle, last = tt_random((n,) * 3, r, seed).cores
+    return TTTensor((first, *[middle] * (d - 2), last))
 
 
 def cp_to_dense(cp: CPTensor) -> np.ndarray:

@@ -5,7 +5,9 @@ File layout (big endian):
   images:  i32 magic = 2051 | i32 count | i32 rows | i32 cols | u8 pixels...
   labels:  i32 magic = 2049 | i32 count | u8 labels...
 
-Pixels are stored as bytes 0..255 and loaded scaled to [0, 1].
+The magic's low byte is the number of axes, so one reader and one writer
+serve both kinds of file.  Pixels are stored as bytes 0..255 and loaded
+scaled to [0, 1].
 
 ``synthetic_digits`` renders seven-segment glyphs for the ten digit
 classes with random shifts, intensity jitter and pixel noise.  It exists
@@ -15,6 +17,7 @@ regenerated deterministically offline; it is a stand-in, not MNIST.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -48,31 +51,39 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return fh.read(count)
 
 
+def _read_idx(path, magic: int, kind: str, payload: str) -> np.ndarray:
+    """The uint8 array of an IDX file of ``magic`` (whose low byte is the
+    axis count), shaped as its header says; errors name the ``kind`` of
+    magic and the ``payload``."""
+    head = f">{(magic & 0xFF) + 1}I"  # the magic, then one u32 per axis
+    with open(path, "rb") as fh:
+        found, *shape = struct.unpack(head, _read_exact(fh, struct.calcsize(head), path, "header"))
+        if found != magic:
+            raise IdxFormatError(f"{path}: {kind} magic {found} != {magic}")
+        raw = _read_exact(fh, math.prod(shape), path, payload)
+        if fh.read(1):
+            raise IdxFormatError(f"{path}: trailing bytes after the {payload}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    """``array`` (uint8, of ``magic & 0xFF`` axes) after its IDX header."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{array.ndim + 1}I", magic, *array.shape))
+        fh.write(array.tobytes())
+
+
 def load_idx_images(path) -> np.ndarray:
     """Images as (N, rows, cols) float64 scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path, "header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{path}: image magic {magic} != {IDX_IMAGE_MAGIC}")
-        if not rows or not cols:
-            raise IdxFormatError(f"{path}: images of {rows}x{cols} pixels; an image needs "
-                                 f"at least one row and one column")
-        raw = _read_exact(fh, count * rows * cols, path, "pixel data")
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after the pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+    pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image", "pixel data")
+    if 0 in pixels.shape[1:]:
+        raise IdxFormatError(f"{path}: images of {pixels.shape[1]}x{pixels.shape[2]} pixels; "
+                             f"an image needs at least one row and one column")
     return pixels.astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, count = struct.unpack(">II", _read_exact(fh, 8, path, "header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{path}: label magic {magic} != {IDX_LABEL_MAGIC}")
-        raw = _read_exact(fh, count, path, "label data")
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after the label data")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_LABEL_MAGIC, "label", "label data").astype(np.int64)
 
 
 def load_mnist_idx(images_path, labels_path):
@@ -99,10 +110,7 @@ def save_idx_images(path, images) -> None:
             raise ValueError(f"pixels that are not uint8 must be finite and in [0, 1], "
                              f"got {images[~inside][0]}")
         images = np.round(images * 255.0).astype(np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(images.tobytes())
+    _write_idx(path, IDX_IMAGE_MAGIC, images)
 
 
 def save_idx_labels(path, labels) -> None:
@@ -113,9 +121,7 @@ def save_idx_labels(path, labels) -> None:
     valid = (labels >= 0) & (labels <= 255) & (labels == np.floor(labels))
     if not valid.all():
         raise ValueError(f"labels must be integers in 0..255, got {labels[~valid][0]}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, IDX_LABEL_MAGIC, labels.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,9 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
 
     * for chain weights, sets each interior core to ``c * I`` plus small
       noise, with the gain c chosen so one recurrence step preserves the
-      state magnitude for an average input;
+      state magnitude for an average input: c is one over the mean
+      magnitude of a patch's feature sum, so sums that are negative or
+      cancel (as identity features can give) cannot make it blow up;
     * for separable-sum weights, rescales each factor so its dot with an
       average feature vector has unit standard deviation.
 
@@ -515,7 +517,7 @@ def initialize_for_training(net: ScoreNetwork, sample_inputs: np.ndarray,
     phi = apply_feature_map(net.feature_map, sample)
     w = net.weights
     if net.kind == "tt":
-        gain = 1.0 / max(float(phi.sum(axis=2).mean()), 1e-12)
+        gain = 1.0 / max(float(np.abs(phi.sum(axis=2)).mean()), 1e-12)
         *cores, last = w.cores
         *draws, z = tt_random(w.shape, w.ranks, rng, w.num_classes).cores
         for core, z_k in zip(cores, draws):

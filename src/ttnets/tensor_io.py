@@ -1,6 +1,9 @@
 """Plain-text interchange files for tensors, factors and checkpoints.
 
-All files are line-oriented ASCII.  Values are written one per line with
+All files are line-oriented ASCII.  Every text file the package reads
+(these files, and the CLI's ``--config`` and image CSV) is read by
+:func:`read_text`, which refuses a file that does not decode as text,
+naming it.  Values are written one per line with
 17 significant digits, which round-trips float64 exactly.  Arrays are
 flattened row-major (last index fastest).  Every array is a block: a
 ``tag: dim1 dim2 ...`` header line followed by its values.  The writers
@@ -15,7 +18,8 @@ or network, so arrays with leading axes are refused, naming the axes.
 The CSV artifacts (history, grid, report, sweep) go through the same
 writer, :func:`write_csv`: a header line, then rows with floats at
 ``%.17g``, CRLF line ends and no field quoted, as ``csv``'s excel dialect
-writes them.  The patch matrix has no header and LF line ends.
+writes them.  The patch matrix has no header and LF line ends, and the
+SVG decision grid writes its ``<rect/>`` rows through :func:`write_rows`.
 
 Dense tensor::
 
@@ -74,6 +78,7 @@ __all__ = [
     "load_checkpoint",
     "load_dense",
     "load_tensor",
+    "read_text",
     "save_checkpoint",
     "save_dense",
     "save_tensor",
@@ -135,19 +140,27 @@ def _write_file(path, head: str, blocks) -> None:
             write_rows(fh, "%.17g\n", arr.ravel())
 
 
+def read_text(path) -> str:
+    """The text of ``path``, line ends read as ``\\n``; a file that does not
+    decode as text is refused with ``PATH: not a text file (REASON)``."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file ({exc.reason})") from None
+
+
 class _LineReader:
     def __init__(self, path):
         self.path = path
-        with open(path) as fh:
-            self.lines = [ln for ln in map(str.strip, fh) if ln]
+        self.lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
         self.pos = 0
 
     def file_line(self, index: int) -> int:
         """Line number in the file of kept (non-blank) line ``index``; read
         again only to word an error."""
-        with open(self.path) as fh:
-            kept = (i for i, ln in enumerate(fh, start=1) if ln.strip())
-            return next(itertools.islice(kept, index, None))
+        kept = (i for i, ln in enumerate(read_text(self.path).split("\n"), 1) if ln.strip())
+        return next(itertools.islice(kept, index, None))
 
     def next_line(self, what: str) -> str:
         if self.pos >= len(self.lines):

@@ -76,17 +76,20 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.inputs.ndim != 3:
             raise ValueError(f"inputs must be (N, d, n), got shape {self.inputs.shape}")
         if not len(self.inputs):
             raise ValueError("the dataset is empty: need at least one sample")
-        if self.labels.shape != (self.inputs.shape[0],):
+        if labels.shape != (self.inputs.shape[0],):
             raise ValueError("one label per sample required")
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
-        if not (0 <= self.labels.min() and self.labels.max() < self.num_classes):
-            raise ValueError("labels out of range")
+        valid = (labels >= 0) & (labels < self.num_classes) & (labels == np.floor(labels))
+        if not valid.all():
+            raise ValueError(f"labels must be integers in 0..{self.num_classes - 1}, "
+                             f"got {labels[~valid][0]}")
+        self.labels = labels.astype(np.int64)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -412,7 +415,8 @@ def train_lr_sweep(build_net, data: Dataset, cfg: TrainConfig,
 
 def decision_grid(net: ScoreNetwork, bounds, resolution: int):
     """Predicted labels on a lattice over ``bounds = (xmin, xmax, ymin, ymax)``,
-    a finite box with xmin < xmax and ymin < ymax.
+    a box with xmin < xmax and ymin < ymax whose bounds, width and height
+    are all finite.
 
     Only for networks consuming a 2-D point as two one-dimensional
     patches.  Returns (labels[iy, ix], xs, ys).
@@ -423,7 +427,9 @@ def decision_grid(net: ScoreNetwork, bounds, resolution: int):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
-    if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax))) and xmin < xmax and ymin < ymax):
+    # a NaN or infinite bound, an empty or reversed side and a side whose
+    # width overflows all fail: each width must lie strictly between 0 and inf
+    if not (0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf):
         raise ValueError(f"bounds must be finite with xmin < xmax and ymin < ymax, "
                          f"got xmin,xmax,ymin,ymax = {xmin:g},{xmax:g},{ymin:g},{ymax:g}")
     xs = np.linspace(xmin, xmax, resolution)

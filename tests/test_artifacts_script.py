@@ -8,7 +8,7 @@ TRAINED = {"checkpoint.txt", "history.csv"}
 FAILING = {"train-lr-0", "train-lr-1e200", "rank-one-mode-rel-tol-5",
            "boundary-zero-classes", "load-tensor-zero-mode", "train-digits-trailing-bytes",
            "patches-ragged", "train-digits-patch-size-30", "train-digits-zero-rows",
-           "library-refusals"}
+           "library-refusals", "rank-not-text", "config-not-text", "boundary-overflowing-box"}
 
 
 def expected_files() -> dict[str, set[str]]:
@@ -24,6 +24,7 @@ def expected_files() -> dict[str, set[str]]:
         "sweep-digits": {"sweep.csv"},
         "train-digits": TRAINED,
         "train-digits-ht": TRAINED,
+        "train-digits-identity": TRAINED,
         "train-epochs-0": TRAINED,
         "sweep-digits-epochs-0": {"sweep.csv"},
         "verify-theorem1": {"theorem1_report.csv"},
@@ -86,7 +87,21 @@ def test_artifacts_script_records_every_step(tmp_path):
         "error: class_tensor(5): IndexError: class y = 5 is outside 0..C-1 for C = 2\n"
         "error: class_tensor(-1): IndexError: class y = -1 is outside 0..C-1 for C = 2\n"
         "error: tt_random((), 3): ValueError: a TT tensor needs at least one mode\n"
-        "error: tt_random((), ()): ValueError: a TT tensor needs at least one mode\n")
+        "error: tt_random((), ()): ValueError: a TT tensor needs at least one mode\n"
+        "error: tt_equal_cores_random(4, 3, 0): ValueError: ranks must be positive\n"
+        "error: Dataset(labels=(0.5, 1.7)): ValueError: labels must be integers in 0..1, "
+        "got 0.5\n")
+    for name in ("rank-not-text", "config-not-text"):
+        assert (out / name / "stderr").read_text() == (
+            "error: inputs/digits-images.idx: not a text file (invalid continuation byte)\n")
+    assert (out / "boundary-overflowing-box" / "stderr").read_text() == (
+        "error: bounds must be finite with xmin < xmax and ymin < ymax, got xmin,xmax,ymin,ymax "
+        "= 0,1,-1e+308,1e+308\n")
+    # identity features: a calibrated gain of order one, so the loss stays near log(10)
+    assert (out / "train-digits-identity" / "stderr").read_text() == ""
+    final_loss = float((out / "train-digits-identity" / "history.csv").read_text()
+                       .splitlines()[-1].split(",")[1])
+    assert final_loss < 10
     assert (out / "train-digits-ht" / "stderr").read_text() == ""
     # run 0 stops in epoch 1; run 1 trains all 4 epochs
     histories = [(out / "train-stack-stop" / f"history-{k}.csv").read_text().splitlines()

@@ -377,6 +377,19 @@ class TestBoundaryCommand:
                        f"least 1, got [2, 2, 0]\n")
         assert not (tmp_path / "out").exists()
 
+    def test_recorded_svg_digest(self, tmp_path, capsys):
+        # sha256 recorded while the grid was written one f-string per cell;
+        # label 11 of the 12 classes wraps round the 10 colors
+        path = tmp_path / "net.txt"
+        tensor_io.save_checkpoint(path, make_score_network("tt", 2, 1, 4, 2, 12, seed=0))
+        code, _, _ = run(capsys, "boundary", "--checkpoint", str(path), "--resolution", "7",
+                         "--bounds=-40,40,-40,40", "--emit", "svg", "--out-dir", str(tmp_path))
+        assert code == 0
+        data = (tmp_path / "grid.svg").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "b9142c6279285806f0151501d63f28a08b4298347854f0bba7e2173cfa100265"
+        assert data.count(b'fill="#ee6677"/>') > 0  # label 11, color 1
+
     def test_svg_has_one_rect_per_cell(self, tmp_path, capsys, checkpoint):
         code, _, _ = run(capsys, "boundary", "--checkpoint", str(checkpoint),
                          "--resolution", "7", "--emit", "svg",
@@ -395,11 +408,13 @@ class TestBoundaryCommand:
         assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bounds", ["inf,1,0,1", "1,0,0,1", "0,0,0,1", "0,1,1,-1"])
+    @pytest.mark.parametrize("bounds", ["inf,1,0,1", "1,0,0,1", "0,0,0,1", "0,1,1,-1",
+                                        "0,1,-1e+308,1e+308"])
     def test_box_that_is_not_finite_or_empty_exits_two(self, tmp_path, capsys, checkpoint,
                                                        bounds):
-        # an infinite, reversed or zero-width box is refused before any
-        # grid is laid out: no numpy warning, no mirrored or repeated rows
+        # an infinite, reversed or zero-width box, or one whose height
+        # overflows, is refused before any grid is laid out: no numpy
+        # warning, no mirrored or repeated rows
         code, out, err = run(capsys, "boundary", "--checkpoint", str(checkpoint),
                              "--bounds", bounds, "--resolution", "3",
                              "--out-dir", str(tmp_path))
@@ -626,6 +641,15 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
+    def test_config_that_is_not_text_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "verify", "theorem1", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: not a text file (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_hyphenated_keys_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out-dir": str(tmp_path), "samples": 2,
@@ -721,6 +745,17 @@ class TestUsageErrors:
         value = "-3" if "--config" in argv else "-1"
         assert code == 2 and out == ""
         assert err.strip() == f"error: --seed must be a non-negative integer, got {value}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["rank", "{path}"], ["boundary", "--checkpoint", "{path}"]],
+                             ids=["rank", "boundary"])
+    def test_file_that_is_not_text_named(self, tmp_path, capsys, argv):
+        path = tmp_path / "images.idx"
+        path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 1, 2, 2) + b"\x00\xd8\x01\x02")
+        argv = [arg.format(path=path) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not a text file (invalid continuation byte)\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self, capsys):

@@ -168,6 +168,18 @@ class TestEqualCores:
         with pytest.raises(ValueError):
             tt_equal_cores_random(2, 2, 2, seed=0)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            tt_equal_cores_random(4, 3, r, seed=0)
+
+    def test_cores_are_those_of_tt_random(self):
+        first, middle, last = tt_random((3,) * 3, 2, seed=5).cores
+        tt = tt_equal_cores_random(6, 3, 2, seed=5)
+        assert len(tt.cores) == 6
+        for got, want in zip(tt.cores, [first, middle, middle, middle, middle, last]):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestCP:
     def test_rank_one_outer_product(self):

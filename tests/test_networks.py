@@ -579,6 +579,18 @@ class TestConstruction:
             initialize_for_training(net, sample)
         np.testing.assert_array_equal(net.vector, before)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_calibrated_identity_chain_keeps_scores_bounded(self, seed):
+        # identity features sum to signed values per patch; for seeds 0 and
+        # 2 their mean is negative, and a gain read from the signed mean
+        # was 1e12 (scores near 1e85).  The mean magnitude gives scores of
+        # order one.
+        sample = np.random.default_rng(seed).uniform(size=(16, 8, 3))
+        net = make_score_network("tt", 8, 3, 4, 4, 3, seed=seed, activation="identity")
+        initialize_for_training(net, sample, seed=seed)
+        scores = net.scores_batch(sample)
+        assert np.isfinite(scores).all() and np.abs(scores).max() < 1e6
+
     @pytest.mark.parametrize("kind, d", [("tt", 1), ("ht", 1), ("tt", 0), ("ht", 0)])
     def test_chains_and_trees_need_two_slots(self, kind, d):
         with pytest.raises(ValueError, match="d >= 2"):

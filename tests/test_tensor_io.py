@@ -283,6 +283,24 @@ class TestNonFiniteValues:
             tensor_io.load_dense(path)
 
 
+class TestFilesThatAreNotText:
+    @pytest.mark.parametrize("load", [tensor_io.load_dense, tensor_io.load_tensor,
+                                      tensor_io.load_checkpoint],
+                             ids=["dense", "tensor", "checkpoint"])
+    def test_refused_naming_the_file(self, tmp_path, load):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"shape: 2\n1\n\xff\n")
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: not a text file (invalid start byte)"
+
+    def test_crlf_and_cr_line_ends_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"shape: 3\r\n1\r\r\n2\rnan\n")
+        with pytest.raises(ValueError, match="line 5: value 'nan' is not a finite number"):
+            tensor_io.load_dense(path)
+
+
 class TestFactorFiles:
     def test_tt_roundtrip(self, tmp_path):
         tt = tt_random((2, 3, 2), (2, 4), seed=0)

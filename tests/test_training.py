@@ -501,6 +501,19 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((2, 2, 1)), np.array([0, 2]), 2)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.7], "labels must be integers in 0..1, got 0.5"),
+        ([1.0, np.nan], "labels must be integers in 0..1, got nan"),
+        ([0, 2], "labels must be integers in 0..1, got 2"),
+    ], ids=["fraction", "nan", "too-large"])
+    def test_bad_label_named(self, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(np.zeros((2, 2, 1)), np.array(labels), 2)
+
+    def test_whole_float_labels_accepted(self):
+        data = Dataset(np.zeros((2, 2, 1)), np.array([1.0, 0.0]), 2)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0]
+
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2, 1)), np.array([0]), 2)
